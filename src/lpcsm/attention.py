@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError
+from .numerics import Tensor, ParameterStore, NumericsError, concat
 
 # Additive mask value; exp(x - 1e30) underflows to exactly 0, so masked
 # positions carry exactly zero weight.
@@ -35,10 +35,13 @@ class AttentionOutput:
     attention_weights: Tensor | None = None
 
 
-def window_mask(t_len: int, window: int) -> np.ndarray:
-    """[T, T] additive mask: 0 inside [max(1, t-w+1), t], MASK_VALUE outside."""
-    t = np.arange(t_len)
-    ok = (t[None, :] <= t[:, None]) & (t[None, :] >= t[:, None] - window + 1)
+def window_mask(t_len: int, window: int, past: int = 0) -> np.ndarray:
+    """[T, past+T] additive mask for T queries after `past` earlier keys:
+    query t sits at key position past+t and sees keys in
+    [past+t-w+1, past+t]; 0 inside, MASK_VALUE outside."""
+    q = np.arange(past, past + t_len)[:, None]
+    k = np.arange(past + t_len)[None, :]
+    ok = (k <= q) & (k >= q - window + 1)
     return np.where(ok, 0.0, MASK_VALUE)
 
 
@@ -50,14 +53,15 @@ def _require(params: ParameterStore, names: list[str]) -> None:
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
             params: ParameterStore, prefix: str) -> AttentionOutput:
-    t_len = q.shape[0]
+    """q holds the T newest rows; k and v also hold the rows before them."""
+    t_len, kv_len = q.shape[0], k.shape[0]
     h, hd = cfg.heads, cfg.head_dim
     # [T, d] -> [H, T, hd]
     qh = q.reshape((t_len, h, hd)).transpose((1, 0, 2))
-    kh = k.reshape((t_len, h, hd)).transpose((1, 0, 2))
-    vh = v.reshape((t_len, h, hd)).transpose((1, 0, 2))
+    kh = k.reshape((kv_len, h, hd)).transpose((1, 0, 2))
+    vh = v.reshape((kv_len, h, hd)).transpose((1, 0, 2))
     scores = (qh @ kh.transpose((0, 2, 1))) * (1.0 / np.sqrt(hd))
-    scores = scores + Tensor(window_mask(t_len, cfg.window))
+    scores = scores + Tensor(window_mask(t_len, cfg.window, kv_len - t_len))
     weights = scores.softmax()
     mixed = weights @ vh
     merged = mixed.transpose((1, 0, 2)).reshape((t_len, h * hd))
@@ -65,26 +69,38 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
     return AttentionOutput(read=read, attention_weights=weights)
 
 
+def _with_past(hidden: Tensor, past: Tensor | None) -> Tensor:
+    return hidden if past is None else concat([past, hidden])
+
+
 def local_attention(hidden: Tensor, cfg: AttentionConfig,
-                    params: ParameterStore, prefix: str = "attn.") -> AttentionOutput:
-    """Default path: q, k, v sliced from one shared linear projection."""
+                    params: ParameterStore, prefix: str = "attn.",
+                    past: Tensor | None = None) -> AttentionOutput:
+    """Default path: q, k, v sliced from one shared linear projection.
+
+    `past` holds earlier normed rows that the T rows of `hidden` may also
+    attend to, within the window.
+    """
     _require(params, [prefix + n for n in ("w_qkv", "b_qkv", "w_o", "b_o")])
     d = cfg.width
-    qkv = hidden @ params[prefix + "w_qkv"] + params[prefix + "b_qkv"]
-    q, k, v = qkv[:, 0:d], qkv[:, d:2 * d], qkv[:, 2 * d:3 * d]
+    qkv = _with_past(hidden, past) @ params[prefix + "w_qkv"] + params[prefix + "b_qkv"]
+    q = qkv[-hidden.shape[0]:, 0:d]
+    k, v = qkv[:, d:2 * d], qkv[:, 2 * d:3 * d]
     return _attend(q, k, v, cfg, params, prefix)
 
 
 def latent_attention(hidden: Tensor, cfg: AttentionConfig,
-                     params: ParameterStore, prefix: str = "attn.") -> AttentionOutput:
-    """Latent-KV variant: keys/values lifted from a compressed bottleneck."""
+                     params: ParameterStore, prefix: str = "attn.",
+                     past: Tensor | None = None) -> AttentionOutput:
+    """Latent-KV variant: keys/values lifted from a compressed bottleneck.
+    `past` is as in `local_attention`."""
     if cfg.latent_dim is None:
         raise NumericsError("latent_attention requires latent_dim")
     _require(params, [prefix + n for n in
                       ("w_q", "b_q", "w_z", "b_z", "w_k_up", "b_k_up",
                        "w_v_up", "b_v_up", "w_o", "b_o")])
     q = hidden @ params[prefix + "w_q"] + params[prefix + "b_q"]
-    z = hidden @ params[prefix + "w_z"] + params[prefix + "b_z"]
+    z = _with_past(hidden, past) @ params[prefix + "w_z"] + params[prefix + "b_z"]
     k = z @ params[prefix + "w_k_up"] + params[prefix + "b_k_up"]
     v = z @ params[prefix + "w_v_up"] + params[prefix + "b_v_up"]
     return _attend(q, k, v, cfg, params, prefix)

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 
-from .numerics import ParameterStore
+from .numerics import ParameterStore, NumericsError
 from .model import ModelConfig, init_params
 
 MAGIC = b"LPCM"
@@ -69,7 +69,11 @@ def load_checkpoint(path: str,
         if version != VERSION:
             raise VersionMismatchError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read(f, 4))
-        cfg = ModelConfig.from_canonical(_read(f, cfg_len).decode("utf-8"))
+        try:
+            cfg = ModelConfig.from_canonical(_read(f, cfg_len).decode("utf-8"))
+        except (ValueError, SyntaxError, TypeError, RecursionError,
+                NumericsError) as e:
+            raise CheckpointError(f"corrupt config text: {e}") from e
         if expect_cfg is not None and cfg != expect_cfg:
             raise ConfigMismatchError("checkpoint config does not match expected config")
 
@@ -83,6 +87,8 @@ def load_checkpoint(path: str,
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read(f, 8 * n), dtype="<f8").reshape(shape)
             loaded[name] = data.astype(np.float64)
+        if f.read(1):
+            raise CheckpointError("trailing bytes after the last tensor")
 
     # Rebuild the store from the config so names, order, and trainable flags
     # come from the architecture, then overwrite values from the file.

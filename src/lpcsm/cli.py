@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from .numerics import NumericsError
 from .config import ConfigError, load_run_config
@@ -48,11 +48,18 @@ class _null_writer:
         pass
 
 
-def _parse_task(spec: str) -> SyntheticTask:
+def _pairs(spec: str) -> dict[str, str]:
+    """`k=v` entries separated by commas or newlines."""
     kwargs = {}
-    for part in spec.split(","):
-        key, _, val = part.partition("=")
-        kwargs[key.strip()] = val.strip()
+    for part in spec.replace("\n", ",").split(","):
+        if part.strip():
+            key, _, val = part.partition("=")
+            kwargs[key.strip()] = val.strip()
+    return kwargs
+
+
+def _parse_task(spec: str) -> SyntheticTask:
+    kwargs = _pairs(spec)
     try:
         return SyntheticTask(
             kind=kwargs.pop("kind"),
@@ -85,18 +92,24 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _parse_probe_spec(spec: str) -> ProbeSpec:
+    """Inline `k=v,...` pairs, or the path of a file holding them."""
+    if "=" not in spec:
+        with open(spec) as f:
+            spec = f.read()
+    kwargs = _pairs(spec)
+    unknown = set(kwargs) - {f.name for f in fields(ProbeSpec)}
+    if unknown:
+        raise ConfigError(f"unknown probe spec keys: {sorted(unknown)}")
+    try:
+        return ProbeSpec(**{k: int(v) for k, v in kwargs.items()})
+    except ValueError as e:
+        raise ConfigError(f"bad probe spec: {e}") from e
+
+
 def _cmd_probe(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
-    spec = ProbeSpec()
-    if args.probe_spec:
-        run = {}
-        with open(args.probe_spec) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    key, _, val = line.partition("=")
-                    run[key.strip()] = int(val)
-        spec = ProbeSpec(**run)
+    spec = _parse_probe_spec(args.probe_spec) if args.probe_spec else None
     result = probe_delayed_identifier(params, cfg, spec)
     print(f"key cross-entropy: {result.key_cross_entropy:.6f}")
     print(f"prompt length: {result.prompt_length}")

@@ -12,13 +12,6 @@ from .numerics import Tensor, ParameterStore, NumericsError, concat
 class PredictionState:
     estimate: Tensor
     step: int
-    last_error: Tensor | None = None
-
-
-@dataclass
-class ErrorStats:
-    per_token_error_norm: Tensor
-    mean_error: float
 
 
 def _mlp(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
@@ -43,24 +36,5 @@ def refine_step(a: Tensor, r: Tensor, h: Tensor, state: PredictionState,
         raise NumericsError("refinement step budget exhausted")
     err = h - state.estimate
     est = state.estimate + _mlp(concat([a, r, err], axis=-1), params, prefix)
-    return PredictionState(estimate=est, step=state.step + 1, last_error=h - est)
+    return PredictionState(estimate=est, step=state.step + 1)
 
-
-def run_refinement(a: Tensor, r: Tensor, h: Tensor, params: ParameterStore,
-                   steps: int) -> PredictionState:
-    """Initialize then apply the configured number of refinement steps."""
-    state = predict_init(a, r, params)
-    for _ in range(steps):
-        state = refine_step(a, r, h, state, params, max_steps=steps)
-    if state.last_error is None:
-        state.last_error = h - state.estimate
-    return state
-
-
-def error_stats(h: Tensor, estimates: Tensor) -> ErrorStats:
-    """Per-token L2 mismatch norm and its mean."""
-    if h.shape != estimates.shape:
-        raise NumericsError("error_stats shape mismatch")
-    diff = h - estimates
-    norms = (diff * diff).sum(axis=-1).sqrt()
-    return ErrorStats(per_token_error_norm=norms, mean_error=float(norms.data.mean()))

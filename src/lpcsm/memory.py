@@ -46,11 +46,6 @@ class ChunkAccumulator:
         return self.running_sum * (1.0 / self.count)
 
 
-@dataclass
-class MemoryReadout:
-    value: Tensor
-
-
 def fast_update(h: Tensor, prev: FastState, params: ParameterStore,
                 prefix: str = "mem.") -> FastState:
     """Gated tokenwise update: d*prev + (1-d)*tanh write."""
@@ -60,12 +55,12 @@ def fast_update(h: Tensor, prev: FastState, params: ParameterStore,
 
 
 def memory_read(h: Tensor, fast: FastState, slow: SlowState,
-                params: ParameterStore, prefix: str = "mem.") -> MemoryReadout:
+                params: ParameterStore, prefix: str = "mem.") -> Tensor:
     """Separate sigmoid gates query the fast and slow halves, then mix."""
     qf = (h @ params[prefix + "w_qf"] + params[prefix + "b_qf"]).sigmoid()
     qs = (h @ params[prefix + "w_qs"] + params[prefix + "b_qs"]).sigmoid()
     gated = concat([qf * fast.value, qs * slow.value], axis=-1)
-    return MemoryReadout(value=gated @ params[prefix + "w_r"] + params[prefix + "b_r"])
+    return gated @ params[prefix + "w_r"] + params[prefix + "b_r"]
 
 
 def accumulate(acc: ChunkAccumulator, fast: FastState) -> ChunkAccumulator:

@@ -1,5 +1,6 @@
 """Multi-stream residual router: lift, Sinkhorn-normalized transport
-across streams, and learned pre/post mixing around the block update."""
+across streams, and learned pre/post mixing around the block update,
+evaluated in its exact scalar-gain form."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, NumericsError, _wrap, stack
+from .numerics import Tensor, NumericsError, _wrap
 
 
 @dataclass
@@ -15,11 +16,6 @@ class MixWeights:
     pre_mix: Tensor
     post_mix: Tensor
     transport_logits: Tensor
-
-
-@dataclass
-class TransportMatrix:
-    matrix: Tensor
 
 
 # Marginal-sum tolerance the transport matrix must reach, and the hard cap
@@ -35,7 +31,7 @@ def _marginal_residual(m: np.ndarray) -> float:
     )
 
 
-def sinkhorn_normalize(logits: Tensor, iters: int) -> TransportMatrix:
+def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
     """Alternate row/column normalization of exp(logits).
 
     Runs `iters` full passes, then keeps alternating until both marginal
@@ -54,7 +50,7 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> TransportMatrix:
         m = m / m.sum(axis=1, keepdims=True)
         m = m / m.sum(axis=0, keepdims=True)
         if i + 1 >= iters and _marginal_residual(m.data) <= MARGINAL_TOL:
-            return TransportMatrix(matrix=m)
+            return m
     raise NumericsError("sinkhorn failed to reach doubly-stochastic marginals")
 
 
@@ -62,18 +58,17 @@ def mhc_route(h_in: Tensor, block_update: Tensor, w: MixWeights,
               streams: int, iters: int) -> Tensor:
     """Route the residual through `streams` scalar-lifted copies.
 
-    streams_i = pre_mix_i * h_in; the doubly-stochastic transport mixes the
-    stream axis; post-mix coefficients collapse back to one stream and the
-    block update is injected additively. Accepts a vector or a [T, d] batch.
+    Stream i carries pre_mix_i * h_in, the doubly-stochastic transport M
+    mixes the stream axis, and the post-mix coefficients collapse it back.
+    Every stream is a multiple of h_in, so the routed residual is exactly
+    (post_mixᵀ M pre_mix) * h_in: one scalar gain, computed in that form.
+    The block update is injected additively. Accepts a vector or a [T, d]
+    batch.
     """
     h_in, block_update = _wrap(h_in), _wrap(block_update)
     if streams < 2:
         raise NumericsError("mhc requires at least 2 streams")
     if w.pre_mix.shape != (streams,) or w.post_mix.shape != (streams,):
         raise NumericsError("mix weight shapes inconsistent with stream count")
-    transport = sinkhorn_normalize(w.transport_logits, iters).matrix
-    flat = h_in.reshape((1, h_in.size))
-    lifted = stack([(w.pre_mix[i] * flat)[0] for i in range(streams)])
-    routed = transport @ lifted
-    collapsed = w.post_mix.reshape((1, streams)) @ routed
-    return collapsed.reshape(h_in.shape) + block_update
+    transport = sinkhorn_normalize(w.transport_logits, iters)
+    return h_in * ((transport @ w.pre_mix) @ w.post_mix) + block_update

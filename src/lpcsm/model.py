@@ -1,14 +1,17 @@
 """Block and stack composition: norm -> {attention, memory read,
-correction} -> fuse -> residual + FFN (optionally routed) -> heads."""
+correction} -> fuse -> residual + FFN (optionally routed) -> heads. One
+block serves teacher forcing and incremental decode."""
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .numerics import (
     Tensor, ParameterStore, NumericsError, rmsnorm, concat, stack, take_rows,
+    straight_through,
 )
 from .attention import AttentionConfig, local_attention, latent_attention
 from .memory import (
@@ -82,7 +85,7 @@ class ModelConfig:
             key, _, val = line.partition("=")
             if key not in valid:
                 raise NumericsError(f"unknown config key {key!r} in canonical text")
-            kwargs[key] = eval(val, {"__builtins__": {}})  # literals written by to_canonical
+            kwargs[key] = ast.literal_eval(val)
         return cls(**kwargs)
 
 
@@ -185,56 +188,84 @@ def controller_params(params: ParameterStore, cfg: ModelConfig, prefix: str) -> 
     )
 
 
-def causal_mask_bits(error_norms: Tensor,
-                     cp: ControllerParams) -> tuple[Tensor, Tensor, float]:
+@dataclass
+class LayerCache:
+    """What a layer's next span reads of the tokens before it. Teacher
+    forcing runs one span from a fresh cache; decode runs one-token spans
+    on a carried one."""
+    history: list  # post-norm rows as [1, d] tensors, at most `window` entries
+    fast: FastState
+    slow: SlowState
+    chunk: ChunkAccumulator
+    error_norms: list  # per-position mismatch norms, full prefix
+
+    @classmethod
+    def fresh(cls, cfg: ModelConfig) -> "LayerCache":
+        return cls(
+            history=[],
+            fast=FastState.zeros(cfg.width),
+            slow=SlowState.zeros(cfg.width),
+            chunk=ChunkAccumulator.empty(cfg.width, cfg.chunk_size),
+            error_norms=[],
+        )
+
+
+def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
+                     past=()) -> tuple[Tensor, Tensor, float]:
     """Per-position event bits using only each position's prefix statistics.
 
     Position t takes the bit assigned to it by the hard mask computed over
-    scores of tokens 1..t, which keeps teacher forcing and incremental
-    decode identical. Returns (hard bits, soft bits, ratio).
+    scores of tokens 1..t, where `past` holds the norms of the tokens
+    before this span; this keeps teacher forcing and incremental decode
+    identical. Returns (hard bits, soft bits, ratio).
     """
-    t_len = error_norms.shape[0]
     ratio = float(clamp_ratio(cp).data)
-    hard_bits, soft_bits = [], []
-    for t in range(t_len):
-        scores = event_scores(error_norms[0:t + 1], cp)
-        em = hard_mask(scores, ratio)
-        hard_bits.append(em.hard[t])
+    start = len(past)
+    if start:
+        error_norms = concat([Tensor(np.asarray(past)), error_norms])
+    hard_vals, soft_bits = [], []
+    for t in range(start, error_norms.shape[0]):
+        em = hard_mask(event_scores(error_norms[0:t + 1], cp), ratio)
+        hard_vals.append(em.hard.data[t])
         soft_bits.append(em.soft[t])
-    return stack(hard_bits), stack(soft_bits), ratio
+    soft = stack(soft_bits)
+    return straight_through(np.array(hard_vals), soft), soft, ratio
 
 
 def block_forward(h: Tensor, layer: int, params: ParameterStore,
-                  cfg: ModelConfig, soft_mask: bool = False) -> BlockOutput:
+                  cfg: ModelConfig, soft_mask: bool = False,
+                  cache: LayerCache | None = None) -> BlockOutput:
+    """One LPC-SM block over a span of T rows.
+
+    The span continues the tokens summarised in `cache`, which is advanced
+    in place past the span; without one, the span starts the sequence.
+    """
     t_len, d = h.shape
     p = f"layers.{layer}."
+    cache = LayerCache.fresh(cfg) if cache is None else cache
     try:
         n = rmsnorm(h, params[p + "norm1.gain"], cfg.rmsnorm_eps)
 
-        acfg = cfg.attention_config()
-        if cfg.latent_dim is not None:
-            a = latent_attention(n, acfg, params, p + "attn.").read
-        else:
-            a = local_attention(n, acfg, params, p + "attn.").read
+        attend = local_attention if cfg.latent_dim is None else latent_attention
+        past = concat(cache.history) if cache.history else None
+        a = attend(n, cfg.attention_config(), params, p + "attn.", past=past).read
+        keep = range(max(0, t_len - cfg.window), t_len)
+        cache.history = (cache.history + [n[t:t + 1] for t in keep])[-cfg.window:]
 
         # Memory pathway, tokenwise; the slow state only moves at boundaries
         # and the boundary write happens after that token's read.
-        fast = FastState.zeros(d)
-        slow = SlowState.zeros(d)
-        acc = ChunkAccumulator.empty(d, cfg.chunk_size)
+        writes_before = cache.slow.chunk_index
         r_rows = []
-        write_count = 0
         for t in range(t_len):
             nt = n[t]
-            fast = fast_update(nt, fast, params, p + "mem.")
-            r_rows.append(memory_read(nt, fast, slow, params, p + "mem.").value)
+            cache.fast = fast_update(nt, cache.fast, params, p + "mem.")
+            r_rows.append(memory_read(nt, cache.fast, cache.slow, params, p + "mem."))
             if cfg.slow_memory:
-                acc = accumulate(acc, fast)
-                if acc.count == cfg.chunk_size:
-                    slow = slow_write(nt, acc, slow, cfg.alpha_n, cfg.ont,
-                                      params, p + "mem.")
-                    acc = ChunkAccumulator.empty(d, cfg.chunk_size)
-                    write_count += 1
+                cache.chunk = accumulate(cache.chunk, cache.fast)
+                if cache.chunk.count == cfg.chunk_size:
+                    cache.slow = slow_write(nt, cache.chunk, cache.slow,
+                                            cfg.alpha_n, cfg.ont, params, p + "mem.")
+                    cache.chunk = ChunkAccumulator.empty(d, cfg.chunk_size)
         r = stack(r_rows)
 
         # Predictive correction over the whole batch of positions.
@@ -252,7 +283,8 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             error_norms = Tensor(np.zeros(t_len))
 
         cp = controller_params(params, cfg, p)
-        hard_bits, soft_bits, ratio = causal_mask_bits(error_norms, cp)
+        hard_bits, soft_bits, _ = causal_mask_bits(error_norms, cp, cache.error_norms)
+        cache.error_norms.extend(error_norms.data.tolist())
         mask = soft_bits if soft_mask else hard_bits
         density = float(hard_bits.data.mean())
         ratio_t = clamp_ratio(cp)
@@ -261,7 +293,7 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         else:
             # Straight-through ratio: forward value is the observed mask
             # density, backward flows into the bounded learnable ratio.
-            sparse_ratio_st = ratio_t - ratio_t.detach() + density
+            sparse_ratio_st = straight_through(np.array(density), ratio_t)
 
         if cfg.predictive_coding:
             corrected = mask.reshape((t_len, 1)) * est
@@ -293,9 +325,9 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         mask=mask,
         effective_ratio=density,
         sparse_ratio_st=sparse_ratio_st,
-        fast_final=fast.value,
-        slow_final=slow.value,
-        write_count=write_count,
+        fast_final=cache.fast.value,
+        slow_final=cache.slow.value,
+        write_count=cache.slow.chunk_index - writes_before,
     )
     return BlockOutput(hidden=out, aux=aux)
 
@@ -315,16 +347,21 @@ def embed(tokens, params: ParameterStore, cfg: ModelConfig,
 
 
 def model_forward(tokens, params: ParameterStore, cfg: ModelConfig,
-                  soft_mask: bool = False) -> tuple[Logits, list[LayerAux]]:
-    """Teacher-forced pass: embedding, L blocks, final norm, two heads.
+                  soft_mask: bool = False, caches: list | None = None,
+                  position: int = 0) -> tuple[Logits, list[LayerAux]]:
+    """Embedding, L blocks, final norm, two heads over a span of tokens.
 
-    `soft_mask` swaps the straight-through event mask for its soft
-    surrogate; used by gradient checks, never by training or decode.
+    Teacher forcing passes the whole sequence. Decode passes each token
+    with `position` and the per-layer `caches` of the tokens before it,
+    which are advanced in place. `soft_mask` swaps the straight-through
+    event mask for its soft surrogate; used by gradient checks, never by
+    training or decode.
     """
-    h = embed(tokens, params, cfg)
+    h = embed(tokens, params, cfg, position_offset=position)
     aux_list = []
     for layer in range(cfg.layers):
-        out = block_forward(h, layer, params, cfg, soft_mask=soft_mask)
+        out = block_forward(h, layer, params, cfg, soft_mask=soft_mask,
+                            cache=None if caches is None else caches[layer])
         h = out.hidden
         aux_list.append(out.aux)
     n = rmsnorm(h, params["final_norm.gain"], cfg.rmsnorm_eps)

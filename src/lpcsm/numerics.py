@@ -245,6 +245,14 @@ class Tensor:
             out._backward = lambda g: _accum(a, g * y * (1.0 - y))
         return out
 
+    def softplus(self):
+        """log(1 + exp(x)), without overflow for large x."""
+        a = self
+        out = _op(np.logaddexp(0.0, a.data), (a,))
+        if out._prev:
+            out._backward = lambda g: _accum(a, g * expit(a.data))
+        return out
+
     def exp(self):
         a = self
         y = np.exp(a.data)

@@ -1,41 +1,15 @@
-"""Incremental autoregressive decoding with a per-layer cache that mirrors
-the teacher-forced write order exactly."""
+"""Incremental autoregressive decoding: the per-layer caches that carry a
+sequence from one token to the next, and greedy generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .numerics import Tensor, ParameterStore, NumericsError, no_grad, rmsnorm, concat, stack
-from .memory import (
-    FastState, SlowState, ChunkAccumulator,
-    fast_update, memory_read, accumulate, slow_write,
-)
-from .correction import predict_init, refine_step
-from .controller import event_scores, hard_mask, clamp_ratio
-from .mhc import MixWeights, mhc_route
-from .model import ModelConfig, Logits, controller_params, embed
-
-
-@dataclass
-class LayerCache:
-    history: list  # post-norm hidden vectors, at most `window` entries
-    fast: FastState
-    slow: SlowState
-    chunk: ChunkAccumulator
-    error_norms: list  # per-position mismatch norms, full prefix
-
-    @classmethod
-    def fresh(cls, cfg: ModelConfig) -> "LayerCache":
-        return cls(
-            history=[],
-            fast=FastState.zeros(cfg.width),
-            slow=SlowState.zeros(cfg.width),
-            chunk=ChunkAccumulator.empty(cfg.width, cfg.chunk_size),
-            error_norms=[],
-        )
+from .numerics import ParameterStore, NumericsError, no_grad
+from .model import ModelConfig, Logits, LayerCache, model_forward
 
 
 @dataclass
@@ -52,100 +26,17 @@ def init_cache(cfg: ModelConfig) -> DecodeCache:
     return DecodeCache.fresh(cfg)
 
 
-def _attend_step(n_vec: Tensor, lc: LayerCache, params: ParameterStore,
-                 cfg: ModelConfig, prefix: str) -> Tensor:
-    hist = stack(lc.history)
-    d, h, hd = cfg.width, cfg.heads, cfg.head_dim
-    if cfg.latent_dim is not None:
-        q = n_vec @ params[prefix + "w_q"] + params[prefix + "b_q"]
-        z = hist @ params[prefix + "w_z"] + params[prefix + "b_z"]
-        k = z @ params[prefix + "w_k_up"] + params[prefix + "b_k_up"]
-        v = z @ params[prefix + "w_v_up"] + params[prefix + "b_v_up"]
-    else:
-        qkv_self = n_vec @ params[prefix + "w_qkv"] + params[prefix + "b_qkv"]
-        q = qkv_self[0:d]
-        qkv_hist = hist @ params[prefix + "w_qkv"] + params[prefix + "b_qkv"]
-        k, v = qkv_hist[:, d:2 * d], qkv_hist[:, 2 * d:3 * d]
-    hist_len = len(lc.history)
-    qh = q.reshape((1, h, hd)).transpose((1, 0, 2))
-    kh = k.reshape((hist_len, h, hd)).transpose((1, 0, 2))
-    vh = v.reshape((hist_len, h, hd)).transpose((1, 0, 2))
-    scores = (qh @ kh.transpose((0, 2, 1))) * (1.0 / np.sqrt(hd))
-    mixed = scores.softmax() @ vh
-    merged = mixed.transpose((1, 0, 2)).reshape((h * hd,))
-    return merged @ params[prefix + "w_o"] + params[prefix + "b_o"]
-
-
 def step_decode(token: int, cache: DecodeCache, params: ParameterStore,
                 cfg: ModelConfig) -> tuple[Logits, DecodeCache]:
-    """Process one token through all layers using cached state."""
+    """Run the model on one token as a span that continues the cache."""
     if cache.position >= cfg.max_seq_len:
         raise NumericsError("decode past max_seq_len")
     with no_grad():
-        h = embed([token], params, cfg, position_offset=cache.position)[0]
-        for layer in range(cfg.layers):
-            p = f"layers.{layer}."
-            lc = cache.layers[layer]
-            n_vec = rmsnorm(h, params[p + "norm1.gain"], cfg.rmsnorm_eps)
-
-            lc.history.append(n_vec)
-            if len(lc.history) > cfg.window:
-                lc.history.pop(0)
-            a = _attend_step(n_vec, lc, params, cfg, p + "attn.")
-
-            lc.fast = fast_update(n_vec, lc.fast, params, p + "mem.")
-            r = memory_read(n_vec, lc.fast, lc.slow, params, p + "mem.").value
-            if cfg.slow_memory:
-                lc.chunk = accumulate(lc.chunk, lc.fast)
-                if lc.chunk.count == cfg.chunk_size:
-                    lc.slow = slow_write(n_vec, lc.chunk, lc.slow, cfg.alpha_n,
-                                         cfg.ont, params, p + "mem.")
-                    lc.chunk = ChunkAccumulator.empty(cfg.width, cfg.chunk_size)
-
-            if cfg.predictive_coding:
-                state = predict_init(a, r, params, p + "pred.")
-                for _ in range(cfg.s_ref):
-                    state = refine_step(a, r, n_vec, state, params,
-                                        cfg.s_ref, p + "refine.")
-                est = state.estimate
-                diff = n_vec - est
-                err_norm = float(np.sqrt((diff.data * diff.data).sum()))
-            else:
-                est = None
-                err_norm = 0.0
-            lc.error_norms.append(err_norm)
-
-            cp = controller_params(params, cfg, p)
-            scores = event_scores(Tensor(np.array(lc.error_norms)), cp)
-            bit = float(hard_mask(scores, float(clamp_ratio(cp).data)).hard.data[-1])
-            if cfg.predictive_coding:
-                corrected = est * bit
-            else:
-                corrected = Tensor(np.zeros(cfg.width))
-
-            fused = concat([a, r, corrected], axis=-1) @ params[p + "fuse.w"] \
-                + params[p + "fuse.b"]
-            resid = h + fused
-            n2 = rmsnorm(resid, params[p + "norm2.gain"], cfg.rmsnorm_eps)
-            update = (n2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]).tanh() \
-                @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
-            if cfg.mhc:
-                w = MixWeights(
-                    pre_mix=params[p + "mhc.pre"],
-                    post_mix=params[p + "mhc.post"],
-                    transport_logits=params[p + "mhc.logits"],
-                )
-                h = mhc_route(resid, update, w, cfg.mhc_streams, cfg.sinkhorn_iters)
-            else:
-                h = resid + update
-
-        n = rmsnorm(h, params["final_norm.gain"], cfg.rmsnorm_eps)
-        lm = n @ params["lm_head.w"] + params["lm_head.b"]
-        stop = None
-        if cfg.stop_head:
-            stop = n @ params["stop_head.w"] + params["stop_head.b"]
+        logits, _ = model_forward([token], params, cfg, caches=cache.layers,
+                                  position=cache.position)
     cache.position += 1
-    return Logits(lm=lm, stop=stop), cache
+    stop = None if logits.stop is None else logits.stop[0]
+    return Logits(lm=logits.lm[0], stop=stop), cache
 
 
 def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,

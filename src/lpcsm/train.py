@@ -3,6 +3,7 @@ ablation driver."""
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, replace
 
@@ -161,7 +162,7 @@ def probe_delayed_identifier(params: ParameterStore, cfg: ModelConfig,
     return ProbeResult(
         key_cross_entropy=ce,
         prompt_length=spec.prompt_len,
-        config_fingerprint=str(hash(cfg.to_canonical())),
+        config_fingerprint=hashlib.sha256(cfg.to_canonical().encode()).hexdigest(),
     )
 
 

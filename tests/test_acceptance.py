@@ -194,7 +194,7 @@ class TestCriterion5Sinkhorn:
         for _ in range(1000):
             s = int(rng.integers(2, 5))
             logits = rng.uniform(-5.0, 5.0, (s, s))
-            m = sinkhorn_normalize(Tensor(logits), iters=20).matrix.data
+            m = sinkhorn_normalize(Tensor(logits), iters=20).data
             worst = max(worst,
                         float(np.max(np.abs(m.sum(axis=0) - 1.0))),
                         float(np.max(np.abs(m.sum(axis=1) - 1.0))))

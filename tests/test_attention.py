@@ -49,6 +49,26 @@ class TestWindowMask:
         with pytest.raises(NumericsError):
             AttentionConfig(window=0, heads=1, head_dim=4)
 
+    def test_past_rows_are_trailing_rows(self):
+        for past, t_len, window in ((1, 1, 1), (3, 2, 2), (6, 1, 3), (2, 4, 8)):
+            full = window_mask(past + t_len, window)
+            assert np.array_equal(window_mask(t_len, window, past), full[past:])
+
+
+@pytest.mark.parametrize("latent_dim", [None, 3])
+@pytest.mark.parametrize("past", [1, 3, 6])
+def test_span_with_past_continues_sequence(latent_dim, past):
+    # Attending a span after `past` earlier rows gives the trailing rows of
+    # one pass over the whole sequence.
+    d = 8
+    cfg = AttentionConfig(window=3, heads=2, head_dim=4, latent_dim=latent_dim)
+    params = make_params(d, seed=30, latent_dim=latent_dim)
+    attend = local_attention if latent_dim is None else latent_attention
+    h = np.random.default_rng(31).standard_normal((7, d))
+    whole = attend(Tensor(h), cfg, params).read.data
+    span = attend(Tensor(h[past:]), cfg, params, past=Tensor(h[:past])).read.data
+    assert np.max(np.abs(span - whole[past:])) < 1e-12
+
 
 class TestLocalAttention:
     def test_single_token_is_value_projection(self):

@@ -1,13 +1,11 @@
-"""Predictive correction: initial estimate, additive refinement, the
-step budget, and error statistics."""
+"""Predictive correction: initial estimate, additive refinement, and the
+step budget."""
 
 import numpy as np
 import pytest
 
 from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
-from lpcsm.correction import (
-    predict_init, refine_step, run_refinement, error_stats,
-)
+from lpcsm.correction import predict_init, refine_step
 
 
 def make_params(d, seed=0, zero=False):
@@ -23,6 +21,14 @@ def make_params(d, seed=0, zero=False):
     mat("refine.w1", 3 * d, d); params.add("refine.b1", np.zeros(d))
     mat("refine.w2", d, d); params.add("refine.b2", np.zeros(d))
     return params
+
+
+def unroll(a, r, h, params, steps):
+    """predict_init, then `steps` refinements, as the block runs them."""
+    state = predict_init(a, r, params)
+    for _ in range(steps):
+        state = refine_step(a, r, h, state, params, max_steps=steps)
+    return state
 
 
 def mlp(x, params, prefix):
@@ -104,12 +110,12 @@ class TestRefineStep:
         params = make_params(d, seed=12)
         rng = np.random.default_rng(13)
         a, r, h = (rng.standard_normal(d) for _ in range(3))
-        state = run_refinement(Tensor(a), Tensor(r), Tensor(h), params, steps=2)
+        state = unroll(Tensor(a), Tensor(r), Tensor(h), params, steps=2)
         est = mlp(np.concatenate([a, r]), params, "pred.")
         for _ in range(2):
             est = est + mlp(np.concatenate([a, r, h - est]), params, "refine.")
         assert np.max(np.abs(state.estimate.data - est)) < 1e-12
-        assert np.max(np.abs(state.last_error.data - (h - est))) < 1e-12
+        assert state.step == 2
 
     def test_grad_through_unroll(self):
         d = 4
@@ -118,34 +124,9 @@ class TestRefineStep:
         a, r, h = (rng.standard_normal(d) for _ in range(3))
 
         def loss(p):
-            state = run_refinement(Tensor(a), Tensor(r), Tensor(h), p, steps=2)
-            e = state.last_error
+            state = unroll(Tensor(a), Tensor(r), Tensor(h), p, steps=2)
+            e = Tensor(h) - state.estimate
             return (e * e).sum()
 
         assert grad_check(loss, params, sample=8).passed
 
-
-class TestErrorStats:
-    def test_perfect_prediction(self):
-        h = Tensor(np.ones((3, 4)))
-        stats = error_stats(h, Tensor(np.ones((3, 4))))
-        assert np.array_equal(stats.per_token_error_norm.data, np.zeros(3))
-        assert stats.mean_error == 0.0
-
-    def test_three_four_five(self):
-        h = Tensor(np.array([[3.0, 4.0]]))
-        stats = error_stats(h, Tensor(np.zeros((1, 2))))
-        assert abs(stats.per_token_error_norm.data[0] - 5.0) < 1e-14
-
-    def test_direct_norms(self):
-        rng = np.random.default_rng(16)
-        h = rng.standard_normal((6, 5))
-        est = rng.standard_normal((6, 5))
-        stats = error_stats(Tensor(h), Tensor(est))
-        expect = np.linalg.norm(h - est, axis=1)
-        assert np.max(np.abs(stats.per_token_error_norm.data - expect)) < 1e-12
-        assert abs(stats.mean_error - expect.mean()) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(NumericsError):
-            error_stats(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))

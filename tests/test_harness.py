@@ -4,6 +4,8 @@ training determinism, the recall probe, the ablation driver, and the CLI."""
 import io
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from lpcsm.data import EOS, DELIM, SyntheticTask, make_batch, recall_key_slice
 from lpcsm.model import ModelConfig, init_params
 from lpcsm.checkpoint import (
     save_checkpoint, load_checkpoint, BadMagicError, VersionMismatchError,
-    TruncatedCheckpointError, ConfigMismatchError, MAGIC,
+    TruncatedCheckpointError, ConfigMismatchError, CheckpointError, MAGIC,
 )
 from lpcsm.config import ConfigError, RunConfig, TrainSettings, load_run_config
 from lpcsm.objective import LossWeights, SgdConfig
@@ -22,6 +24,16 @@ from lpcsm.train import (
     METRICS_HEADER,
 )
 from lpcsm.cli import main
+import lpcsm
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(lpcsm.__file__)))
+
+
+def run_python(args, **env):
+    """Run the interpreter on `args` with lpcsm importable from SRC."""
+    full_env = dict(os.environ, PYTHONPATH=SRC, **env)
+    return subprocess.run([sys.executable, *args], env=full_env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def tiny_cfg(**overrides):
@@ -159,6 +171,40 @@ class TestCheckpoint:
         save_checkpoint(init_params(cfg), cfg, path)
         assert open(path, "rb").read(4) == MAGIC
 
+    @pytest.mark.parametrize("old, new", [
+        ("window=3", "window=(3"),         # not a literal
+        ("window=3", "window=__import__"),  # a name, not a literal
+        ("window=3", "window='w'"),         # wrong type
+        ("vocab_size=11\n", ""),            # missing required key
+    ])
+    def test_corrupt_config_text(self, tmp_path, old, new):
+        path = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        save_checkpoint(init_params(cfg), cfg, path)
+        rewrite_config(path, old, new)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        save_checkpoint(init_params(cfg), cfg, path)
+        with open(path, "ab") as f:
+            f.write(b"\0")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def rewrite_config(path, old, new):
+    """Replace `old` with `new` in a checkpoint's config text."""
+    raw = open(path, "rb").read()
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    text = raw[12:12 + cfg_len].decode("utf-8")
+    assert old in text
+    cfg_bytes = text.replace(old, new).encode("utf-8")
+    open(path, "wb").write(raw[:8] + struct.pack("<I", len(cfg_bytes))
+                           + cfg_bytes + raw[12 + cfg_len:])
+
 
 class TestRunConfig:
     def _write(self, tmp_path, text):
@@ -279,6 +325,22 @@ class TestProbe:
             probe_delayed_identifier(params, cfg,
                                      ProbeSpec(prompt_len=999))
 
+    def test_fingerprint_independent_of_hash_seed(self):
+        code = (
+            "from lpcsm.model import ModelConfig, init_params\n"
+            "from lpcsm.train import probe_delayed_identifier, ProbeSpec\n"
+            "cfg = ModelConfig(vocab_size=11, width=8, layers=1, heads=2,"
+            " max_seq_len=32)\n"
+            "spec = ProbeSpec(n_prompts=1, prompt_len=24, distractor_len=8,"
+            " key_len=3)\n"
+            "print(probe_delayed_identifier(init_params(cfg), cfg, spec)"
+            ".config_fingerprint)\n"
+        )
+        runs = [run_python(["-c", code], PYTHONHASHSEED=seed)
+                for seed in ("1", "2")]
+        assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
+        assert runs[0].stdout == runs[1].stdout
+
 
 class TestAblate:
     def test_empty_toggle_set(self):
@@ -356,6 +418,31 @@ class TestCli:
         junk.write_bytes(b"garbage bytes here")
         assert main(["generate", "--ckpt", str(junk), "--prompt", "2",
                      "--max-new", "1"]) == 4
+
+    PROBE_SPEC = "n_prompts=2,prompt_len=24,distractor_len=8,key_len=3,seed=1"
+    # case -> (checkpoint corruption, --probe-spec, exit code)
+    MALFORMED = {
+        "corrupt config text": (
+            lambda p: rewrite_config(p, "window=3", "window=(3"), PROBE_SPEC, 4),
+        "trailing checkpoint bytes": (
+            lambda p: open(p, "ab").write(b"\0"), PROBE_SPEC, 4),
+        "inline probe spec": (None, PROBE_SPEC, 0),
+        "unknown probe spec key": (None, PROBE_SPEC + ",bogus=1", 2),
+        "non-integer probe spec value": (None, "n_prompts=two", 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_exit_code(self, tmp_path, case):
+        corrupt, spec, code = self.MALFORMED[case]
+        ckpt = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        save_checkpoint(init_params(cfg), cfg, ckpt)
+        if corrupt is not None:
+            corrupt(ckpt)
+        proc = run_python(["-m", "lpcsm.cli", "probe", "--ckpt", ckpt,
+                           "--probe-spec", spec])
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_ablate_command(self, tmp_path, capsys):
         cfg_path = self._config(tmp_path)

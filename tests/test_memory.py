@@ -77,7 +77,7 @@ class TestMemoryRead:
         params = make_params(d, seed=6)
         out = memory_read(Tensor(np.ones(d)), FastState.zeros(d),
                           SlowState.zeros(d), params)
-        assert np.array_equal(out.value.data, np.zeros(d))
+        assert np.array_equal(out.data, np.zeros(d))
 
     def test_slow_ablated_uses_fast_half_only(self):
         d = 4
@@ -85,10 +85,10 @@ class TestMemoryRead:
         rng = np.random.default_rng(8)
         h = Tensor(rng.standard_normal(d))
         fast = FastState(Tensor(rng.standard_normal(d)))
-        base = memory_read(h, fast, SlowState.zeros(d), params).value.data
+        base = memory_read(h, fast, SlowState.zeros(d), params).data
         # Changing the slow half of w_r cannot matter when slow = 0.
         params["mem.w_r"].data[d:] += 1.0
-        again = memory_read(h, fast, SlowState.zeros(d), params).value.data
+        again = memory_read(h, fast, SlowState.zeros(d), params).data
         assert np.array_equal(base, again)
 
     def test_formula_reevaluation(self):
@@ -97,7 +97,7 @@ class TestMemoryRead:
         rng = np.random.default_rng(10)
         h, f, s = (rng.standard_normal(d) for _ in range(3))
         out = memory_read(Tensor(h), FastState(Tensor(f)),
-                          SlowState(Tensor(s)), params).value.data
+                          SlowState(Tensor(s)), params).data
         qf = expit(h @ params["mem.w_qf"].data + params["mem.b_qf"].data)
         qs = expit(h @ params["mem.w_qs"].data + params["mem.b_qs"].data)
         gated = np.concatenate([qf * f, qs * s])
@@ -203,7 +203,7 @@ class TestSlowWrite:
             for i, h in enumerate(hs):
                 ht = Tensor(h)
                 fast = fast_update(ht, fast, p)
-                r = memory_read(ht, fast, slow, p).value
+                r = memory_read(ht, fast, slow, p)
                 reads = reads + (r * r).sum()
                 acc = accumulate(acc, fast)
                 if acc.count == 2:

@@ -10,18 +10,18 @@ from lpcsm.mhc import MixWeights, sinkhorn_normalize, mhc_route
 
 class TestSinkhorn:
     def test_uniform_from_zero_logits(self):
-        m = sinkhorn_normalize(Tensor(np.zeros((2, 2))), iters=1).matrix.data
+        m = sinkhorn_normalize(Tensor(np.zeros((2, 2))), iters=1).data
         assert np.max(np.abs(m - 0.5)) < 1e-12
 
     def test_identity_limit(self):
-        m = sinkhorn_normalize(Tensor(np.eye(3) * 40.0), iters=30).matrix.data
+        m = sinkhorn_normalize(Tensor(np.eye(3) * 40.0), iters=30).data
         assert np.max(np.abs(m - np.eye(3))) < 1e-6
 
     def test_doubly_stochastic(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             logits = Tensor(rng.uniform(-5, 5, size=(3, 3)))
-            m = sinkhorn_normalize(logits, iters=50).matrix.data
+            m = sinkhorn_normalize(logits, iters=50).data
             assert np.max(np.abs(m.sum(axis=0) - 1.0)) < 1e-6
             assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-6
             assert np.all(m > 0.0)
@@ -37,7 +37,7 @@ class TestSinkhorn:
         params.add("logits", np.random.default_rng(1).uniform(-1, 1, (3, 3)))
 
         def loss(p):
-            m = sinkhorn_normalize(p["logits"], iters=5).matrix
+            m = sinkhorn_normalize(p["logits"], iters=5)
             return (m * Tensor(np.arange(9.0).reshape(3, 3))).sum()
 
         assert grad_check(loss, params).passed

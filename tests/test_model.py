@@ -174,11 +174,14 @@ class TestStraightLineOracle:
             if name == "w/o stop head":
                 continue  # stop head does not feed the lm logits
             if name == "w/o mHC":
-                # Routing weights initialize at the exact identity, so the
-                # toggle only matters once they move off it.
+                # At init pre = 1 and post = 1/S, so the routed gain
+                # postᵀ·M·pre is 1 for every doubly-stochastic M: the
+                # toggle only matters once the mix weights move off init.
                 params = init_params(base_cfg, seed=9)
-                params["layers.0.mhc.logits"].data = \
-                    np.random.default_rng(0).uniform(-1, 1, (4, 4))
+                rng = np.random.default_rng(0)
+                params["layers.0.mhc.logits"].data = rng.uniform(-1, 1, (4, 4))
+                params["layers.0.mhc.pre"].data = rng.uniform(0, 2, 4)
+                params["layers.0.mhc.post"].data = rng.uniform(0, 0.5, 4)
                 moved = model_forward(tokens, params, base_cfg)[0].lm.data
                 assert np.max(np.abs(moved - base)) > 0.0, name
                 continue

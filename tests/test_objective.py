@@ -4,7 +4,9 @@ zero-weight skipping, and the optimizer."""
 import numpy as np
 import pytest
 
-from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
+from lpcsm.numerics import (
+    Tensor, NumericsError, ParameterStore, grad_check, forward_backward,
+)
 from lpcsm.model import ModelConfig, init_params
 from lpcsm.objective import (
     LossWeights, lm_loss, log_softmax, binary_cross_entropy_logits,
@@ -67,6 +69,16 @@ class TestStopLoss:
         loss = binary_cross_entropy_logits(Tensor(s), y).item()
         expect = (np.log1p(np.exp(s)) - s * y).mean()
         assert abs(loss - expect) < 1e-12
+
+    def test_extreme_logits(self):
+        # softplus(800) - 0 = 800 and softplus(-800) + 800 = 800; the
+        # gradient is (sigmoid(s) - y) / 2.
+        params = ParameterStore()
+        params.add("s", np.array([800.0, -800.0]))
+        loss = binary_cross_entropy_logits(params["s"], np.array([0.0, 1.0]))
+        assert abs(loss.item() - 800.0) < 1e-12
+        grads = forward_backward(loss, params)
+        assert np.array_equal(grads["s"].data, [0.5, -0.5])
 
 
 class TestAuxLosses:
