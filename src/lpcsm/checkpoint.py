@@ -81,7 +81,10 @@ def load_checkpoint(path: str,
         loaded: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read(f, 4))
-            name = _read(f, name_len).decode("utf-8")
+            try:
+                name = _read(f, name_len).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"tensor name is not UTF-8: {e}") from e
             (rank,) = struct.unpack("<I", _read(f, 4))
             shape = tuple(struct.unpack("<I", _read(f, 4))[0] for _ in range(rank))
             n = int(np.prod(shape)) if shape else 1

@@ -61,7 +61,7 @@ def _pairs(spec: str) -> dict[str, str]:
 def _parse_task(spec: str) -> SyntheticTask:
     kwargs = _pairs(spec)
     try:
-        return SyntheticTask(
+        task = SyntheticTask(
             kind=kwargs.pop("kind"),
             vocab_size=int(kwargs.pop("vocab_size")),
             seq_len=int(kwargs.pop("seq_len")),
@@ -69,8 +69,11 @@ def _parse_task(spec: str) -> SyntheticTask:
             distractor_len=int(kwargs.pop("distractor_len", 0)),
             seed=int(kwargs.pop("seed", 0)),
         )
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, NumericsError) as e:
         raise ConfigError(f"bad task spec: {e}") from e
+    if kwargs:
+        raise ConfigError(f"unknown task spec keys: {sorted(kwargs)}")
+    return task
 
 
 def _cmd_eval(args) -> int:
@@ -103,7 +106,7 @@ def _parse_probe_spec(spec: str) -> ProbeSpec:
         raise ConfigError(f"unknown probe spec keys: {sorted(unknown)}")
     try:
         return ProbeSpec(**{k: int(v) for k, v in kwargs.items()})
-    except ValueError as e:
+    except (ValueError, NumericsError) as e:
         raise ConfigError(f"bad probe spec: {e}") from e
 
 

@@ -1,6 +1,10 @@
 """Learned sparse event controller: normalized error scores, a learned
 bias-scale transform with temperature, and a straight-through hard
-threshold at a learnable bounded density."""
+threshold at a learnable bounded density.
+
+`event_scores` and `hard_mask` define the mask of one sequence;
+`prefix_event_mask` gives every position the bit those two assign it
+within its own prefix, for all positions of a span at once."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, NumericsError, _wrap, straight_through
+from .numerics import Tensor, NumericsError, _wrap, straight_through, take_rows
 
 SCORE_STD_EPS = 1e-6
 
@@ -91,3 +95,55 @@ def hard_mask(scores: Tensor, ratio: float) -> EventMask:
         soft=soft,
         effective_ratio=k / t_len,
     )
+
+
+def prefix_event_mask(error_norms: Tensor, start: int, p: ControllerParams,
+                      ratio: float) -> tuple[Tensor, Tensor]:
+    """Causal event bits of positions start..N-1 of `error_norms` [N].
+
+    Position t gets the bit that hard_mask(event_scores(e[:t+1]), ratio)
+    gives it, hard and soft. Row r of one [T, N] score matrix holds the
+    scores of prefix t = start + r in its first t+1 columns. Its prefix
+    means and variances are summed one prefix at a time, so every score
+    is the same float that event_scores computes; the backward pass runs
+    through their lower-triangular masked forms. The tape gains O(1)
+    nodes for any span length.
+    """
+    e = _wrap(error_norms)
+    n = e.shape[0]
+    t = np.arange(start, n)                    # last position of each prefix
+    count = t + 1.0
+    rows = np.arange(t.size)
+    inside = np.arange(n)[None, :] <= t[:, None]
+
+    share = Tensor(inside / count[:, None])    # masked-mean weights
+    sums = np.array([np.add.reduce(e.data[:i + 1]) for i in t])
+    mu = straight_through(sums / count, share @ e)
+    centered = e.reshape((1, n)) - mu.reshape((t.size, 1))
+    sq = centered * centered
+    var_exact = np.array([np.add.reduce(sq.data[r, :i + 1])
+                          for r, i in zip(rows, t)]) / count
+    var = straight_through(var_exact, (sq * share).sum(axis=1))
+    # A constant prefix (var == 0) takes event_scores' eps-floored branch,
+    # which sends no gradient into var; its sqrt is taken at 1, not 0.
+    flat = var_exact == 0.0
+    den = (var + Tensor(flat)).sqrt() + SCORE_STD_EPS
+    z = centered / den.reshape((t.size, 1)) * Tensor(~flat[:, None]) \
+        + centered * Tensor(flat[:, None] * (1.0 / SCORE_STD_EPS))
+    scores = (z * p.scale + p.bias) * (1.0 / p.temperature)
+
+    # hard_mask keeps order[:k] of a stable descending sort; its threshold
+    # is the k-th kept score, the (k - #greater)-th tie in index order.
+    s = scores.data
+    k = np.ceil(ratio * count).astype(np.int64)
+    theta_val = -np.sort(np.where(inside, -s, np.inf), axis=1)[rows, k - 1]
+    greater = ((s > theta_val[:, None]) & inside).sum(axis=1)
+    ties = (s == theta_val[:, None]) & inside
+    theta = np.argmax(np.cumsum(ties, axis=1) >= (k - greater)[:, None], axis=1)
+    own = s[rows, t]
+    hard = ((own > theta_val) | (theta == t)).astype(np.float64)
+
+    pair = take_rows(scores.reshape((t.size * n,)),
+                     np.stack([rows * n + t, rows * n + theta]))
+    soft = (pair[0] - pair[1]).sigmoid()
+    return straight_through(hard, soft), soft

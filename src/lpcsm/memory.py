@@ -1,5 +1,8 @@
 """Dual-timescale memory: tokenwise fast state, gated dual read, and
-chunk-boundary slow writes transported through the novelty geometry."""
+chunk-boundary slow writes transported through the novelty geometry.
+
+The fast and read functions take one token's row or a [T, d] span of
+them; a span's fast states come from one `gated_scan`."""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError, concat
+from .numerics import Tensor, ParameterStore, NumericsError, concat, gated_scan
 from .ont import ont_transport
 
 
@@ -48,15 +51,17 @@ class ChunkAccumulator:
 
 def fast_update(h: Tensor, prev: FastState, params: ParameterStore,
                 prefix: str = "mem.") -> FastState:
-    """Gated tokenwise update: d*prev + (1-d)*tanh write."""
+    """Gated tokenwise update: d*prev + (1-d)*tanh write. For a [T, d]
+    span of rows the state holds the [T, d] states after each row."""
     d = (h @ params[prefix + "w_d"] + params[prefix + "b_d"]).sigmoid()
     u = (h @ params[prefix + "w_u"] + params[prefix + "b_u"]).tanh()
-    return FastState(value=d * prev.value + (1.0 - d) * u)
+    return FastState(value=gated_scan(d, (1.0 - d) * u, prev.value))
 
 
 def memory_read(h: Tensor, fast: FastState, slow: SlowState,
                 params: ParameterStore, prefix: str = "mem.") -> Tensor:
-    """Separate sigmoid gates query the fast and slow halves, then mix."""
+    """Separate sigmoid gates query the fast and slow halves, then mix.
+    A [T, d] span reads [T, d] fast and slow rows (or one shared state)."""
     qf = (h @ params[prefix + "w_qf"] + params[prefix + "b_qf"]).sigmoid()
     qs = (h @ params[prefix + "w_qs"] + params[prefix + "b_qs"]).sigmoid()
     gated = concat([qf * fast.value, qs * slow.value], axis=-1)
@@ -64,11 +69,14 @@ def memory_read(h: Tensor, fast: FastState, slow: SlowState,
 
 
 def accumulate(acc: ChunkAccumulator, fast: FastState) -> ChunkAccumulator:
-    if acc.count >= acc.chunk_size:
+    """Add one fast state, or each row of a [k, d] span of them."""
+    v = fast.value
+    count = acc.count + (1 if v.ndim == 1 else v.shape[0])
+    if count > acc.chunk_size:
         raise NumericsError("accumulating past a full chunk; flush first")
     return ChunkAccumulator(
-        running_sum=acc.running_sum + fast.value,
-        count=acc.count + 1,
+        running_sum=acc.running_sum + (v if v.ndim == 1 else v.sum(axis=0)),
+        count=count,
         chunk_size=acc.chunk_size,
     )
 

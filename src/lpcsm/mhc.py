@@ -54,21 +54,23 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
     raise NumericsError("sinkhorn failed to reach doubly-stochastic marginals")
 
 
-def mhc_route(h_in: Tensor, block_update: Tensor, w: MixWeights,
-              streams: int, iters: int) -> Tensor:
-    """Route the residual through `streams` scalar-lifted copies.
+def route_gain(w: MixWeights, streams: int, iters: int) -> Tensor:
+    """The scalar gain post_mixᵀ M pre_mix of the routed residual.
 
     Stream i carries pre_mix_i * h_in, the doubly-stochastic transport M
     mixes the stream axis, and the post-mix coefficients collapse it back.
-    Every stream is a multiple of h_in, so the routed residual is exactly
-    (post_mixᵀ M pre_mix) * h_in: one scalar gain, computed in that form.
-    The block update is injected additively. Accepts a vector or a [T, d]
-    batch.
+    Every stream is a multiple of h_in, so the collapsed residual is
+    exactly this gain times h_in. It depends on the parameters alone.
     """
-    h_in, block_update = _wrap(h_in), _wrap(block_update)
     if streams < 2:
         raise NumericsError("mhc requires at least 2 streams")
     if w.pre_mix.shape != (streams,) or w.post_mix.shape != (streams,):
         raise NumericsError("mix weight shapes inconsistent with stream count")
     transport = sinkhorn_normalize(w.transport_logits, iters)
-    return h_in * ((transport @ w.pre_mix) @ w.post_mix) + block_update
+    return (transport @ w.pre_mix) @ w.post_mix
+
+
+def mhc_route(h_in: Tensor, block_update: Tensor, gain: Tensor) -> Tensor:
+    """Route the residual through the streams (see `route_gain`) and inject
+    the block update additively. Accepts a vector or a [T, d] batch."""
+    return _wrap(h_in) * gain + _wrap(block_update)

@@ -19,8 +19,17 @@ from .memory import (
     fast_update, memory_read, accumulate, slow_write,
 )
 from .correction import predict_init, refine_step
-from .controller import ControllerParams, clamp_ratio, event_scores, hard_mask
-from .mhc import MixWeights, mhc_route
+from .controller import ControllerParams, clamp_ratio, prefix_event_mask
+from .mhc import MixWeights, mhc_route, route_gain
+
+
+# Literal types accepted for each ModelConfig field annotation.
+_LITERAL_TYPES = {
+    "int": (int,),
+    "float": (float, int),
+    "bool": (bool,),
+    "int | None": (int, type(None)),
+}
 
 
 @dataclass
@@ -80,12 +89,16 @@ class ModelConfig:
     @classmethod
     def from_canonical(cls, text: str) -> "ModelConfig":
         kwargs = {}
-        valid = {f.name for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}
         for line in text.strip().splitlines():
             key, _, val = line.partition("=")
-            if key not in valid:
+            if key not in types:
                 raise NumericsError(f"unknown config key {key!r} in canonical text")
-            kwargs[key] = ast.literal_eval(val)
+            value = ast.literal_eval(val)
+            if type(value) not in _LITERAL_TYPES[types[key]]:
+                raise NumericsError(f"config key {key!r} expects {types[key]}, "
+                                    f"got {value!r}")
+            kwargs[key] = value
         return cls(**kwargs)
 
 
@@ -198,6 +211,9 @@ class LayerCache:
     slow: SlowState
     chunk: ChunkAccumulator
     error_norms: list  # per-position mismatch norms, full prefix
+    # mHC gain, set by the first span; parameters are frozen while a
+    # cache is carried.
+    route_gain: Tensor | None = None
 
     @classmethod
     def fresh(cls, cfg: ModelConfig) -> "LayerCache":
@@ -220,16 +236,10 @@ def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
     identical. Returns (hard bits, soft bits, ratio).
     """
     ratio = float(clamp_ratio(cp).data)
-    start = len(past)
-    if start:
+    if len(past):
         error_norms = concat([Tensor(np.asarray(past)), error_norms])
-    hard_vals, soft_bits = [], []
-    for t in range(start, error_norms.shape[0]):
-        em = hard_mask(event_scores(error_norms[0:t + 1], cp), ratio)
-        hard_vals.append(em.hard.data[t])
-        soft_bits.append(em.soft[t])
-    soft = stack(soft_bits)
-    return straight_through(np.array(hard_vals), soft), soft, ratio
+    hard, soft = prefix_event_mask(error_norms, len(past), cp, ratio)
+    return hard, soft, ratio
 
 
 def block_forward(h: Tensor, layer: int, params: ParameterStore,
@@ -252,21 +262,33 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         keep = range(max(0, t_len - cfg.window), t_len)
         cache.history = (cache.history + [n[t:t + 1] for t in keep])[-cfg.window:]
 
-        # Memory pathway, tokenwise; the slow state only moves at boundaries
-        # and the boundary write happens after that token's read.
+        # Memory pathway over the whole span: one scan gives the fast
+        # states, slow writes happen at chunk boundaries after that token's
+        # read, so each row reads the slow state of its chunk.
+        mem = p + "mem."
+        fast = fast_update(n, cache.fast, params, mem).value
+        cache.fast = FastState(fast[t_len - 1])
         writes_before = cache.slow.chunk_index
-        r_rows = []
-        for t in range(t_len):
-            nt = n[t]
-            cache.fast = fast_update(nt, cache.fast, params, p + "mem.")
-            r_rows.append(memory_read(nt, cache.fast, cache.slow, params, p + "mem."))
-            if cfg.slow_memory:
-                cache.chunk = accumulate(cache.chunk, cache.fast)
-                if cache.chunk.count == cfg.chunk_size:
-                    cache.slow = slow_write(nt, cache.chunk, cache.slow,
-                                            cfg.alpha_n, cfg.ont, params, p + "mem.")
-                    cache.chunk = ChunkAccumulator.empty(d, cfg.chunk_size)
-        r = stack(r_rows)
+        slow_values, ends = [cache.slow.value], []
+        if cfg.slow_memory:
+            ends = list(range(cfg.chunk_size - cache.chunk.count, t_len + 1,
+                              cfg.chunk_size))
+            start = 0
+            for end in ends:
+                chunk = accumulate(cache.chunk, FastState(fast[start:end]))
+                cache.slow = slow_write(n[end - 1], chunk, cache.slow,
+                                        cfg.alpha_n, cfg.ont, params, mem)
+                cache.chunk = ChunkAccumulator.empty(d, cfg.chunk_size)
+                slow_values.append(cache.slow.value)
+                start = end
+            if start < t_len:
+                cache.chunk = accumulate(cache.chunk, FastState(fast[start:]))
+        if ends:
+            chunk_of_row = np.searchsorted(ends, np.arange(t_len), side="right")
+            slow = take_rows(stack(slow_values), chunk_of_row)
+        else:
+            slow = slow_values[0]
+        r = memory_read(n, FastState(fast), SlowState(slow), params, mem)
 
         # Predictive correction over the whole batch of positions.
         if cfg.predictive_coding:
@@ -308,12 +330,14 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
 
         if cfg.mhc:
-            w = MixWeights(
-                pre_mix=params[p + "mhc.pre"],
-                post_mix=params[p + "mhc.post"],
-                transport_logits=params[p + "mhc.logits"],
-            )
-            out = mhc_route(resid, update, w, cfg.mhc_streams, cfg.sinkhorn_iters)
+            if cache.route_gain is None:
+                w = MixWeights(
+                    pre_mix=params[p + "mhc.pre"],
+                    post_mix=params[p + "mhc.post"],
+                    transport_logits=params[p + "mhc.logits"],
+                )
+                cache.route_gain = route_gain(w, cfg.mhc_streams, cfg.sinkhorn_iters)
+            out = mhc_route(resid, update, cache.route_gain)
         else:
             out = resid + update
     except NumericsError as e:

@@ -381,6 +381,43 @@ def take_rows(t: Tensor, indices) -> Tensor:
     return out
 
 
+def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
+    """States of f_t = decay_t * f_(t-1) + write_t from f_(-1) = init.
+
+    A [T, d] decay and write give the [T, d] rows f_0..f_(T-1); a [d] pair
+    gives the one-step state. One tape node: the forward runs the
+    recurrence in numpy and the backward runs its adjoint in reverse time.
+    """
+    a, b, f0 = _wrap(decay), _wrap(write), _wrap(init)
+    if a.shape != b.shape or a.shape[-1:] != f0.shape or f0.ndim != 1:
+        raise NumericsError(
+            f"gated_scan shape mismatch: {a.shape}, {b.shape}, {f0.shape}")
+    dec = a.data.reshape(-1, f0.shape[0])
+    wr = b.data.reshape(dec.shape)
+    rows = np.empty_like(dec)
+    f = f0.data
+    for t in range(dec.shape[0]):
+        f = dec[t] * f + wr[t]
+        rows[t] = f
+    out = _op(rows.reshape(a.shape), (a, b, f0))
+    if out._prev:
+        def bw(g):
+            g = g.reshape(dec.shape)
+            g_dec = np.empty_like(dec)
+            g_wr = np.empty_like(dec)
+            carry = np.zeros_like(f0.data)  # dL/df_t from later steps
+            for t in range(dec.shape[0] - 1, -1, -1):
+                carry = carry + g[t]
+                g_wr[t] = carry
+                g_dec[t] = carry * (rows[t - 1] if t > 0 else f0.data)
+                carry = carry * dec[t]
+            _accum(a, g_dec.reshape(a.shape))
+            _accum(b, g_wr.reshape(a.shape))
+            _accum(f0, carry)
+        out._backward = bw
+    return out
+
+
 def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
     """Forward the hard values, route the backward pass through `soft`."""
     hard = np.asarray(hard_values, dtype=np.float64)

@@ -4,6 +4,7 @@ ablation driver."""
 from __future__ import annotations
 
 import hashlib
+import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -49,7 +50,7 @@ class TrainResult:
     metrics: list  # rows matching METRICS_HEADER
     final_lm: float
     final_ratio: float
-    tokens_per_second: float
+    tokens_per_second: float  # median of the per-step values
 
 
 def train(run: RunConfig, steps: int | None = None, seed: int | None = None,
@@ -65,7 +66,6 @@ def train(run: RunConfig, steps: int | None = None, seed: int | None = None,
     metrics = []
     final_lm = float("nan")
     final_ratio = 0.0
-    tps = 0.0
     for step in range(steps):
         t0 = time.perf_counter()
         inputs, targets = make_batch(run.task, run.train.batch_size, index=step)
@@ -103,6 +103,7 @@ def train(run: RunConfig, steps: int | None = None, seed: int | None = None,
                 f"{vals['mem']!r},{vals['stop']!r},{vals['total']!r},"
                 f"{final_ratio!r},{tps:.1f}\n"
             )
+    tps = statistics.median(row[-1] for row in metrics) if metrics else 0.0
     return TrainResult(params=params, metrics=metrics, final_lm=final_lm,
                        final_ratio=final_ratio, tokens_per_second=tps)
 
@@ -130,6 +131,14 @@ class ProbeSpec:
     key_len: int = 8
     seed: int = 1234
 
+    def __post_init__(self):
+        if self.n_prompts < 1 or self.key_len < 1 or self.distractor_len < 0:
+            raise NumericsError("probe needs n_prompts >= 1, key_len >= 1 "
+                                "and distractor_len >= 0")
+        if 2 * self.key_len + self.distractor_len + 1 > self.prompt_len:
+            raise NumericsError("probe key, distractor, trigger and recall "
+                                "exceed prompt_len")
+
 
 @dataclass
 class ProbeResult:
@@ -142,8 +151,6 @@ def probe_delayed_identifier(params: ParameterStore, cfg: ModelConfig,
                              spec: ProbeSpec | None = None) -> ProbeResult:
     """Teacher-forced key cross-entropy on delayed-identifier prompts."""
     spec = spec or ProbeSpec()
-    if spec.key_len < 1:
-        raise NumericsError("probe key region is empty")
     if spec.prompt_len > cfg.max_seq_len:
         raise NumericsError("probe prompt exceeds max_seq_len")
     task = SyntheticTask(

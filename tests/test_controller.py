@@ -144,3 +144,96 @@ class TestFrozenRatio:
         cfg = ModelConfig(vocab_size=8, width=8, layers=1, heads=2,
                           max_seq_len=16, adaptive_ratio=True)
         assert init_params(cfg).is_trainable("layers.0.ctrl.ratio_raw")
+
+
+def per_prefix_bits(errs, cp, ratio):
+    """Reference: position t's hard and soft bit from hard_mask over the
+    event scores of its own prefix errs[:t+1]."""
+    hard, soft = [], []
+    for t in range(len(errs)):
+        em = hard_mask(event_scores(Tensor(errs[:t + 1]), cp), ratio)
+        hard.append(em.hard.data[t])
+        soft.append(em.soft.data[t])
+    return np.array(hard), np.array(soft)
+
+
+class TestCausalMaskBitsOracle:
+    """causal_mask_bits against the per-prefix event_scores + hard_mask
+    definition: same hard bits, and the same soft bits to the last bit."""
+
+    def _check(self, errs, cp, splits=()):
+        from lpcsm.model import causal_mask_bits
+
+        errs = np.asarray(errs, dtype=np.float64)
+        hard, soft, ratio = causal_mask_bits(Tensor(errs), cp)
+        ref_hard, ref_soft = per_prefix_bits(errs, cp, ratio)
+        assert np.array_equal(hard.data, ref_hard)
+        assert np.array_equal(soft.data, ref_soft)
+        for p in splits:
+            h, s, _ = causal_mask_bits(Tensor(errs[p:]), cp, list(errs[:p]))
+            assert np.array_equal(h.data, ref_hard[p:]), p
+            assert np.array_equal(s.data, ref_soft[p:]), p
+
+    def test_exact_ties(self):
+        rng = np.random.default_rng(30)
+        for ratio_raw in (-2.0, 0.0, 1.5):
+            errs = rng.choice([0.25, 0.5, 1.0], size=40)
+            self._check(errs, make_cp(ratio_raw=ratio_raw), splits=(1, 13, 39))
+
+    def test_constant_prefix(self):
+        # var == 0 rows take the eps-floored branch: a constant start, an
+        # all-zero sequence (no predictive coding) and a constant tail.
+        self._check(np.r_[np.full(9, 0.7), [0.2, 1.3, 0.7]], make_cp(bias=0.3),
+                    splits=(3, 9))
+        self._check(np.zeros(12), make_cp(), splits=(5,))
+        self._check(np.r_[[0.4, 2.0], np.full(10, 1.0)], make_cp(ratio_raw=1.0))
+
+    @pytest.mark.parametrize("scale", [-1.3, 0.0])
+    def test_nonpositive_scale(self, scale):
+        rng = np.random.default_rng(31)
+        errs = np.abs(rng.standard_normal(50))
+        errs[10:14] = errs[3]
+        self._check(errs, make_cp(scale=scale, bias=0.4), splits=(7, 30))
+
+    def test_near_ties(self):
+        # Errors a few ulps apart, under affine maps whose rounding can
+        # merge or keep them apart depending on the exact prefix mean.
+        rng = np.random.default_rng(32)
+        for trial in range(30):
+            base = rng.uniform(0.5, 2.0)
+            ulps = rng.integers(0, 5, size=int(rng.integers(2, 60)))
+            errs = base + ulps * np.spacing(base)
+            cp = make_cp(bias=rng.uniform(-1, 1), scale=rng.uniform(-3, 3),
+                         temperature=rng.uniform(0.3, 2.0),
+                         ratio_raw=rng.uniform(-3, 3))
+            self._check(errs, cp, splits=(1, len(errs) // 2))
+
+    def test_random_lengths(self):
+        rng = np.random.default_rng(33)
+        for t_len in (1, 2, 7, 64, 129, 256):
+            errs = np.abs(rng.standard_normal(t_len)) * rng.uniform(0.1, 5.0)
+            cp = make_cp(bias=rng.uniform(-1, 1), scale=rng.uniform(-2, 2),
+                         ratio_raw=rng.uniform(-3, 3))
+            splits = sorted({1, t_len // 3, t_len - 1} - {0})
+            self._check(errs, cp, splits=splits)
+
+    def test_soft_path_gradients(self):
+        from lpcsm.model import causal_mask_bits
+
+        rng = np.random.default_rng(34)
+        params = ParameterStore()
+        past = list(np.abs(rng.standard_normal(3)) + 0.1)  # detached norms
+        params.add("errs", np.abs(rng.standard_normal(6)) + 0.1)
+        params.add("scale", 0.8)
+        params.add("bias", 0.2)
+        weights = Tensor(rng.standard_normal(6))
+
+        def loss(p):
+            cp = ControllerParams(bias=p["bias"], scale=p["scale"],
+                                  temperature=1.3, ratio_raw=Tensor(0.0),
+                                  ratio_min=0.05, ratio_max=0.95, adaptive=True)
+            _, soft, _ = causal_mask_bits(p["errs"], cp, past)
+            return (soft * weights).sum()
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error

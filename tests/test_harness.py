@@ -175,6 +175,9 @@ class TestCheckpoint:
         ("window=3", "window=(3"),         # not a literal
         ("window=3", "window=__import__"),  # a name, not a literal
         ("window=3", "window='w'"),         # wrong type
+        ("heads=2", "heads=2.0"),           # float for an int field
+        ("mhc=True", "mhc=1"),              # int for a bool field
+        ("latent_dim=None", "latent_dim=2.5"),
         ("vocab_size=11\n", ""),            # missing required key
     ])
     def test_corrupt_config_text(self, tmp_path, old, new):
@@ -182,6 +185,14 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         save_checkpoint(init_params(cfg), cfg, path)
         rewrite_config(path, old, new)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        save_checkpoint(init_params(cfg), cfg, path)
+        corrupt_first_name(path)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -204,6 +215,14 @@ def rewrite_config(path, old, new):
     cfg_bytes = text.replace(old, new).encode("utf-8")
     open(path, "wb").write(raw[:8] + struct.pack("<I", len(cfg_bytes))
                            + cfg_bytes + raw[12 + cfg_len:])
+
+
+def corrupt_first_name(path):
+    """Make the first tensor name of a checkpoint invalid UTF-8."""
+    raw = bytearray(open(path, "rb").read())
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    raw[12 + cfg_len + 8] = 0xFF  # after the tensor count and name length
+    open(path, "wb").write(bytes(raw))
 
 
 class TestRunConfig:
@@ -286,6 +305,12 @@ class TestTrainHarness:
             assert ra[:-1] == rb[:-1]
         for name, t in a.params.items():
             assert np.array_equal(t.data, b.params[name].data)
+
+    def test_tokens_per_second_is_median_over_steps(self):
+        result = train(tiny_run(train=TrainSettings(steps=5, batch_size=1, seed=0)))
+        per_step = sorted(row[-1] for row in result.metrics)
+        assert result.tokens_per_second == per_step[2]
+        assert train(tiny_run(), steps=0).tokens_per_second == 0.0
 
     def test_different_seed_differs(self):
         a = train(tiny_run(), seed=0)
@@ -420,27 +445,42 @@ class TestCli:
                      "--max-new", "1"]) == 4
 
     PROBE_SPEC = "n_prompts=2,prompt_len=24,distractor_len=8,key_len=3,seed=1"
-    # case -> (checkpoint corruption, --probe-spec, exit code)
+    TASK = "kind=copy,vocab_size=11,seq_len=12,key_len=3"
+    # case -> (checkpoint corruption, command and its arguments, exit code)
     MALFORMED = {
         "corrupt config text": (
-            lambda p: rewrite_config(p, "window=3", "window=(3"), PROBE_SPEC, 4),
+            lambda p: rewrite_config(p, "window=3", "window=(3"),
+            ["probe", "--probe-spec", PROBE_SPEC], 4),
+        "float config value": (
+            lambda p: rewrite_config(p, "heads=2", "heads=2.0"),
+            ["generate", "--prompt", "2,3", "--max-new", "2"], 4),
+        "non-UTF-8 tensor name": (
+            corrupt_first_name, ["probe", "--probe-spec", PROBE_SPEC], 4),
         "trailing checkpoint bytes": (
-            lambda p: open(p, "ab").write(b"\0"), PROBE_SPEC, 4),
-        "inline probe spec": (None, PROBE_SPEC, 0),
-        "unknown probe spec key": (None, PROBE_SPEC + ",bogus=1", 2),
-        "non-integer probe spec value": (None, "n_prompts=two", 2),
+            lambda p: open(p, "ab").write(b"\0"),
+            ["probe", "--probe-spec", PROBE_SPEC], 4),
+        "inline probe spec": (None, ["probe", "--probe-spec", PROBE_SPEC], 0),
+        "unknown probe spec key": (
+            None, ["probe", "--probe-spec", PROBE_SPEC + ",bogus=1"], 2),
+        "non-integer probe spec value": (
+            None, ["probe", "--probe-spec", "n_prompts=two"], 2),
+        "zero probe prompts": (
+            None, ["probe", "--probe-spec",
+                   PROBE_SPEC.replace("n_prompts=2", "n_prompts=0")], 2),
+        "unknown task key": (None, ["eval", "--task", TASK + ",bogus=1"], 2),
+        "unknown task kind": (
+            None, ["eval", "--task", TASK.replace("copy", "bogus")], 2),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_exit_code(self, tmp_path, case):
-        corrupt, spec, code = self.MALFORMED[case]
+        corrupt, (command, *args), code = self.MALFORMED[case]
         ckpt = str(tmp_path / "m.ckpt")
         cfg = tiny_cfg()
         save_checkpoint(init_params(cfg), cfg, ckpt)
         if corrupt is not None:
             corrupt(ckpt)
-        proc = run_python(["-m", "lpcsm.cli", "probe", "--ckpt", ckpt,
-                           "--probe-spec", spec])
+        proc = run_python(["-m", "lpcsm.cli", command, "--ckpt", ckpt, *args])
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
 

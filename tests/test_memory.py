@@ -71,6 +71,47 @@ class TestFastUpdate:
             assert np.all(np.abs(state.value.data) <= 1.0)
 
 
+class TestFastSpan:
+    def test_span_matches_tokenwise_loop(self):
+        d = 6
+        params = make_params(d, seed=21)
+        rng = np.random.default_rng(22)
+        hs = rng.standard_normal((20, d)) * 2
+        prev = rng.uniform(-1, 1, d)
+        rows = fast_update(Tensor(hs), FastState(Tensor(prev)), params).value.data
+        assert rows.shape == (20, d)
+        f = prev
+        for t, h in enumerate(hs):
+            dgate = expit(h @ params["mem.w_d"].data + params["mem.b_d"].data)
+            u = np.tanh(h @ params["mem.w_u"].data + params["mem.b_u"].data)
+            f = dgate * f + (1 - dgate) * u
+            assert np.max(np.abs(rows[t] - f)) < 1e-12
+
+    def test_span_accumulates_each_row(self):
+        rng = np.random.default_rng(23)
+        vs = rng.standard_normal((3, 4))
+        one = ChunkAccumulator.empty(4, 5)
+        for v in vs:
+            one = accumulate(one, FastState(Tensor(v)))
+        span = accumulate(ChunkAccumulator.empty(4, 5), FastState(Tensor(vs)))
+        assert span.count == one.count == 3
+        assert np.max(np.abs(span.running_sum.data - one.running_sum.data)) < 1e-14
+        with pytest.raises(NumericsError):
+            accumulate(span, FastState(Tensor(vs)))
+
+    def test_span_read_matches_rowwise(self):
+        d = 5
+        params = make_params(d, seed=24)
+        rng = np.random.default_rng(25)
+        h, f, s = (rng.standard_normal((4, d)) for _ in range(3))
+        span = memory_read(Tensor(h), FastState(Tensor(f)), SlowState(Tensor(s)),
+                           params).data
+        for t in range(4):
+            row = memory_read(Tensor(h[t]), FastState(Tensor(f[t])),
+                              SlowState(Tensor(s[t])), params).data
+            assert np.max(np.abs(span[t] - row)) < 1e-12
+
+
 class TestMemoryRead:
     def test_zero_states_zero_read(self):
         d = 4

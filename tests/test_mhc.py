@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
-from lpcsm.mhc import MixWeights, sinkhorn_normalize, mhc_route
+from lpcsm.mhc import MixWeights, sinkhorn_normalize, mhc_route, route_gain
 
 
 class TestSinkhorn:
@@ -53,7 +53,7 @@ class TestRoute:
             post_mix=Tensor(np.array([1.0, 0.0])),
             transport_logits=Tensor(np.eye(2) * 40.0),
         )
-        out = mhc_route(h, update, w, streams=2, iters=20).data
+        out = mhc_route(h, update, route_gain(w, streams=2, iters=20)).data
         assert np.max(np.abs(out - (h.data + update.data))) < 1e-12
 
     def test_uniform_symmetry(self):
@@ -65,7 +65,7 @@ class TestRoute:
             post_mix=Tensor(np.array([0.5, 0.5])),
             transport_logits=Tensor(np.zeros((2, 2))),
         )
-        out = mhc_route(h, update, w, streams=2, iters=1).data
+        out = mhc_route(h, update, route_gain(w, streams=2, iters=1)).data
         assert np.max(np.abs(out - (h.data + update.data))) < 1e-12
 
     def test_matrix_arithmetic_reevaluation(self):
@@ -78,7 +78,8 @@ class TestRoute:
         logits = rng.uniform(-1, 1, (s, s))
         w = MixWeights(pre_mix=Tensor(pre), post_mix=Tensor(post),
                        transport_logits=Tensor(logits))
-        out = mhc_route(Tensor(h), Tensor(update), w, streams=s, iters=4).data
+        out = mhc_route(Tensor(h), Tensor(update),
+                        route_gain(w, streams=s, iters=4)).data
 
         m = np.exp(logits)
         passes = 0
@@ -103,19 +104,19 @@ class TestRoute:
             post_mix=Tensor(rng.standard_normal(2)),
             transport_logits=Tensor(rng.uniform(-1, 1, (2, 2))),
         )
-        as_vec = mhc_route(Tensor(h), Tensor(update), w, 2, 3).data
+        gain = route_gain(w, 2, 3)
+        as_vec = mhc_route(Tensor(h), Tensor(update), gain).data
         as_row = mhc_route(Tensor(h.reshape(1, 6)),
-                           Tensor(update.reshape(1, 6)), w, 2, 3).data[0]
+                           Tensor(update.reshape(1, 6)), gain).data[0]
         assert np.array_equal(as_vec, as_row)
 
     def test_stream_validation(self):
-        h = Tensor(np.zeros(4))
         w = MixWeights(pre_mix=Tensor(np.ones(2)), post_mix=Tensor(np.ones(2)),
                        transport_logits=Tensor(np.zeros((2, 2))))
         with pytest.raises(NumericsError):
-            mhc_route(h, h, w, streams=1, iters=1)
+            route_gain(w, streams=1, iters=1)
         with pytest.raises(NumericsError):
-            mhc_route(h, h, w, streams=3, iters=1)
+            route_gain(w, streams=3, iters=1)
 
     def test_grad_check(self):
         rng = np.random.default_rng(6)
@@ -129,7 +130,7 @@ class TestRoute:
         def loss(p):
             w = MixWeights(pre_mix=p["pre"], post_mix=p["post"],
                            transport_logits=p["logits"])
-            out = mhc_route(Tensor(h), Tensor(update), w, 2, 4)
+            out = mhc_route(Tensor(h), Tensor(update), route_gain(w, 2, 4))
             return (out * out).sum()
 
         assert grad_check(loss, params).passed

@@ -9,7 +9,7 @@ from scipy.special import expit
 from lpcsm.numerics import Tensor, NumericsError, rmsnorm
 from lpcsm.model import (
     ModelConfig, init_params, model_forward, block_forward, embed,
-    ablation_variants, causal_mask_bits, controller_params,
+    ablation_variants, causal_mask_bits, controller_params, LayerCache,
 )
 
 
@@ -132,6 +132,30 @@ class TestBoundaryWrites:
         _, aux = model_forward([2, 3, 4, 5], params, cfg)
         assert aux[0].write_count == 1
         assert np.any(aux[0].slow_final.data != 0.0)
+
+
+class TestSpanSplits:
+    @pytest.mark.parametrize("splits", [(1,), (2, 5), (3, 4, 9), (7,), (10,)])
+    def test_split_spans_match_one_span(self, splits):
+        # Partial chunks carried in the cache across a split write the
+        # same slow state, at the same boundaries, as one span.
+        cfg = tiny_cfg(chunk_size=3)
+        params = init_params(cfg, seed=12)
+        h = np.random.default_rng(13).standard_normal((11, cfg.width))
+        whole = LayerCache.fresh(cfg)
+        out = block_forward(Tensor(h), 0, params, cfg, cache=whole).hidden.data
+        parts = LayerCache.fresh(cfg)
+        pieces = [
+            block_forward(Tensor(h[lo:hi]), 0, params, cfg, cache=parts).hidden.data
+            for lo, hi in zip((0,) + splits, splits + (11,))
+        ]
+        assert np.max(np.abs(np.concatenate(pieces) - out)) < 1e-12
+        assert parts.slow.chunk_index == whole.slow.chunk_index == 3
+        assert np.max(np.abs(parts.slow.value.data - whole.slow.value.data)) < 1e-12
+        assert parts.chunk.count == whole.chunk.count == 2
+        assert np.max(np.abs(parts.chunk.running_sum.data
+                             - whole.chunk.running_sum.data)) < 1e-12
+        assert np.max(np.abs(parts.fast.value.data - whole.fast.value.data)) < 1e-12
 
 
 class TestStraightLineOracle:

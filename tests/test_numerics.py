@@ -6,7 +6,8 @@ import pytest
 
 from lpcsm.numerics import (
     Tensor, NumericsError, no_grad, concat, stack, take_rows,
-    straight_through, rmsnorm, ParameterStore, forward_backward, grad_check,
+    straight_through, gated_scan, rmsnorm, ParameterStore, forward_backward,
+    grad_check,
 )
 
 
@@ -106,6 +107,48 @@ class TestPrimitiveGradients:
         assert np.array_equal(x.grad, np.array([[1.0, 1], [0, 0], [1, 1]]))
         picked = take_rows(Tensor(np.arange(8.0).reshape(4, 2)), [3, 0])
         assert np.array_equal(picked.data, np.array([[6.0, 7], [0, 1]]))
+
+
+class TestGatedScan:
+    def test_rows_follow_recurrence(self):
+        rng = np.random.default_rng(4)
+        decay = rng.uniform(0, 1, (9, 5))
+        write = rng.standard_normal((9, 5))
+        f = rng.standard_normal(5)
+        rows = gated_scan(Tensor(decay), Tensor(write), Tensor(f)).data
+        for t in range(9):
+            f = decay[t] * f + write[t]
+            assert np.array_equal(rows[t], f)
+
+    def test_vector_is_one_step(self):
+        decay, write, init = (np.array([0.3, 0.9]), np.array([1.0, -2.0]),
+                              np.array([0.5, 0.25]))
+        out = gated_scan(Tensor(decay), Tensor(write), Tensor(init)).data
+        assert out.shape == (2,)
+        assert np.array_equal(out, decay * init + write)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(NumericsError):
+            gated_scan(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
+                       Tensor(np.ones(3)))
+        with pytest.raises(NumericsError):
+            gated_scan(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))),
+                       Tensor(np.ones(2)))
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(5)
+        params = ParameterStore()
+        params.add("decay", rng.uniform(0.1, 0.9, (6, 3)))
+        params.add("write", rng.standard_normal((6, 3)))
+        params.add("init", rng.standard_normal(3))
+        weights = Tensor(rng.standard_normal((6, 3)))
+
+        def loss(p):
+            rows = gated_scan(p["decay"], p["write"], p["init"])
+            return (rows * rows * weights).sum()
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error
 
 
 class TestTensorBasics:
