@@ -29,12 +29,6 @@ class AttentionConfig:
         return self.heads * self.head_dim
 
 
-@dataclass
-class AttentionOutput:
-    read: Tensor
-    attention_weights: Tensor | None = None
-
-
 def window_mask(t_len: int, window: int, past: int = 0) -> np.ndarray:
     """[T, past+T] additive mask for T queries after `past` earlier keys:
     query t sits at key position past+t and sees keys in
@@ -52,7 +46,7 @@ def _require(params: ParameterStore, names: list[str]) -> None:
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
-            params: ParameterStore, prefix: str) -> AttentionOutput:
+            params: ParameterStore, prefix: str) -> Tensor:
     """q holds the T newest rows; k and v also hold the rows before them."""
     t_len, kv_len = q.shape[0], k.shape[0]
     h, hd = cfg.heads, cfg.head_dim
@@ -62,11 +56,9 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
     vh = v.reshape((kv_len, h, hd)).transpose((1, 0, 2))
     scores = (qh @ kh.transpose((0, 2, 1))) * (1.0 / np.sqrt(hd))
     scores = scores + Tensor(window_mask(t_len, cfg.window, kv_len - t_len))
-    weights = scores.softmax()
-    mixed = weights @ vh
+    mixed = scores.softmax() @ vh
     merged = mixed.transpose((1, 0, 2)).reshape((t_len, h * hd))
-    read = merged @ params[prefix + "w_o"] + params[prefix + "b_o"]
-    return AttentionOutput(read=read, attention_weights=weights)
+    return merged @ params[prefix + "w_o"] + params[prefix + "b_o"]
 
 
 def _with_past(hidden: Tensor, past: Tensor | None) -> Tensor:
@@ -75,7 +67,7 @@ def _with_past(hidden: Tensor, past: Tensor | None) -> Tensor:
 
 def local_attention(hidden: Tensor, cfg: AttentionConfig,
                     params: ParameterStore, prefix: str = "attn.",
-                    past: Tensor | None = None) -> AttentionOutput:
+                    past: Tensor | None = None) -> Tensor:
     """Default path: q, k, v sliced from one shared linear projection.
 
     `past` holds earlier normed rows that the T rows of `hidden` may also
@@ -91,7 +83,7 @@ def local_attention(hidden: Tensor, cfg: AttentionConfig,
 
 def latent_attention(hidden: Tensor, cfg: AttentionConfig,
                      params: ParameterStore, prefix: str = "attn.",
-                     past: Tensor | None = None) -> AttentionOutput:
+                     past: Tensor | None = None) -> Tensor:
     """Latent-KV variant: keys/values lifted from a compressed bottleneck.
     `past` is as in `local_attention`."""
     if cfg.latent_dim is None:

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .numerics import NumericsError
-from .config import ConfigError, load_run_config
+from .config import ConfigError, RunConfig, check_task_fits, load_run_config
 from .checkpoint import CheckpointError, save_checkpoint, load_checkpoint
 from .train import (
     train, evaluate, ablate, probe_delayed_identifier, ProbeSpec,
@@ -27,10 +27,21 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _cmd_train(args) -> int:
+def _load_run(args) -> RunConfig:
+    """The run config, with --steps and --seed replacing its [train] values."""
     run = load_run_config(args.config)
+    given = {k: v for k, v in (("steps", args.steps), ("seed", args.seed))
+             if v is not None}
+    try:
+        return replace(run, train=replace(run.train, **given))
+    except NumericsError as e:
+        raise ConfigError(f"section [train]: {e}") from e
+
+
+def _cmd_train(args) -> int:
+    run = _load_run(args)
     with open(args.metrics, "w") if args.metrics else _null_writer() as out:
-        result = train(run, steps=args.steps, seed=args.seed, metrics_out=out)
+        result = train(run, metrics_out=out)
     if args.out:
         save_checkpoint(result.params, run.model, args.out)
     print(f"final lm {result.final_lm:.4f} ratio {result.final_ratio:.3f}")
@@ -79,6 +90,7 @@ def _parse_task(spec: str) -> SyntheticTask:
 def _cmd_eval(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
     task = _parse_task(args.task)
+    check_task_fits(task, cfg)
     out = evaluate(params, cfg, task, LossWeights())
     for k, v in out.items():
         print(f"{k}: {v:.6f}")
@@ -87,7 +99,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_generate(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
-    prompt = [int(t) for t in args.prompt.split(",")]
+    try:
+        prompt = [int(t) for t in args.prompt.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"bad prompt: {e}") from e
     tokens = generate(prompt, args.max_new, params, cfg,
                       eos_token=args.eos,
                       stop_threshold=args.stop_threshold)
@@ -120,8 +135,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    run = load_run_config(args.config)
-    rows = ablate(run, steps=args.steps, seed=args.seed)
+    rows = ablate(_load_run(args))
     print(f"{'variant':<24}{'final LM':>10}{'delta %':>9}{'tok/s':>9}{'ratio':>7}")
     for r in rows:
         print(f"{r.variant:<24}{r.final_lm:>10.4f}{r.delta_pct:>9.2f}"

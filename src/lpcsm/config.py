@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import yaml
 
 from .numerics import NumericsError
-from .model import ModelConfig
+from .model import ModelConfig, check_field_types
 from .objective import LossWeights, SgdConfig
 from .data import SyntheticTask
 
@@ -21,6 +21,11 @@ class TrainSettings:
     steps: int = 100
     batch_size: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.steps < 1 or self.batch_size < 1 or self.seed < 0:
+            raise NumericsError("train needs steps >= 1, batch_size >= 1 "
+                                "and seed >= 0")
 
 
 @dataclass
@@ -41,15 +46,24 @@ _SECTIONS = {
 }
 
 
-def _build(section: str, cls, data: dict):
-    valid = {f.name for f in fields(cls)}
-    unknown = set(data) - valid
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+def _build(section: str, cls, data):
+    if not isinstance(data, dict):
+        raise ConfigError(f"section [{section}] must be a mapping")
     try:
+        check_field_types(cls, data)
         return cls(**data)
     except (TypeError, NumericsError) as e:
         raise ConfigError(f"section [{section}]: {e}") from e
+
+
+def check_task_fits(task: SyntheticTask, model: ModelConfig) -> None:
+    """Reject a task whose tokens or length the model cannot embed."""
+    if task.vocab_size > model.vocab_size:
+        raise ConfigError(f"task vocab_size {task.vocab_size} exceeds the "
+                          f"model's {model.vocab_size}")
+    if task.seq_len > model.max_seq_len:
+        raise ConfigError(f"task seq_len {task.seq_len} exceeds the "
+                          f"model's max_seq_len {model.max_seq_len}")
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -68,4 +82,5 @@ def load_run_config(path: str) -> RunConfig:
     built = {}
     for name, cls in _SECTIONS.items():
         built[name] = _build(name, cls, raw.get(name, {}) or {})
+    check_task_fits(built["task"], built["model"])
     return RunConfig(**built)

@@ -3,15 +3,7 @@ memory reads, then iteratively refine against the explicit mismatch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .numerics import Tensor, ParameterStore, NumericsError, concat
-
-
-@dataclass
-class PredictionState:
-    estimate: Tensor
-    step: int
 
 
 def _mlp(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
@@ -20,21 +12,15 @@ def _mlp(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
 
 
 def predict_init(a: Tensor, r: Tensor, params: ParameterStore,
-                 prefix: str = "pred.") -> PredictionState:
+                 prefix: str = "pred.") -> Tensor:
     """Initial estimate from the concatenated attention and memory reads."""
     if a.shape != r.shape:
         raise NumericsError("predict_init width mismatch")
-    est = _mlp(concat([a, r], axis=-1), params, prefix)
-    return PredictionState(estimate=est, step=0)
+    return _mlp(concat([a, r], axis=-1), params, prefix)
 
 
-def refine_step(a: Tensor, r: Tensor, h: Tensor, state: PredictionState,
-                params: ParameterStore, max_steps: int,
-                prefix: str = "refine.") -> PredictionState:
+def refine_step(a: Tensor, r: Tensor, h: Tensor, estimate: Tensor,
+                params: ParameterStore, prefix: str = "refine.") -> Tensor:
     """One additive refinement driven by the current mismatch h - estimate."""
-    if state.step >= max_steps:
-        raise NumericsError("refinement step budget exhausted")
-    err = h - state.estimate
-    est = state.estimate + _mlp(concat([a, r, err], axis=-1), params, prefix)
-    return PredictionState(estimate=est, step=state.step + 1)
-
+    err = h - estimate
+    return estimate + _mlp(concat([a, r, err], axis=-1), params, prefix)

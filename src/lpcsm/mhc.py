@@ -4,18 +4,9 @@ evaluated in its exact scalar-gain form."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import Tensor, NumericsError, _wrap
-
-
-@dataclass
-class MixWeights:
-    pre_mix: Tensor
-    post_mix: Tensor
-    transport_logits: Tensor
 
 
 # Marginal-sum tolerance the transport matrix must reach, and the hard cap
@@ -54,20 +45,17 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
     raise NumericsError("sinkhorn failed to reach doubly-stochastic marginals")
 
 
-def route_gain(w: MixWeights, streams: int, iters: int) -> Tensor:
-    """The scalar gain post_mixᵀ M pre_mix of the routed residual.
+def route_gain(pre: Tensor, post: Tensor, logits: Tensor, iters: int) -> Tensor:
+    """The scalar gain postᵀ M pre of the routed residual over S streams.
 
-    Stream i carries pre_mix_i * h_in, the doubly-stochastic transport M
-    mixes the stream axis, and the post-mix coefficients collapse it back.
-    Every stream is a multiple of h_in, so the collapsed residual is
-    exactly this gain times h_in. It depends on the parameters alone.
+    Stream i carries pre_i * h_in, the doubly-stochastic transport
+    M = sinkhorn(logits) mixes the stream axis, and the post-mix
+    coefficients collapse it back. Every stream is a multiple of h_in, so
+    the collapsed residual is exactly this gain times h_in. It depends on
+    the parameters alone; mismatched [S] and [S, S] shapes raise in the
+    matmuls.
     """
-    if streams < 2:
-        raise NumericsError("mhc requires at least 2 streams")
-    if w.pre_mix.shape != (streams,) or w.post_mix.shape != (streams,):
-        raise NumericsError("mix weight shapes inconsistent with stream count")
-    transport = sinkhorn_normalize(w.transport_logits, iters)
-    return (transport @ w.pre_mix) @ w.post_mix
+    return (sinkhorn_normalize(logits, iters) @ pre) @ post
 
 
 def mhc_route(h_in: Tensor, block_update: Tensor, gain: Tensor) -> Tensor:

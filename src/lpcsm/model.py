@@ -14,22 +14,34 @@ from .numerics import (
     straight_through,
 )
 from .attention import AttentionConfig, local_attention, latent_attention
-from .memory import (
-    FastState, SlowState, ChunkAccumulator,
-    fast_update, memory_read, accumulate, slow_write,
-)
+from .memory import fast_update, memory_read, slow_write
 from .correction import predict_init, refine_step
 from .controller import ControllerParams, clamp_ratio, prefix_event_mask
-from .mhc import MixWeights, mhc_route, route_gain
+from .mhc import mhc_route, route_gain
 
 
-# Literal types accepted for each ModelConfig field annotation.
+# Literal types accepted for each config field annotation.
 _LITERAL_TYPES = {
     "int": (int,),
     "float": (float, int),
     "bool": (bool,),
+    "str": (str,),
     "int | None": (int, type(None)),
 }
+
+
+def check_field_types(cls, values: dict) -> None:
+    """Raise NumericsError unless every key names a field of the dataclass
+    `cls` and every value is a literal of that field's annotated type.
+    Config text and YAML both parse `2.0` where an int belongs; caught
+    here, it never reaches a slice or a loop bound."""
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        if key not in types:
+            raise NumericsError(f"unknown config key {key!r}")
+        if type(value) not in _LITERAL_TYPES[types[key]]:
+            raise NumericsError(f"config key {key!r} expects {types[key]}, "
+                                f"got {value!r}")
 
 
 @dataclass
@@ -59,16 +71,26 @@ class ModelConfig:
     rmsnorm_eps: float = 1e-6
 
     def __post_init__(self):
+        if (self.layers < 0 or self.width < 1 or self.vocab_size < 2
+                or self.heads < 1 or self.max_seq_len < 1):
+            raise NumericsError("invalid model dimensions")
         if self.width % self.heads != 0:
             raise NumericsError("width must be divisible by head count")
-        if self.layers < 0 or self.width < 1 or self.vocab_size < 2:
-            raise NumericsError("invalid model dimensions")
         if self.chunk_size < 1 or self.window < 1:
             raise NumericsError("chunk_size and window must be positive")
         if not (0 <= self.s_ref <= 8):
             raise NumericsError("s_ref must lie in 0..8")
         if self.alpha_n < 0.0:
             raise NumericsError("alpha_n must be >= 0 for model use")
+        if not (0.0 < self.ratio_min < self.ratio_init < self.ratio_max <= 1.0):
+            raise NumericsError("ratios must satisfy "
+                                "0 < ratio_min < ratio_init < ratio_max <= 1")
+        if self.temperature <= 0.0:
+            raise NumericsError("temperature must be positive")
+        if self.mhc_streams < 2 or self.sinkhorn_iters < 1:
+            raise NumericsError("mhc needs mhc_streams >= 2 and sinkhorn_iters >= 1")
+        if self.latent_dim is not None and self.latent_dim < 1:
+            raise NumericsError("latent_dim must be >= 1")
 
     @property
     def head_dim(self) -> int:
@@ -89,16 +111,10 @@ class ModelConfig:
     @classmethod
     def from_canonical(cls, text: str) -> "ModelConfig":
         kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
         for line in text.strip().splitlines():
             key, _, val = line.partition("=")
-            if key not in types:
-                raise NumericsError(f"unknown config key {key!r} in canonical text")
-            value = ast.literal_eval(val)
-            if type(value) not in _LITERAL_TYPES[types[key]]:
-                raise NumericsError(f"config key {key!r} expects {types[key]}, "
-                                    f"got {value!r}")
-            kwargs[key] = value
+            kwargs[key] = ast.literal_eval(val)
+        check_field_types(cls, kwargs)
         return cls(**kwargs)
 
 
@@ -106,18 +122,11 @@ class ModelConfig:
 class LayerAux:
     error_norms: Tensor
     error_sq: Tensor | None
-    mask: Tensor
     effective_ratio: float
     sparse_ratio_st: Tensor
     fast_final: Tensor
     slow_final: Tensor
     write_count: int
-
-
-@dataclass
-class BlockOutput:
-    hidden: Tensor
-    aux: LayerAux
 
 
 @dataclass
@@ -206,10 +215,12 @@ class LayerCache:
     """What a layer's next span reads of the tokens before it. Teacher
     forcing runs one span from a fresh cache; decode runs one-token spans
     on a carried one."""
-    history: list  # post-norm rows as [1, d] tensors, at most `window` entries
-    fast: FastState
-    slow: SlowState
-    chunk: ChunkAccumulator
+    history: Tensor | None  # the last <= window post-norm rows, [<=window, d]
+    fast: Tensor  # fast state after the last token
+    slow: Tensor  # slow state after the last chunk boundary
+    writes: int  # slow writes so far
+    chunk_sum: Tensor  # sum of the fast states of the open chunk
+    chunk_count: int  # tokens in the open chunk, below chunk_size
     error_norms: list  # per-position mismatch norms, full prefix
     # mHC gain, set by the first span; parameters are frozen while a
     # cache is carried.
@@ -218,10 +229,12 @@ class LayerCache:
     @classmethod
     def fresh(cls, cfg: ModelConfig) -> "LayerCache":
         return cls(
-            history=[],
-            fast=FastState.zeros(cfg.width),
-            slow=SlowState.zeros(cfg.width),
-            chunk=ChunkAccumulator.empty(cfg.width, cfg.chunk_size),
+            history=None,
+            fast=Tensor(np.zeros(cfg.width)),
+            slow=Tensor(np.zeros(cfg.width)),
+            writes=0,
+            chunk_sum=Tensor(np.zeros(cfg.width)),
+            chunk_count=0,
             error_norms=[],
         )
 
@@ -244,8 +257,8 @@ def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
 
 def block_forward(h: Tensor, layer: int, params: ParameterStore,
                   cfg: ModelConfig, soft_mask: bool = False,
-                  cache: LayerCache | None = None) -> BlockOutput:
-    """One LPC-SM block over a span of T rows.
+                  cache: LayerCache | None = None) -> tuple[Tensor, LayerAux]:
+    """One LPC-SM block over a span of T rows; returns (hidden, aux).
 
     The span continues the tokens summarised in `cache`, which is advanced
     in place past the span; without one, the span starts the sequence.
@@ -257,45 +270,45 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         n = rmsnorm(h, params[p + "norm1.gain"], cfg.rmsnorm_eps)
 
         attend = local_attention if cfg.latent_dim is None else latent_attention
-        past = concat(cache.history) if cache.history else None
-        a = attend(n, cfg.attention_config(), params, p + "attn.", past=past).read
-        keep = range(max(0, t_len - cfg.window), t_len)
-        cache.history = (cache.history + [n[t:t + 1] for t in keep])[-cfg.window:]
+        past = cache.history
+        a = attend(n, cfg.attention_config(), params, p + "attn.", past=past)
+        cache.history = (n if past is None else concat([past, n]))[-cfg.window:]
 
         # Memory pathway over the whole span: one scan gives the fast
         # states, slow writes happen at chunk boundaries after that token's
         # read, so each row reads the slow state of its chunk.
         mem = p + "mem."
-        fast = fast_update(n, cache.fast, params, mem).value
-        cache.fast = FastState(fast[t_len - 1])
-        writes_before = cache.slow.chunk_index
-        slow_values, ends = [cache.slow.value], []
+        fast = fast_update(n, cache.fast, params, mem)
+        cache.fast = fast[t_len - 1]
+        slow_values, ends = [cache.slow], []
         if cfg.slow_memory:
-            ends = list(range(cfg.chunk_size - cache.chunk.count, t_len + 1,
+            ends = list(range(cfg.chunk_size - cache.chunk_count, t_len + 1,
                               cfg.chunk_size))
             start = 0
             for end in ends:
-                chunk = accumulate(cache.chunk, FastState(fast[start:end]))
-                cache.slow = slow_write(n[end - 1], chunk, cache.slow,
+                mean = (cache.chunk_sum + fast[start:end].sum(axis=0)) \
+                    * (1.0 / cfg.chunk_size)
+                cache.slow = slow_write(n[end - 1], mean, cache.slow,
                                         cfg.alpha_n, cfg.ont, params, mem)
-                cache.chunk = ChunkAccumulator.empty(d, cfg.chunk_size)
-                slow_values.append(cache.slow.value)
+                cache.chunk_sum, cache.chunk_count = Tensor(np.zeros(d)), 0
+                slow_values.append(cache.slow)
                 start = end
             if start < t_len:
-                cache.chunk = accumulate(cache.chunk, FastState(fast[start:]))
+                cache.chunk_sum = cache.chunk_sum + fast[start:].sum(axis=0)
+                cache.chunk_count += t_len - start
+            cache.writes += len(ends)
         if ends:
             chunk_of_row = np.searchsorted(ends, np.arange(t_len), side="right")
             slow = take_rows(stack(slow_values), chunk_of_row)
         else:
             slow = slow_values[0]
-        r = memory_read(n, FastState(fast), SlowState(slow), params, mem)
+        r = memory_read(n, fast, slow, params, mem)
 
         # Predictive correction over the whole batch of positions.
         if cfg.predictive_coding:
-            state = predict_init(a, r, params, p + "pred.")
+            est = predict_init(a, r, params, p + "pred.")
             for _ in range(cfg.s_ref):
-                state = refine_step(a, r, n, state, params, cfg.s_ref, p + "refine.")
-            est = state.estimate
+                est = refine_step(a, r, n, est, params, p + "refine.")
             diff = n - est
             err_sq = (diff * diff).sum(axis=-1)
             error_norms = err_sq.sqrt()
@@ -331,12 +344,9 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
 
         if cfg.mhc:
             if cache.route_gain is None:
-                w = MixWeights(
-                    pre_mix=params[p + "mhc.pre"],
-                    post_mix=params[p + "mhc.post"],
-                    transport_logits=params[p + "mhc.logits"],
-                )
-                cache.route_gain = route_gain(w, cfg.mhc_streams, cfg.sinkhorn_iters)
+                cache.route_gain = route_gain(
+                    params[p + "mhc.pre"], params[p + "mhc.post"],
+                    params[p + "mhc.logits"], cfg.sinkhorn_iters)
             out = mhc_route(resid, update, cache.route_gain)
         else:
             out = resid + update
@@ -346,14 +356,13 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
     aux = LayerAux(
         error_norms=error_norms,
         error_sq=err_sq,
-        mask=mask,
         effective_ratio=density,
         sparse_ratio_st=sparse_ratio_st,
-        fast_final=cache.fast.value,
-        slow_final=cache.slow.value,
-        write_count=cache.slow.chunk_index - writes_before,
+        fast_final=cache.fast,
+        slow_final=cache.slow,
+        write_count=len(ends),
     )
-    return BlockOutput(hidden=out, aux=aux)
+    return out, aux
 
 
 def embed(tokens, params: ParameterStore, cfg: ModelConfig,
@@ -384,10 +393,9 @@ def model_forward(tokens, params: ParameterStore, cfg: ModelConfig,
     h = embed(tokens, params, cfg, position_offset=position)
     aux_list = []
     for layer in range(cfg.layers):
-        out = block_forward(h, layer, params, cfg, soft_mask=soft_mask,
-                            cache=None if caches is None else caches[layer])
-        h = out.hidden
-        aux_list.append(out.aux)
+        h, aux = block_forward(h, layer, params, cfg, soft_mask=soft_mask,
+                               cache=None if caches is None else caches[layer])
+        aux_list.append(aux)
     n = rmsnorm(h, params["final_norm.gain"], cfg.rmsnorm_eps)
     lm = n @ params["lm_head.w"] + params["lm_head.b"]
     stop = None

@@ -65,8 +65,8 @@ def test_span_with_past_continues_sequence(latent_dim, past):
     params = make_params(d, seed=30, latent_dim=latent_dim)
     attend = local_attention if latent_dim is None else latent_attention
     h = np.random.default_rng(31).standard_normal((7, d))
-    whole = attend(Tensor(h), cfg, params).read.data
-    span = attend(Tensor(h[past:]), cfg, params, past=Tensor(h[:past])).read.data
+    whole = attend(Tensor(h), cfg, params).data
+    span = attend(Tensor(h[past:]), cfg, params, past=Tensor(h[:past])).data
     assert np.max(np.abs(span - whole[past:])) < 1e-12
 
 
@@ -76,7 +76,7 @@ class TestLocalAttention:
         cfg = AttentionConfig(window=4, heads=2, head_dim=4)
         params = make_params(d, seed=1)
         h = Tensor(np.random.default_rng(2).standard_normal((1, d)))
-        out = local_attention(h, cfg, params).read
+        out = local_attention(h, cfg, params)
         qkv = h.data @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
         v = qkv[:, 2 * d:3 * d]
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -87,7 +87,7 @@ class TestLocalAttention:
         cfg = AttentionConfig(window=1, heads=2, head_dim=4)
         params = make_params(d, seed=3)
         h = Tensor(np.random.default_rng(4).standard_normal((5, d)))
-        out = local_attention(h, cfg, params).read
+        out = local_attention(h, cfg, params)
         qkv = h.data @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
         v = qkv[:, 2 * d:3 * d]
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -97,12 +97,17 @@ class TestLocalAttention:
         d = 4
         cfg = AttentionConfig(window=2, heads=1, head_dim=4)
         params = make_params(d, seed=5)
-        # Identical rows give identical keys at every position.
-        h = Tensor(np.tile(np.random.default_rng(6).standard_normal(d), (3, 1)))
-        weights = local_attention(h, cfg, params).attention_weights.data
-        # At t >= 1 the two in-window positions split the mass evenly.
-        assert np.max(np.abs(weights[0, 1, 0:2] - 0.5)) < 1e-12
-        assert np.max(np.abs(weights[0, 2, 1:3] - 0.5)) < 1e-12
+        # Zero key weights give the key b_k at every position, so each row
+        # reads the plain mean of the value rows in its window.
+        params["attn.w_qkv"].data[:, d:2 * d] = 0.0
+        h = np.random.default_rng(6).standard_normal((3, d))
+        out = local_attention(Tensor(h), cfg, params).data
+        qkv = h @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
+        v = qkv[:, 2 * d:]
+        for t in range(3):
+            mean = v[max(0, t - 1):t + 1].mean(axis=0)
+            expect = mean @ params["attn.w_o"].data + params["attn.b_o"].data
+            assert np.max(np.abs(out[t] - expect)) < 1e-12
 
     def test_causality_perturbation(self):
         d = 8
@@ -110,10 +115,10 @@ class TestLocalAttention:
         params = make_params(d, seed=7)
         rng = np.random.default_rng(8)
         h = rng.standard_normal((6, d))
-        base = local_attention(Tensor(h.copy()), cfg, params).read.data
+        base = local_attention(Tensor(h.copy()), cfg, params).data
         h2 = h.copy()
         h2[4] += rng.standard_normal(d)
-        pert = local_attention(Tensor(h2), cfg, params).read.data
+        pert = local_attention(Tensor(h2), cfg, params).data
         assert np.array_equal(base[:4], pert[:4])
         assert np.max(np.abs(base[4] - pert[4])) > 0.0
 
@@ -123,10 +128,10 @@ class TestLocalAttention:
         params = make_params(d, seed=9)
         rng = np.random.default_rng(10)
         h = rng.standard_normal((6, d))
-        base = local_attention(Tensor(h.copy()), cfg, params).read.data
+        base = local_attention(Tensor(h.copy()), cfg, params).data
         h2 = h.copy()
         h2[0] += rng.standard_normal(d)
-        pert = local_attention(Tensor(h2), cfg, params).read.data
+        pert = local_attention(Tensor(h2), cfg, params).data
         # Position 0 is outside the window of every t >= 2.
         assert np.array_equal(base[2:], pert[2:])
 
@@ -137,7 +142,7 @@ class TestLocalAttention:
         h = np.random.default_rng(12).standard_normal((4, d))
 
         def loss(p):
-            r = local_attention(Tensor(h), cfg, p).read
+            r = local_attention(Tensor(h), cfg, p)
             return (r * r).sum()
 
         assert grad_check(loss, params, sample=8).passed
@@ -168,8 +173,8 @@ class TestLatentAttention:
         h = Tensor(np.random.default_rng(14).standard_normal((5, d)))
         cfg_local = AttentionConfig(window=3, heads=2, head_dim=4)
         cfg_latent = AttentionConfig(window=3, heads=2, head_dim=4, latent_dim=d)
-        a = local_attention(h, cfg_local, base).read.data
-        b = latent_attention(h, cfg_latent, latent).read.data
+        a = local_attention(h, cfg_local, base).data
+        b = latent_attention(h, cfg_latent, latent).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_rank_one_keys(self):
@@ -191,7 +196,7 @@ class TestLatentAttention:
         cfg = AttentionConfig(window=4, heads=2, head_dim=4, latent_dim=3)
         params = make_params(d, seed=17, latent_dim=3)
         h = Tensor(np.random.default_rng(18).standard_normal((1, d)))
-        out = latent_attention(h, cfg, params).read
+        out = latent_attention(h, cfg, params)
         z = h.data @ params["attn.w_z"].data + params["attn.b_z"].data
         v = z @ params["attn.w_v_up"].data + params["attn.b_v_up"].data
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -204,7 +209,7 @@ class TestLatentAttention:
         h = np.random.default_rng(20).standard_normal((4, d))
 
         def loss(p):
-            r = latent_attention(Tensor(h), cfg, p).read
+            r = latent_attention(Tensor(h), cfg, p)
             return (r * r).sum()
 
         assert grad_check(loss, params, sample=8).passed

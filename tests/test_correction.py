@@ -1,5 +1,4 @@
-"""Predictive correction: initial estimate, additive refinement, and the
-step budget."""
+"""Predictive correction: initial estimate and additive refinement."""
 
 import numpy as np
 import pytest
@@ -25,10 +24,10 @@ def make_params(d, seed=0, zero=False):
 
 def unroll(a, r, h, params, steps):
     """predict_init, then `steps` refinements, as the block runs them."""
-    state = predict_init(a, r, params)
+    est = predict_init(a, r, params)
     for _ in range(steps):
-        state = refine_step(a, r, h, state, params, max_steps=steps)
-    return state
+        est = refine_step(a, r, h, est, params)
+    return est
 
 
 def mlp(x, params, prefix):
@@ -41,18 +40,17 @@ class TestPredictInit:
         d = 4
         params = make_params(d, zero=True)
         rng = np.random.default_rng(1)
-        state = predict_init(Tensor(rng.standard_normal(d)),
-                             Tensor(rng.standard_normal(d)), params)
-        assert np.array_equal(state.estimate.data, np.zeros(d))
-        assert state.step == 0
+        est = predict_init(Tensor(rng.standard_normal(d)),
+                           Tensor(rng.standard_normal(d)), params)
+        assert np.array_equal(est.data, np.zeros(d))
 
     def test_duplicated_input(self):
         d = 4
         params = make_params(d, seed=2)
         a = np.random.default_rng(3).standard_normal(d)
-        state = predict_init(Tensor(a), Tensor(a), params)
+        est = predict_init(Tensor(a), Tensor(a), params)
         expect = mlp(np.concatenate([a, a]), params, "pred.")
-        assert np.max(np.abs(state.estimate.data - expect)) < 1e-12
+        assert np.max(np.abs(est.data - expect)) < 1e-12
 
     def test_width_mismatch(self):
         params = make_params(4)
@@ -66,7 +64,7 @@ class TestPredictInit:
         a, r = rng.standard_normal(d), rng.standard_normal(d)
 
         def loss(p):
-            est = predict_init(Tensor(a), Tensor(r), p).estimate
+            est = predict_init(Tensor(a), Tensor(r), p)
             return (est * est).sum()
 
         assert grad_check(loss, params).passed
@@ -81,9 +79,8 @@ class TestRefineStep:
         rng = np.random.default_rng(7)
         a, r, h = (Tensor(rng.standard_normal(d)) for _ in range(3))
         s0 = predict_init(a, r, params)
-        s1 = refine_step(a, r, h, s0, params, max_steps=2)
-        assert np.array_equal(s1.estimate.data, s0.estimate.data)
-        assert s1.step == 1
+        s1 = refine_step(a, r, h, s0, params)
+        assert np.array_equal(s1.data, s0.data)
 
     def test_zero_error_slice(self):
         d = 4
@@ -91,31 +88,21 @@ class TestRefineStep:
         rng = np.random.default_rng(9)
         a, r = (rng.standard_normal(d) for _ in range(2))
         s0 = predict_init(Tensor(a), Tensor(r), params)
-        h = Tensor(s0.estimate.data.copy())  # estimate already equals h
-        s1 = refine_step(Tensor(a), Tensor(r), h, s0, params, max_steps=1)
+        h = Tensor(s0.data.copy())  # estimate already equals h
+        s1 = refine_step(Tensor(a), Tensor(r), h, s0, params)
         delta = mlp(np.concatenate([a, r, np.zeros(d)]), params, "refine.")
-        assert np.max(np.abs(s1.estimate.data - (s0.estimate.data + delta))) < 1e-12
-
-    def test_budget_exhausted(self):
-        d = 4
-        params = make_params(d, seed=10)
-        rng = np.random.default_rng(11)
-        a, r, h = (Tensor(rng.standard_normal(d)) for _ in range(3))
-        state = refine_step(a, r, h, predict_init(a, r, params), params, 1)
-        with pytest.raises(NumericsError):
-            refine_step(a, r, h, state, params, max_steps=1)
+        assert np.max(np.abs(s1.data - (s0.data + delta))) < 1e-12
 
     def test_manual_unroll_oracle(self):
         d = 5
         params = make_params(d, seed=12)
         rng = np.random.default_rng(13)
         a, r, h = (rng.standard_normal(d) for _ in range(3))
-        state = unroll(Tensor(a), Tensor(r), Tensor(h), params, steps=2)
+        got = unroll(Tensor(a), Tensor(r), Tensor(h), params, steps=2)
         est = mlp(np.concatenate([a, r]), params, "pred.")
         for _ in range(2):
             est = est + mlp(np.concatenate([a, r, h - est]), params, "refine.")
-        assert np.max(np.abs(state.estimate.data - est)) < 1e-12
-        assert state.step == 2
+        assert np.max(np.abs(got.data - est)) < 1e-12
 
     def test_grad_through_unroll(self):
         d = 4
@@ -124,8 +111,7 @@ class TestRefineStep:
         a, r, h = (rng.standard_normal(d) for _ in range(3))
 
         def loss(p):
-            state = unroll(Tensor(a), Tensor(r), Tensor(h), p, steps=2)
-            e = Tensor(h) - state.estimate
+            e = Tensor(h) - unroll(Tensor(a), Tensor(r), Tensor(h), p, steps=2)
             return (e * e).sum()
 
         assert grad_check(loss, params, sample=8).passed

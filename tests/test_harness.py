@@ -281,8 +281,9 @@ train:
 
 class TestTrainHarness:
     def test_steps_zero_keeps_initialization(self):
-        run = tiny_run(train=TrainSettings(steps=0, batch_size=1, seed=5))
-        result = train(run)
+        # A run config needs steps >= 1; train() still takes an override.
+        run = tiny_run(train=TrainSettings(steps=3, batch_size=1, seed=5))
+        result = train(run, steps=0)
         fresh = init_params(run.model, seed=5)
         for name, t in fresh.items():
             assert np.array_equal(t.data, result.params[name].data)
@@ -384,6 +385,17 @@ class TestAblate:
         assert all(np.isfinite(r.final_lm) for r in rows)
 
 
+def run_yaml(old, new):
+    """The good run config with `old` replaced by `new`."""
+    assert old in TestRunConfig.GOOD
+    return TestRunConfig.GOOD.replace(old, new)
+
+
+def model_yaml(line):
+    """The good run config with one more [model] line."""
+    return run_yaml("layers: 1", "layers: 1\n  " + line)
+
+
 class TestCli:
     CONFIG = TestRunConfig.GOOD
 
@@ -446,14 +458,17 @@ class TestCli:
 
     PROBE_SPEC = "n_prompts=2,prompt_len=24,distractor_len=8,key_len=3,seed=1"
     TASK = "kind=copy,vocab_size=11,seq_len=12,key_len=3"
-    # case -> (checkpoint corruption, command and its arguments, exit code)
+    PROMPT = ["--prompt", "2,3", "--max-new", "2"]
+    # case -> (setup, command and its arguments, exit code). The setup is
+    # the text of a run config for --config, or else a corruption applied
+    # to a saved checkpoint (None for none) for --ckpt.
     MALFORMED = {
         "corrupt config text": (
             lambda p: rewrite_config(p, "window=3", "window=(3"),
             ["probe", "--probe-spec", PROBE_SPEC], 4),
         "float config value": (
             lambda p: rewrite_config(p, "heads=2", "heads=2.0"),
-            ["generate", "--prompt", "2,3", "--max-new", "2"], 4),
+            ["generate", *PROMPT], 4),
         "non-UTF-8 tensor name": (
             corrupt_first_name, ["probe", "--probe-spec", PROBE_SPEC], 4),
         "trailing checkpoint bytes": (
@@ -470,17 +485,61 @@ class TestCli:
         "unknown task key": (None, ["eval", "--task", TASK + ",bogus=1"], 2),
         "unknown task kind": (
             None, ["eval", "--task", TASK.replace("copy", "bogus")], 2),
+        "yaml float heads": (run_yaml("heads: 2", "heads: 2.0"), ["train"], 2),
+        "yaml float chunk_size": (
+            run_yaml("chunk_size: 3", "chunk_size: 2.5"), ["train"], 2),
+        "yaml float batch_size": (
+            run_yaml("steps: 2", "steps: 2\n  batch_size: 2.0"), ["train"], 2),
+        "yaml lr without a decimal point": (
+            run_yaml("train:", "optimizer:\n  lr: 3e-4\ntrain:"), ["train"], 2),
+        "yaml section not a mapping": (
+            run_yaml("train:\n  steps: 2", "train: 2"), ["train"], 2),
+        "zero heads": (run_yaml("heads: 2", "heads: 0"), ["train"], 2),
+        "ratio_init below ratio_min": (
+            model_yaml("ratio_init: 0.01"), ["train"], 2),
+        "ratio_min above ratio_init": (
+            model_yaml("ratio_min: 0.9"), ["train"], 2),
+        "zero temperature": (model_yaml("temperature: 0.0"), ["train"], 2),
+        "one mhc stream": (model_yaml("mhc_streams: 1"), ["train"], 2),
+        "zero sinkhorn iters": (model_yaml("sinkhorn_iters: 0"), ["train"], 2),
+        "zero latent_dim": (model_yaml("latent_dim: 0"), ["train"], 2),
+        "zero batch_size": (
+            run_yaml("steps: 2", "steps: 2\n  batch_size: 0"), ["train"], 2),
+        "negative seed": (
+            run_yaml("steps: 2", "steps: 2\n  seed: -1"), ["train"], 2),
+        "zero steps": (run_yaml("steps: 2", "steps: 0"), ["train"], 2),
+        "zero steps flag": (TestRunConfig.GOOD, ["train", "--steps", "0"], 2),
+        "task vocab above model vocab": (
+            run_yaml("kind: copy\n  vocab_size: 11", "kind: copy\n  vocab_size: 12"),
+            ["train"], 2),
+        "task longer than max_seq_len": (
+            run_yaml("seq_len: 12", "seq_len: 40"), ["train"], 2),
+        "eval task vocab above checkpoint vocab": (
+            None, ["eval", "--task", TASK.replace("vocab_size=11", "vocab_size=12")], 2),
+        "eval task longer than max_seq_len": (
+            None, ["eval", "--task", TASK.replace("seq_len=12", "seq_len=40")], 2),
+        "non-integer prompt token": (
+            None, ["generate", "--prompt", "2,3,x", "--max-new", "2"], 2),
+        "checkpoint ratio_init below ratio_min": (
+            lambda p: rewrite_config(p, "ratio_init=0.23", "ratio_init=0.01"),
+            ["generate", *PROMPT], 4),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_exit_code(self, tmp_path, case):
-        corrupt, (command, *args), code = self.MALFORMED[case]
-        ckpt = str(tmp_path / "m.ckpt")
-        cfg = tiny_cfg()
-        save_checkpoint(init_params(cfg), cfg, ckpt)
-        if corrupt is not None:
-            corrupt(ckpt)
-        proc = run_python(["-m", "lpcsm.cli", command, "--ckpt", ckpt, *args])
+        setup, (command, *args), code = self.MALFORMED[case]
+        if isinstance(setup, str):
+            path = tmp_path / "run.yaml"
+            path.write_text(setup)
+            source = ["--config", str(path)]
+        else:
+            ckpt = str(tmp_path / "m.ckpt")
+            cfg = tiny_cfg()
+            save_checkpoint(init_params(cfg), cfg, ckpt)
+            if setup is not None:
+                setup(ckpt)
+            source = ["--ckpt", ckpt]
+        proc = run_python(["-m", "lpcsm.cli", command, *source, *args])
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
 

@@ -1,15 +1,15 @@
-"""Dual-timescale memory: gated fast updates, the dual read, chunk
-accumulation, and transported slow writes."""
+"""Dual-timescale memory: gated fast updates, the dual read, and
+transported slow writes."""
 
 import numpy as np
-import pytest
 from scipy.special import expit
 
-from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
-from lpcsm.memory import (
-    FastState, SlowState, ChunkAccumulator,
-    fast_update, memory_read, accumulate, slow_write,
-)
+from lpcsm.numerics import Tensor, ParameterStore, grad_check
+from lpcsm.memory import fast_update, memory_read, slow_write
+
+
+def zeros(d):
+    return Tensor(np.zeros(d))
 
 
 def make_params(d, seed=0, zero=False):
@@ -33,9 +33,9 @@ class TestFastUpdate:
     def test_zero_weights_half_decay(self):
         d = 4
         params = make_params(d, zero=True)
-        prev = FastState(Tensor(np.arange(1.0, 5.0)))
+        prev = Tensor(np.arange(1.0, 5.0))
         new = fast_update(Tensor(np.ones(d)), prev, params)
-        assert np.max(np.abs(new.value.data - 0.5 * prev.value.data)) < 1e-15
+        assert np.max(np.abs(new.data - 0.5 * prev.data)) < 1e-15
 
     def test_full_write_limit(self):
         d = 4
@@ -44,9 +44,9 @@ class TestFastUpdate:
         rng = np.random.default_rng(1)
         params["mem.w_u"].data = rng.standard_normal((d, d))
         h = Tensor(rng.standard_normal(d))
-        new = fast_update(h, FastState.zeros(d), params)
+        new = fast_update(h, zeros(d), params)
         expect = np.tanh(h.data @ params["mem.w_u"].data)
-        assert np.max(np.abs(new.value.data - expect)) < 1e-12
+        assert np.max(np.abs(new.data - expect)) < 1e-12
 
     def test_formula_reevaluation(self):
         d = 6
@@ -54,21 +54,21 @@ class TestFastUpdate:
         rng = np.random.default_rng(3)
         h = rng.standard_normal(d)
         prev = rng.standard_normal(d)
-        new = fast_update(Tensor(h), FastState(Tensor(prev)), params)
+        new = fast_update(Tensor(h), Tensor(prev), params)
         dgate = expit(h @ params["mem.w_d"].data + params["mem.b_d"].data)
         u = np.tanh(h @ params["mem.w_u"].data + params["mem.b_u"].data)
         expect = dgate * prev + (1 - dgate) * u
-        assert np.max(np.abs(new.value.data - expect)) < 1e-12
+        assert np.max(np.abs(new.data - expect)) < 1e-12
 
     def test_boundedness(self):
         # With |prev| <= 1 the convex gate keeps the state inside [-1, 1].
         d = 4
         params = make_params(d, seed=4)
-        state = FastState.zeros(d)
+        state = zeros(d)
         rng = np.random.default_rng(5)
         for _ in range(100):
             state = fast_update(Tensor(rng.standard_normal(d) * 3), state, params)
-            assert np.all(np.abs(state.value.data) <= 1.0)
+            assert np.all(np.abs(state.data) <= 1.0)
 
 
 class TestFastSpan:
@@ -78,7 +78,7 @@ class TestFastSpan:
         rng = np.random.default_rng(22)
         hs = rng.standard_normal((20, d)) * 2
         prev = rng.uniform(-1, 1, d)
-        rows = fast_update(Tensor(hs), FastState(Tensor(prev)), params).value.data
+        rows = fast_update(Tensor(hs), Tensor(prev), params).data
         assert rows.shape == (20, d)
         f = prev
         for t, h in enumerate(hs):
@@ -87,28 +87,14 @@ class TestFastSpan:
             f = dgate * f + (1 - dgate) * u
             assert np.max(np.abs(rows[t] - f)) < 1e-12
 
-    def test_span_accumulates_each_row(self):
-        rng = np.random.default_rng(23)
-        vs = rng.standard_normal((3, 4))
-        one = ChunkAccumulator.empty(4, 5)
-        for v in vs:
-            one = accumulate(one, FastState(Tensor(v)))
-        span = accumulate(ChunkAccumulator.empty(4, 5), FastState(Tensor(vs)))
-        assert span.count == one.count == 3
-        assert np.max(np.abs(span.running_sum.data - one.running_sum.data)) < 1e-14
-        with pytest.raises(NumericsError):
-            accumulate(span, FastState(Tensor(vs)))
-
     def test_span_read_matches_rowwise(self):
         d = 5
         params = make_params(d, seed=24)
         rng = np.random.default_rng(25)
         h, f, s = (rng.standard_normal((4, d)) for _ in range(3))
-        span = memory_read(Tensor(h), FastState(Tensor(f)), SlowState(Tensor(s)),
-                           params).data
+        span = memory_read(Tensor(h), Tensor(f), Tensor(s), params).data
         for t in range(4):
-            row = memory_read(Tensor(h[t]), FastState(Tensor(f[t])),
-                              SlowState(Tensor(s[t])), params).data
+            row = memory_read(Tensor(h[t]), Tensor(f[t]), Tensor(s[t]), params).data
             assert np.max(np.abs(span[t] - row)) < 1e-12
 
 
@@ -116,8 +102,7 @@ class TestMemoryRead:
     def test_zero_states_zero_read(self):
         d = 4
         params = make_params(d, seed=6)
-        out = memory_read(Tensor(np.ones(d)), FastState.zeros(d),
-                          SlowState.zeros(d), params)
+        out = memory_read(Tensor(np.ones(d)), zeros(d), zeros(d), params)
         assert np.array_equal(out.data, np.zeros(d))
 
     def test_slow_ablated_uses_fast_half_only(self):
@@ -125,11 +110,11 @@ class TestMemoryRead:
         params = make_params(d, seed=7)
         rng = np.random.default_rng(8)
         h = Tensor(rng.standard_normal(d))
-        fast = FastState(Tensor(rng.standard_normal(d)))
-        base = memory_read(h, fast, SlowState.zeros(d), params).data
+        fast = Tensor(rng.standard_normal(d))
+        base = memory_read(h, fast, zeros(d), params).data
         # Changing the slow half of w_r cannot matter when slow = 0.
         params["mem.w_r"].data[d:] += 1.0
-        again = memory_read(h, fast, SlowState.zeros(d), params).data
+        again = memory_read(h, fast, zeros(d), params).data
         assert np.array_equal(base, again)
 
     def test_formula_reevaluation(self):
@@ -137,8 +122,7 @@ class TestMemoryRead:
         params = make_params(d, seed=9)
         rng = np.random.default_rng(10)
         h, f, s = (rng.standard_normal(d) for _ in range(3))
-        out = memory_read(Tensor(h), FastState(Tensor(f)),
-                          SlowState(Tensor(s)), params).data
+        out = memory_read(Tensor(h), Tensor(f), Tensor(s), params).data
         qf = expit(h @ params["mem.w_qf"].data + params["mem.b_qf"].data)
         qs = expit(h @ params["mem.w_qs"].data + params["mem.b_qs"].data)
         gated = np.concatenate([qf * f, qs * s])
@@ -146,79 +130,41 @@ class TestMemoryRead:
         assert np.max(np.abs(out - expect)) < 1e-12
 
 
-class TestChunkAccumulator:
-    def test_two_point_mean(self):
-        acc = ChunkAccumulator.empty(2, 2)
-        acc = accumulate(acc, FastState(Tensor(np.array([1.0, 1.0]))))
-        acc = accumulate(acc, FastState(Tensor(np.array([3.0, 3.0]))))
-        assert np.array_equal(acc.mean().data, [2.0, 2.0])
-
-    def test_partial_chunk_mean(self):
-        v = np.array([0.5, -2.0])
-        acc = accumulate(ChunkAccumulator.empty(2, 4), FastState(Tensor(v)))
-        assert np.array_equal(acc.mean().data, v)
-
-    def test_mean_matches_average(self):
-        rng = np.random.default_rng(11)
-        vs = rng.standard_normal((4, 3))
-        acc = ChunkAccumulator.empty(3, 4)
-        for v in vs:
-            acc = accumulate(acc, FastState(Tensor(v)))
-        assert np.max(np.abs(acc.mean().data - vs.mean(axis=0))) < 1e-14
-
-    def test_overfull_rejected(self):
-        acc = accumulate(ChunkAccumulator.empty(2, 1), FastState.zeros(2))
-        with pytest.raises(NumericsError):
-            accumulate(acc, FastState.zeros(2))
-
-    def test_empty_mean_rejected(self):
-        with pytest.raises(NumericsError):
-            ChunkAccumulator.empty(2, 2).mean()
-
-
 class TestSlowWrite:
-    def _acc(self, vals, chunk_size=None):
-        arr = np.atleast_2d(np.asarray(vals, dtype=np.float64))
-        acc = ChunkAccumulator.empty(arr.shape[1], chunk_size or len(arr))
-        for v in arr:
-            acc = accumulate(acc, FastState(Tensor(v)))
-        return acc
-
     def test_zero_slow_uses_amplified_summary(self):
         d = 3
         params = make_params(d, seed=12)
         rng = np.random.default_rng(13)
         c = rng.standard_normal(d)
         h = rng.standard_normal(d)
-        new = slow_write(Tensor(h), self._acc([c]), SlowState.zeros(d),
+        new = slow_write(Tensor(h), Tensor(c), zeros(d),
                          alpha_n=0.5, ont_enabled=True, params=params)
         g = expit(h @ params["mem.w_g"].data + params["mem.b_g"].data)
         u = np.tanh(1.5 * c @ params["mem.w_c"].data + params["mem.b_c"].data)
         expect = (1 - g) * u  # old slow state is zero
-        assert np.max(np.abs(new.value.data - expect)) < 1e-12
-        assert new.chunk_index == 1
+        assert np.max(np.abs(new.data - expect)) < 1e-12
 
     def test_full_retain_gate(self):
         d = 3
         params = make_params(d, seed=14)
         params["mem.b_g"].data = np.full(d, 40.0)
         rng = np.random.default_rng(15)
-        slow = SlowState(Tensor(rng.standard_normal(d)))
+        slow = Tensor(rng.standard_normal(d))
         new = slow_write(Tensor(rng.standard_normal(d)),
-                         self._acc(rng.standard_normal((2, d))), slow,
+                         Tensor(rng.standard_normal(d)), slow,
                          alpha_n=0.5, ont_enabled=True, params=params)
-        assert np.max(np.abs(new.value.data - slow.value.data)) < 1e-12
+        assert np.max(np.abs(new.data - slow.data)) < 1e-12
 
     def test_alpha_zero_matches_disabled(self):
         d = 4
         params = make_params(d, seed=16)
         rng = np.random.default_rng(17)
-        slow = SlowState(Tensor(rng.standard_normal(d)))
+        slow = Tensor(rng.standard_normal(d))
         h = Tensor(rng.standard_normal(d))
-        acc = self._acc(rng.standard_normal((3, d)))
-        on = slow_write(h, acc, slow, alpha_n=0.0, ont_enabled=True, params=params)
-        off = slow_write(h, acc, slow, alpha_n=0.0, ont_enabled=False, params=params)
-        assert np.array_equal(on.value.data, off.value.data)
+        c = Tensor(rng.standard_normal(d))
+        on = slow_write(h, c, slow, alpha_n=0.0, ont_enabled=True, params=params)
+        off = slow_write(h, c, slow, alpha_n=0.0, ont_enabled=False, params=params)
+        assert np.array_equal(on.data, off.data)
 
     def test_write_feasibility_lifted(self):
         # The transported summary keeps its inner product with the slow state.
@@ -237,19 +183,17 @@ class TestSlowWrite:
         hs = rng.standard_normal((3, d))
 
         def loss(p):
-            fast = FastState.zeros(d)
-            slow = SlowState.zeros(d)
-            acc = ChunkAccumulator.empty(d, 2)
+            fast, slow, chunk = zeros(d), zeros(d), zeros(d)
             reads = Tensor(0.0)
             for i, h in enumerate(hs):
                 ht = Tensor(h)
                 fast = fast_update(ht, fast, p)
                 r = memory_read(ht, fast, slow, p)
                 reads = reads + (r * r).sum()
-                acc = accumulate(acc, fast)
-                if acc.count == 2:
-                    slow = slow_write(ht, acc, slow, 0.5, True, p)
-                    acc = ChunkAccumulator.empty(d, 2)
-            return reads + (slow.value * slow.value).sum()
+                chunk = chunk + fast
+                if i % 2 == 1:
+                    slow = slow_write(ht, chunk * 0.5, slow, 0.5, True, p)
+                    chunk = zeros(d)
+            return reads + (slow * slow).sum()
 
         assert grad_check(loss, params, sample=6).passed

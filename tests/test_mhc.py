@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
-from lpcsm.mhc import MixWeights, sinkhorn_normalize, mhc_route, route_gain
+from lpcsm.mhc import sinkhorn_normalize, mhc_route, route_gain
 
 
 class TestSinkhorn:
@@ -48,24 +48,18 @@ class TestRoute:
         rng = np.random.default_rng(2)
         h = Tensor(rng.standard_normal((4, 6)))
         update = Tensor(rng.standard_normal((4, 6)))
-        w = MixWeights(
-            pre_mix=Tensor(np.array([1.0, 0.0])),
-            post_mix=Tensor(np.array([1.0, 0.0])),
-            transport_logits=Tensor(np.eye(2) * 40.0),
-        )
-        out = mhc_route(h, update, route_gain(w, streams=2, iters=20)).data
+        gain = route_gain(Tensor(np.array([1.0, 0.0])), Tensor(np.array([1.0, 0.0])),
+                          Tensor(np.eye(2) * 40.0), iters=20)
+        out = mhc_route(h, update, gain).data
         assert np.max(np.abs(out - (h.data + update.data))) < 1e-12
 
     def test_uniform_symmetry(self):
         rng = np.random.default_rng(3)
         h = Tensor(rng.standard_normal((3, 5)))
         update = Tensor(rng.standard_normal((3, 5)))
-        w = MixWeights(
-            pre_mix=Tensor(np.array([1.0, 1.0])),
-            post_mix=Tensor(np.array([0.5, 0.5])),
-            transport_logits=Tensor(np.zeros((2, 2))),
-        )
-        out = mhc_route(h, update, route_gain(w, streams=2, iters=1)).data
+        gain = route_gain(Tensor(np.array([1.0, 1.0])), Tensor(np.array([0.5, 0.5])),
+                          Tensor(np.zeros((2, 2))), iters=1)
+        out = mhc_route(h, update, gain).data
         assert np.max(np.abs(out - (h.data + update.data))) < 1e-12
 
     def test_matrix_arithmetic_reevaluation(self):
@@ -76,10 +70,9 @@ class TestRoute:
         pre = rng.standard_normal(s)
         post = rng.standard_normal(s)
         logits = rng.uniform(-1, 1, (s, s))
-        w = MixWeights(pre_mix=Tensor(pre), post_mix=Tensor(post),
-                       transport_logits=Tensor(logits))
         out = mhc_route(Tensor(h), Tensor(update),
-                        route_gain(w, streams=s, iters=4)).data
+                        route_gain(Tensor(pre), Tensor(post), Tensor(logits),
+                                   iters=4)).data
 
         m = np.exp(logits)
         passes = 0
@@ -99,24 +92,21 @@ class TestRoute:
         rng = np.random.default_rng(5)
         h = rng.standard_normal(6)
         update = rng.standard_normal(6)
-        w = MixWeights(
-            pre_mix=Tensor(rng.standard_normal(2)),
-            post_mix=Tensor(rng.standard_normal(2)),
-            transport_logits=Tensor(rng.uniform(-1, 1, (2, 2))),
-        )
-        gain = route_gain(w, 2, 3)
+        gain = route_gain(Tensor(rng.standard_normal(2)), Tensor(rng.standard_normal(2)),
+                          Tensor(rng.uniform(-1, 1, (2, 2))), 3)
         as_vec = mhc_route(Tensor(h), Tensor(update), gain).data
         as_row = mhc_route(Tensor(h.reshape(1, 6)),
                            Tensor(update.reshape(1, 6)), gain).data[0]
         assert np.array_equal(as_vec, as_row)
 
     def test_stream_validation(self):
-        w = MixWeights(pre_mix=Tensor(np.ones(2)), post_mix=Tensor(np.ones(2)),
-                       transport_logits=Tensor(np.zeros((2, 2))))
+        # Pre/post mix vectors must match the [S, S] transport logits.
+        two, three = Tensor(np.ones(2)), Tensor(np.ones(3))
+        logits = Tensor(np.zeros((2, 2)))
         with pytest.raises(NumericsError):
-            route_gain(w, streams=1, iters=1)
+            route_gain(three, two, logits, iters=1)
         with pytest.raises(NumericsError):
-            route_gain(w, streams=3, iters=1)
+            route_gain(two, three, logits, iters=1)
 
     def test_grad_check(self):
         rng = np.random.default_rng(6)
@@ -128,9 +118,8 @@ class TestRoute:
         params.add("logits", rng.uniform(-1, 1, (2, 2)))
 
         def loss(p):
-            w = MixWeights(pre_mix=p["pre"], post_mix=p["post"],
-                           transport_logits=p["logits"])
-            out = mhc_route(Tensor(h), Tensor(update), route_gain(w, 2, 4))
+            gain = route_gain(p["pre"], p["post"], p["logits"], 4)
+            out = mhc_route(Tensor(h), Tensor(update), gain)
             return (out * out).sum()
 
         assert grad_check(loss, params).passed

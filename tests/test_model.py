@@ -143,19 +143,19 @@ class TestSpanSplits:
         params = init_params(cfg, seed=12)
         h = np.random.default_rng(13).standard_normal((11, cfg.width))
         whole = LayerCache.fresh(cfg)
-        out = block_forward(Tensor(h), 0, params, cfg, cache=whole).hidden.data
+        out = block_forward(Tensor(h), 0, params, cfg, cache=whole)[0].data
         parts = LayerCache.fresh(cfg)
         pieces = [
-            block_forward(Tensor(h[lo:hi]), 0, params, cfg, cache=parts).hidden.data
+            block_forward(Tensor(h[lo:hi]), 0, params, cfg, cache=parts)[0].data
             for lo, hi in zip((0,) + splits, splits + (11,))
         ]
         assert np.max(np.abs(np.concatenate(pieces) - out)) < 1e-12
-        assert parts.slow.chunk_index == whole.slow.chunk_index == 3
-        assert np.max(np.abs(parts.slow.value.data - whole.slow.value.data)) < 1e-12
-        assert parts.chunk.count == whole.chunk.count == 2
-        assert np.max(np.abs(parts.chunk.running_sum.data
-                             - whole.chunk.running_sum.data)) < 1e-12
-        assert np.max(np.abs(parts.fast.value.data - whole.fast.value.data)) < 1e-12
+        assert parts.writes == whole.writes == 3
+        assert np.max(np.abs(parts.slow.data - whole.slow.data)) < 1e-12
+        assert parts.chunk_count == whole.chunk_count == 2
+        assert np.max(np.abs(parts.chunk_sum.data - whole.chunk_sum.data)) < 1e-12
+        assert np.max(np.abs(parts.fast.data - whole.fast.data)) < 1e-12
+        assert np.array_equal(parts.history.data, whole.history.data)
 
 
 class TestStraightLineOracle:
@@ -164,10 +164,10 @@ class TestStraightLineOracle:
         params = init_params(cfg, seed=5)
         rng = np.random.default_rng(6)
         h = rng.standard_normal((5, cfg.width))
-        out = block_forward(Tensor(h), 0, params, cfg)
+        out, _ = block_forward(Tensor(h), 0, params, cfg)
 
         oracle = straight_line_block(h, params, cfg)
-        assert np.max(np.abs(out.hidden.data - oracle)) < 1e-10
+        assert np.max(np.abs(out.data - oracle)) < 1e-10
 
     def test_causality(self):
         cfg = tiny_cfg()

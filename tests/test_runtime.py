@@ -32,16 +32,16 @@ class TestCache:
         assert cache.position == 0
         assert len(cache.layers) == cfg.layers
         for lc in cache.layers:
-            assert lc.chunk.count == 0
-            assert lc.history == []
-            assert np.array_equal(lc.fast.value.data, np.zeros(cfg.width))
+            assert lc.chunk_count == lc.writes == 0
+            assert lc.history is None
+            assert np.array_equal(lc.fast.data, np.zeros(cfg.width))
 
     def test_two_fresh_caches_identical(self):
         cfg = tiny_cfg()
         a, b = init_cache(cfg), init_cache(cfg)
         assert a.position == b.position
         for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.slow.value.data, lb.slow.value.data)
+            assert np.array_equal(la.slow.data, lb.slow.data)
 
     def test_first_token_matches_forward(self):
         cfg = tiny_cfg()
@@ -66,7 +66,7 @@ class TestCache:
         cache = init_cache(cfg)
         for t in range(6):
             _, cache = step_decode(2 + (t % 5), cache, params, cfg)
-        assert len(cache.layers[0].history) == cfg.window
+        assert cache.layers[0].history.shape == (cfg.window, cfg.width)
         assert len(cache.layers[0].error_norms) == 6
 
 
@@ -87,7 +87,7 @@ class TestParity:
         inc, cache = decode_all(tokens, params, cfg)
         full, aux = model_forward(tokens, params, cfg)
         assert np.max(np.abs(inc - full.lm.data)) < 1e-9
-        assert cache.layers[0].chunk.count == 7 % 4
+        assert cache.layers[0].chunk_count == 7 % 4
 
     def test_write_boundaries(self):
         cfg = tiny_cfg(layers=1, chunk_size=4)
@@ -96,7 +96,7 @@ class TestParity:
         writes = []
         for t in range(8):
             _, cache = step_decode(2, cache, params, cfg)
-            writes.append(cache.layers[0].slow.chunk_index)
+            writes.append(cache.layers[0].writes)
         assert writes == [0, 0, 0, 1, 1, 1, 1, 2]
 
     def test_stop_logit_parity(self):
