@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 
-from .numerics import ParameterStore, NumericsError
+from .numerics import ParameterStore, NumericsError, check_finite
 from .model import ModelConfig, init_params
 
 MAGIC = b"LPCM"
@@ -89,6 +89,7 @@ def load_checkpoint(path: str,
             shape = tuple(struct.unpack("<I", _read(f, 4))[0] for _ in range(rank))
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read(f, 8 * n), dtype="<f8").reshape(shape)
+            check_finite(data, f"checkpoint tensor {name!r}")
             loaded[name] = data.astype(np.float64)
         if f.read(1):
             raise CheckpointError("trailing bytes after the last tensor")
@@ -101,5 +102,5 @@ def load_checkpoint(path: str,
     for name, t in params.items():
         if t.shape != loaded[name].shape:
             raise ConfigMismatchError(f"shape mismatch for {name!r}")
-        t.data = loaded[name].copy()
+        t.data = loaded[name]
     return params, cfg

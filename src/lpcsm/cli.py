@@ -103,6 +103,11 @@ def _cmd_generate(args) -> int:
         prompt = [int(t) for t in args.prompt.split(",")]
     except ValueError as e:
         raise ConfigError(f"bad prompt: {e}") from e
+    if not all(0 <= t < cfg.vocab_size for t in prompt):
+        raise ConfigError(f"prompt token ids must lie in [0, {cfg.vocab_size})")
+    if len(prompt) > cfg.max_seq_len:
+        raise ConfigError(f"prompt of {len(prompt)} tokens exceeds the "
+                          f"model's max_seq_len {cfg.max_seq_len}")
     tokens = generate(prompt, args.max_new, params, cfg,
                       eos_token=args.eos,
                       stop_threshold=args.stop_threshold)
@@ -127,7 +132,10 @@ def _parse_probe_spec(spec: str) -> ProbeSpec:
 
 def _cmd_probe(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
-    spec = _parse_probe_spec(args.probe_spec) if args.probe_spec else None
+    spec = _parse_probe_spec(args.probe_spec) if args.probe_spec else ProbeSpec()
+    if spec.prompt_len > cfg.max_seq_len:
+        raise ConfigError(f"probe prompt_len {spec.prompt_len} exceeds the "
+                          f"model's max_seq_len {cfg.max_seq_len}")
     result = probe_delayed_identifier(params, cfg, spec)
     print(f"key cross-entropy: {result.key_cross_entropy:.6f}")
     print(f"prompt length: {result.prompt_length}")

@@ -30,6 +30,11 @@ class SyntheticTask:
             raise NumericsError(f"unknown task kind {self.kind!r}")
         if self.vocab_size < 3 or self.key_len < 1:
             raise NumericsError("task needs vocab >= 3 and key_len >= 1")
+        if self.seq_len < 1 or self.distractor_len < 0:
+            raise NumericsError("task needs seq_len >= 1 and distractor_len >= 0")
+        if (self.kind == "key-recall"
+                and 2 * self.key_len + self.distractor_len + 1 > self.seq_len):
+            raise NumericsError("key-recall layout exceeds seq_len")
 
 
 def _copy_sequence(task: SyntheticTask, rng) -> np.ndarray:
@@ -43,8 +48,6 @@ def _recall_sequence(task: SyntheticTask, rng) -> np.ndarray:
     key = rng.integers(2, task.vocab_size, size=task.key_len)
     distractor = rng.integers(2, task.vocab_size, size=task.distractor_len)
     seq = np.concatenate([key, distractor, [DELIM], key])
-    if seq.size > task.seq_len:
-        raise NumericsError("key + distractor + trigger exceed seq_len")
     pad = np.full(task.seq_len - seq.size, EOS)
     return np.concatenate([seq, pad])
 
@@ -55,10 +58,6 @@ def make_batch(task: SyntheticTask, batch: int,
 
     Targets are the inputs shifted left by one with an EOS-padded tail.
     """
-    if task.seq_len > 0 and task.kind == "key-recall":
-        needed = task.key_len * 2 + task.distractor_len + 1
-        if needed > task.seq_len:
-            raise NumericsError("key-recall layout exceeds seq_len")
     rng = np.random.default_rng([task.seed, index])
     gen = _copy_sequence if task.kind == "copy" else _recall_sequence
     inputs = np.stack([gen(task, rng) for _ in range(batch)])

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, NumericsError, _wrap
+from .numerics import Tensor, NumericsError, _wrap, check_finite
 
 
 # Marginal-sum tolerance the transport matrix must reach, and the hard cap
@@ -29,7 +29,8 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
     sums are within MARGINAL_TOL of 1; badly conditioned logits need far
     more passes than well-mixed ones, and the doubly-stochastic invariant
     is the contract that matters downstream. Gradients flow through every
-    unrolled pass.
+    unrolled pass. An exp(logits) that overflows, or marginals that are not
+    finite after the `iters` passes, raise at once.
     """
     logits = _wrap(logits)
     if iters < 1:
@@ -37,11 +38,15 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
     if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise NumericsError("sinkhorn expects square logits")
     m = logits.exp()
+    check_finite(m.data, "sinkhorn exp(logits)")
     for i in range(iters + MAX_EXTRA_PASSES):
         m = m / m.sum(axis=1, keepdims=True)
         m = m / m.sum(axis=0, keepdims=True)
-        if i + 1 >= iters and _marginal_residual(m.data) <= MARGINAL_TOL:
-            return m
+        if i + 1 >= iters:
+            residual = _marginal_residual(m.data)
+            if residual <= MARGINAL_TOL:
+                return m
+            check_finite(residual, "sinkhorn marginals")
     raise NumericsError("sinkhorn failed to reach doubly-stochastic marginals")
 
 

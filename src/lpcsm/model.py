@@ -10,8 +10,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .numerics import (
-    Tensor, ParameterStore, NumericsError, rmsnorm, concat, stack, take_rows,
-    straight_through,
+    Tensor, ParameterStore, NumericsError, check_finite, rmsnorm, concat,
+    stack, take_rows, straight_through,
 )
 from .attention import AttentionConfig, local_attention, latent_attention
 from .memory import fast_update, memory_read, slow_write
@@ -350,6 +350,7 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             out = mhc_route(resid, update, cache.route_gain)
         else:
             out = resid + update
+        check_finite(out.data, "block output")
     except NumericsError as e:
         raise NumericsError(f"layer {layer}: {e}") from e
 
@@ -398,9 +399,11 @@ def model_forward(tokens, params: ParameterStore, cfg: ModelConfig,
         aux_list.append(aux)
     n = rmsnorm(h, params["final_norm.gain"], cfg.rmsnorm_eps)
     lm = n @ params["lm_head.w"] + params["lm_head.b"]
+    check_finite(lm.data, "LM logits")
     stop = None
     if cfg.stop_head:
         stop = n @ params["stop_head.w"] + params["stop_head.b"]
+        check_finite(stop.data, "stop logits")
     return Logits(lm=lm, stop=stop), aux_list
 
 

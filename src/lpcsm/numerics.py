@@ -37,9 +37,14 @@ class no_grad:
         return False
 
 
-def _check_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError("non-finite value produced")
+def check_finite(arr: np.ndarray, what: str = "value") -> None:
+    """Raise NumericsError naming `what` unless every entry is finite.
+
+    Called where a value enters or leaves the model: the Tensor
+    constructor, each block's output, the heads, the gradients, the
+    optimizer update and checkpoint load. Tape nodes are not checked."""
+    if not np.isfinite(arr).all():
+        raise NumericsError(f"non-finite {what}")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -59,7 +64,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        _check_finite(arr)
+        check_finite(arr)
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad
@@ -328,12 +333,26 @@ class Tensor:
         return out
 
 
+def _node(data) -> Tensor:
+    """A Tensor around `data` without the constructor's copy and check."""
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out.requires_grad = False
+    out._prev = ()
+    out._backward = None
+    return out
+
+
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """An operand as a Tensor; constants are copied but not checked."""
+    return x if isinstance(x, Tensor) else _node(np.array(x, dtype=np.float64))
 
 
 def _op(data: np.ndarray, inputs: tuple) -> Tensor:
-    out = Tensor(data)
+    """The tape node of an op's freshly computed result. Its finiteness is
+    checked at the model's boundaries, not here."""
+    out = _node(data)
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._prev = inputs
@@ -495,11 +514,12 @@ def forward_backward(root: Tensor, params: ParameterStore) -> dict[str, Tensor]:
         raise NumericsError("forward_backward requires a scalar root")
     params.zero_grad()
     root.backward()
-    return {
-        name: Tensor(t.grad)
-        for name, t in params.trainable_items()
-        if t.grad is not None
-    }
+    grads = {}
+    for name, t in params.trainable_items():
+        if t.grad is not None:
+            check_finite(t.grad, f"gradient of {name!r}")
+            grads[name] = _node(t.grad.copy())
+    return grads
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError
+from .numerics import Tensor, ParameterStore, NumericsError, check_finite
 from .model import ModelConfig, LayerAux
 
 
@@ -18,9 +19,10 @@ class LossWeights:
     lambda_stop: float = 0.1
 
     def __post_init__(self):
-        if min(self.lambda_pred, self.lambda_sparse,
-               self.lambda_mem, self.lambda_stop) < 0.0:
-            raise NumericsError("loss weights must be nonnegative")
+        lams = (self.lambda_pred, self.lambda_sparse, self.lambda_mem,
+                self.lambda_stop)
+        if not all(math.isfinite(lam) and lam >= 0.0 for lam in lams):
+            raise NumericsError("loss weights must be finite and nonnegative")
 
 
 @dataclass
@@ -126,6 +128,14 @@ class SgdConfig:
     momentum: float = 0.9
     clip_norm: float = 1.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise NumericsError("lr must be finite and positive")
+        if not (0.0 <= self.momentum < 1.0):
+            raise NumericsError("momentum must lie in [0, 1)")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0.0):
+            raise NumericsError("clip_norm must be finite and positive")
+
 
 @dataclass
 class SgdState:
@@ -133,13 +143,20 @@ class SgdState:
 
     def step(self, params: ParameterStore, grads: dict[str, Tensor],
              cfg: SgdConfig) -> None:
+        """One clipped momentum update. Raises NumericsError naming the
+        first parameter it would make non-finite, and then changes neither
+        the parameters nor the velocity."""
         norm_sq = sum(float((g.data * g.data).sum()) for g in grads.values())
         norm = np.sqrt(norm_sq)
         scale = 1.0 if norm <= cfg.clip_norm else cfg.clip_norm / norm
+        updates = {}
         for name, g in grads.items():
             v = self.velocity.get(name)
             gd = g.data * scale
             v = gd if v is None else cfg.momentum * v + gd
+            value = params[name].data - cfg.lr * v
+            check_finite(value, f"parameter {name!r} after the update")
+            updates[name] = v, value
+        for name, (v, value) in updates.items():
             self.velocity[name] = v
-            p = params[name]
-            p.data = p.data - cfg.lr * v
+            params[name].data = value

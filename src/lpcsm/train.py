@@ -23,10 +23,11 @@ METRICS_HEADER = "step,lm,pred,sparse,mem,stop,total,effective_ratio,tokens_per_
 
 
 class TrainingDivergedError(Exception):
-    """Non-finite loss; carries the step index and a state summary."""
+    """A non-finite loss, gradient or update; carries the step index and
+    what went non-finite."""
 
     def __init__(self, step: int, detail: str):
-        super().__init__(f"non-finite loss at step {step}: {detail}")
+        super().__init__(f"training diverged at step {step}: {detail}")
         self.step = step
 
 
@@ -70,7 +71,7 @@ def train(run: RunConfig, steps: int | None = None, seed: int | None = None,
         t0 = time.perf_counter()
         inputs, targets = make_batch(run.task, run.train.batch_size, index=step)
         params.zero_grad()
-        accum: dict[str, np.ndarray] = {}
+        accum: dict[str, Tensor] = {}
         vals = {"lm": 0.0, "pred": 0.0, "sparse": 0.0, "mem": 0.0,
                 "stop": 0.0, "total": 0.0}
         ratios = []
@@ -88,8 +89,11 @@ def train(run: RunConfig, steps: int | None = None, seed: int | None = None,
                 vals[k] += v / b
             ratios.append(ratio)
             for name, g in grads.items():
-                accum[name] = g.data if name not in accum else accum[name] + g.data
-        opt.step(params, {n: Tensor(g) for n, g in accum.items()}, run.optimizer)
+                accum[name] = g if name not in accum else accum[name] + g
+        try:
+            opt.step(params, accum, run.optimizer)
+        except NumericsError as e:
+            raise TrainingDivergedError(step, str(e)) from e
         elapsed = time.perf_counter() - t0
         tps = b * inputs.shape[1] / elapsed
         final_lm = vals["lm"]

@@ -21,7 +21,7 @@ from lpcsm.objective import LossWeights, SgdConfig
 from lpcsm.numerics import NumericsError
 from lpcsm.train import (
     train, evaluate, probe_delayed_identifier, ProbeSpec, ablate,
-    METRICS_HEADER,
+    METRICS_HEADER, TrainingDivergedError,
 )
 from lpcsm.cli import main
 import lpcsm
@@ -104,10 +104,14 @@ class TestSyntheticData:
             SyntheticTask(kind="sort", vocab_size=8, seq_len=8, key_len=2)
         with pytest.raises(NumericsError):
             SyntheticTask(kind="copy", vocab_size=2, seq_len=8, key_len=2)
-        task = SyntheticTask(kind="key-recall", vocab_size=8, seq_len=6,
-                             key_len=3, distractor_len=4)
         with pytest.raises(NumericsError):
-            make_batch(task, 1)
+            SyntheticTask(kind="key-recall", vocab_size=8, seq_len=6,
+                          key_len=3, distractor_len=4)
+        with pytest.raises(NumericsError):
+            SyntheticTask(kind="copy", vocab_size=8, seq_len=0, key_len=2)
+        with pytest.raises(NumericsError):
+            SyntheticTask(kind="copy", vocab_size=8, seq_len=8, key_len=2,
+                          distractor_len=-1)
 
 
 class TestCheckpoint:
@@ -203,6 +207,15 @@ class TestCheckpoint:
         with open(path, "ab") as f:
             f.write(b"\0")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_nonfinite_tensor_named(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        params = init_params(cfg)
+        params["layers.0.mem.w_r"].data[1, 2] = np.nan
+        save_checkpoint(params, cfg, path)
+        with pytest.raises(NumericsError, match="'layers.0.mem.w_r'"):
             load_checkpoint(path)
 
 
@@ -313,6 +326,17 @@ class TestTrainHarness:
         assert result.tokens_per_second == per_step[2]
         assert train(tiny_run(), steps=0).tokens_per_second == 0.0
 
+    def test_overflowing_update_diverges_at_that_step(self):
+        # lambda_pred scales the gradients past lr's reach: the first
+        # update overflows embed.tok.
+        run = tiny_run(loss=LossWeights(lambda_pred=1e4),
+                       optimizer=SgdConfig(lr=1e306, momentum=0.0,
+                                           clip_norm=1e308))
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingDivergedError, match="after the update") as e:
+            train(run)
+        assert e.value.step == 0
+
     def test_different_seed_differs(self):
         a = train(tiny_run(), seed=0)
         b = train(tiny_run(), seed=1)
@@ -385,6 +409,12 @@ class TestAblate:
         assert all(np.isfinite(r.final_lm) for r in rows)
 
 
+def nan_last_value(path):
+    """Overwrite the last stored float64 of a checkpoint with NaN."""
+    raw = open(path, "rb").read()
+    open(path, "wb").write(raw[:-8] + struct.pack("<d", float("nan")))
+
+
 def run_yaml(old, new):
     """The good run config with `old` replaced by `new`."""
     assert old in TestRunConfig.GOOD
@@ -394,6 +424,11 @@ def run_yaml(old, new):
 def model_yaml(line):
     """The good run config with one more [model] line."""
     return run_yaml("layers: 1", "layers: 1\n  " + line)
+
+
+def optimizer_yaml(line):
+    """The good run config with an [optimizer] section of one line."""
+    return run_yaml("train:", "optimizer:\n  " + line + "\ntrain:")
 
 
 class TestCli:
@@ -523,6 +558,26 @@ class TestCli:
         "checkpoint ratio_init below ratio_min": (
             lambda p: rewrite_config(p, "ratio_init=0.23", "ratio_init=0.01"),
             ["generate", *PROMPT], 4),
+        "infinite lr": (optimizer_yaml("lr: .inf"), ["train"], 2),
+        "negative lr": (optimizer_yaml("lr: -0.5"), ["train"], 2),
+        "negative clip_norm": (optimizer_yaml("clip_norm: -1.0"), ["train"], 2),
+        "nan momentum": (optimizer_yaml("momentum: .nan"), ["train"], 2),
+        "nan loss weight": (
+            run_yaml("train:", "loss:\n  lambda_pred: .nan\ntrain:"), ["train"], 2),
+        "zero task seq_len": (run_yaml("seq_len: 12", "seq_len: 0"), ["train"], 2),
+        "negative distractor_len": (
+            run_yaml("key_len: 3", "key_len: 3\n  distractor_len: -1"), ["train"], 2),
+        "key-recall layout exceeds seq_len": (
+            run_yaml("kind: copy\n  vocab_size: 11\n  seq_len: 12\n  key_len: 3",
+                     "kind: key-recall\n  vocab_size: 11\n  seq_len: 12\n"
+                     "  key_len: 3\n  distractor_len: 8"), ["train"], 2),
+        "default probe longer than max_seq_len": (None, ["probe"], 2),
+        "prompt token above vocab": (
+            None, ["generate", "--prompt", "2,30", "--max-new", "2"], 2),
+        "prompt longer than max_seq_len": (
+            None, ["generate", "--prompt", ",".join(["2"] * 33),
+                   "--max-new", "1"], 2),
+        "non-finite checkpoint tensor": (nan_last_value, ["generate", *PROMPT], 3),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -542,6 +597,18 @@ class TestCli:
         proc = run_python(["-m", "lpcsm.cli", command, *source, *args])
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_diverged_train_writes_no_checkpoint(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(run_yaml("train:", "loss:\n  lambda_pred: 1.0e+4\n"
+                                 "optimizer:\n  lr: 1.0e+306\n  momentum: 0.0\n"
+                                 "  clip_norm: 1.0e+308\ntrain:"))
+        ckpt = tmp_path / "m.ckpt"
+        proc = run_python(["-W", "ignore", "-m", "lpcsm.cli", "train",
+                           "--config", str(path), "--out", str(ckpt)])
+        assert proc.returncode == 3, proc.stderr
+        assert "after the update" in proc.stderr
+        assert not ckpt.exists()
 
     def test_ablate_command(self, tmp_path, capsys):
         cfg_path = self._config(tmp_path)

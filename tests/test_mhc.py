@@ -4,6 +4,7 @@ pre-mix / transport / post-mix path."""
 import numpy as np
 import pytest
 
+from lpcsm import mhc
 from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
 from lpcsm.mhc import sinkhorn_normalize, mhc_route, route_gain
 
@@ -31,6 +32,20 @@ class TestSinkhorn:
             sinkhorn_normalize(Tensor(np.zeros((2, 2))), iters=0)
         with pytest.raises(NumericsError):
             sinkhorn_normalize(Tensor(np.zeros((2, 3))), iters=1)
+
+    @pytest.mark.parametrize("logits", [
+        np.array([[800.0, 0.0], [0.0, 0.0]]),     # exp overflows to inf
+        np.array([[-800.0, -800.0], [0.0, 0.0]]),  # a row underflows to 0
+    ])
+    def test_nonfinite_fails_without_extra_passes(self, monkeypatch, logits):
+        # Both give NaN marginals; no extra pass can mend them.
+        passes = []
+        residual = mhc._marginal_residual
+        monkeypatch.setattr(mhc, "_marginal_residual",
+                            lambda m: passes.append(1) or residual(m))
+        with np.errstate(all="ignore"), pytest.raises(NumericsError):
+            sinkhorn_normalize(Tensor(logits), iters=5)
+        assert len(passes) <= 1
 
     def test_grad_through_iterations(self):
         params = ParameterStore()

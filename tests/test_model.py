@@ -118,6 +118,27 @@ class TestDegenerateBlock:
         assert np.array_equal(logits.lm.data, expect)
 
 
+class TestFiniteBoundaries:
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_nan_weight_names_its_layer(self, layer):
+        cfg = tiny_cfg(layers=2)
+        params = init_params(cfg, seed=3)
+        params[f"layers.{layer}.ffn.w1"].data[0, 0] = np.nan
+        with pytest.raises(NumericsError, match=rf"^layer {layer}: "):
+            model_forward([2, 3, 4], params, cfg)
+
+    def test_nan_head_weight(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=3)
+        params["lm_head.w"].data[0, 0] = np.nan
+        with pytest.raises(NumericsError, match="LM logits"):
+            model_forward([2, 3, 4], params, cfg)
+        params = init_params(cfg, seed=3)
+        params["stop_head.b"].data[...] = np.nan
+        with pytest.raises(NumericsError, match="stop logits"):
+            model_forward([2, 3, 4], params, cfg)
+
+
 class TestBoundaryWrites:
     def test_write_counts(self):
         cfg = tiny_cfg(chunk_size=3)

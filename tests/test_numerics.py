@@ -7,7 +7,7 @@ import pytest
 from lpcsm.numerics import (
     Tensor, NumericsError, no_grad, concat, stack, take_rows,
     straight_through, gated_scan, rmsnorm, ParameterStore, forward_backward,
-    grad_check,
+    grad_check, check_finite,
 )
 
 
@@ -157,6 +157,17 @@ class TestTensorBasics:
             Tensor(np.array([1.0, np.inf]))
         with pytest.raises(NumericsError):
             Tensor(np.array(np.nan))
+
+    def test_op_results_are_not_checked(self):
+        # Computed values are checked at the model's boundaries, not per
+        # tape node; the constructor still rejects them.
+        with np.errstate(over="ignore"):
+            y = Tensor(np.array([1e308])) * 10.0
+        assert np.isinf(y.data[0])
+        with pytest.raises(NumericsError, match="non-finite LM logits"):
+            check_finite(y.data, "LM logits")
+        with pytest.raises(NumericsError):
+            Tensor(y.data)
 
     def test_softmax_rows_normalized(self):
         rng = np.random.default_rng(3)

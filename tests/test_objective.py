@@ -159,6 +159,11 @@ class TestTotalLoss:
         with pytest.raises(NumericsError):
             LossWeights(lambda_pred=-0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_weight_rejected(self, value):
+        with pytest.raises(NumericsError):
+            LossWeights(lambda_stop=value)
+
     def test_full_grad_check(self):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=7)
@@ -193,6 +198,28 @@ class TestOptimizer:
         opt.step(params, g, cfg)   # v=1, w=-1
         opt.step(params, g, cfg)   # v=1.5, w=-2.5
         assert abs(params["w"].data[0] + 2.5) < 1e-15
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(lr=0.0), dict(lr=-0.5), dict(lr=np.inf), dict(lr=np.nan),
+        dict(momentum=-0.1), dict(momentum=1.0), dict(momentum=np.nan),
+        dict(clip_norm=0.0), dict(clip_norm=-1.0), dict(clip_norm=np.inf),
+    ])
+    def test_config_validation(self, kwargs):
+        with pytest.raises(NumericsError):
+            SgdConfig(**kwargs)
+
+    def test_overflowing_update_changes_nothing(self):
+        params = ParameterStore()
+        params.add("a", np.array([0.0]))
+        params.add("b", np.array([1.7e308]))
+        opt = SgdState()
+        g = {"a": Tensor(np.array([1.0])), "b": Tensor(np.array([-1.0]))}
+        cfg = SgdConfig(lr=1e308, momentum=0.0, clip_norm=10.0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericsError, match="'b' after the update"):
+            opt.step(params, g, cfg)
+        assert params["a"].data[0] == 0.0 and params["b"].data[0] == 1.7e308
+        assert opt.velocity == {}
 
     def test_global_clip(self):
         params = ParameterStore()

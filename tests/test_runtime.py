@@ -155,3 +155,32 @@ class TestGenerate:
         short = generate([2, 3, 4], 3, params, cfg)
         long = generate([2, 3, 4], 6, params, cfg)
         assert long[:len(short)] == short
+
+
+class TestFiniteChecks:
+    @staticmethod
+    def checks_per_token(monkeypatch, cfg, tokens=6):
+        """np.isfinite calls per decoded token after the first, which
+        also computes each layer's route gain."""
+        params = init_params(cfg, seed=14)
+        cache = init_cache(cfg)
+        _, cache = step_decode(2, cache, params, cfg)
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite",
+                            lambda *a, **k: calls.append(1) or isfinite(*a, **k))
+        for t in range(tokens):
+            step_decode(3 + t % 5, cache, params, cfg)
+        monkeypatch.undo()
+        return len(calls) / tokens
+
+    def test_checks_scale_with_layers_not_tape_nodes(self, monkeypatch):
+        # Each refinement step adds tape nodes to every layer but no
+        # finiteness check; each layer adds a fixed few (a layer builds
+        # over 100 tape nodes per token).
+        per = {(layers, s_ref): self.checks_per_token(
+                   monkeypatch, tiny_cfg(layers=layers, s_ref=s_ref))
+               for layers in (1, 3) for s_ref in (0, 6)}
+        assert per[1, 0] == per[1, 6] and per[3, 0] == per[3, 6]
+        assert per[3, 0] <= 10 * 3 + 2
+        assert per[3, 0] - per[1, 0] <= 10 * 2
