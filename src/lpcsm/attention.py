@@ -1,42 +1,17 @@
-"""Windowed causal multi-head attention, shared-projection and latent-KV."""
+"""Windowed causal multi-head attention, shared-projection and latent-KV.
+
+Each query scores only the keys in its own trailing window, so attention
+costs O(T·window) in time and memory."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError, concat
+from .numerics import Tensor, ParameterStore, NumericsError, concat, _op, _accum
 
 # Additive mask value; exp(x - 1e30) underflows to exactly 0, so masked
 # positions carry exactly zero weight.
 MASK_VALUE = -1e30
-
-
-@dataclass
-class AttentionConfig:
-    window: int
-    heads: int
-    head_dim: int
-    latent_dim: int | None = None
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise NumericsError("attention window must be >= 1")
-
-    @property
-    def width(self) -> int:
-        return self.heads * self.head_dim
-
-
-def window_mask(t_len: int, window: int, past: int = 0) -> np.ndarray:
-    """[T, past+T] additive mask for T queries after `past` earlier keys:
-    query t sits at key position past+t and sees keys in
-    [past+t-w+1, past+t]; 0 inside, MASK_VALUE outside."""
-    q = np.arange(past, past + t_len)[:, None]
-    k = np.arange(past + t_len)[None, :]
-    ok = (k <= q) & (k >= q - window + 1)
-    return np.where(ok, 0.0, MASK_VALUE)
 
 
 def _require(params: ParameterStore, names: list[str]) -> None:
@@ -45,27 +20,60 @@ def _require(params: ParameterStore, names: list[str]) -> None:
         raise NumericsError(f"missing attention parameters: {missing}")
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
-            params: ParameterStore, prefix: str) -> Tensor:
-    """q holds the T newest rows; k and v also hold the rows before them."""
-    t_len, kv_len = q.shape[0], k.shape[0]
-    h, hd = cfg.heads, cfg.head_dim
-    # [T, d] -> [H, T, hd]
-    qh = q.reshape((t_len, h, hd)).transpose((1, 0, 2))
-    kh = k.reshape((kv_len, h, hd)).transpose((1, 0, 2))
-    vh = v.reshape((kv_len, h, hd)).transpose((1, 0, 2))
-    scores = (qh @ kh.transpose((0, 2, 1))) * (1.0 / np.sqrt(hd))
-    scores = scores + Tensor(window_mask(t_len, cfg.window, kv_len - t_len))
-    mixed = scores.softmax() @ vh
-    merged = mixed.transpose((1, 0, 2)).reshape((t_len, h * hd))
-    return merged @ params[prefix + "w_o"] + params[prefix + "b_o"]
+def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
+    """Windowed attention of the T rows of q over the rows of k and v, the
+    last T of which sit at the queries' positions. One tape node.
+
+    Slot j of query t holds key row past+t-w+1+j, w = min(window, past+T).
+    Keys and values are gathered per head from rows padded with w-1 zero
+    rows in front; the padded slots are masked out.
+    """
+    if window < 1:
+        raise NumericsError("attention window must be >= 1")
+    (t_len, d), kv_len = q.shape, k.shape[0]
+    if d % heads or k.shape != (kv_len, d) or v.shape != k.shape or kv_len < t_len:
+        raise NumericsError(f"attention shape mismatch: q {q.shape}, "
+                            f"k {k.shape}, v {v.shape}, {heads} heads")
+    w, hd, past = min(window, kv_len), d // heads, kv_len - t_len
+    rows = past + np.arange(t_len)[:, None] + np.arange(w)  # padded row ids
+
+    def windows(x):  # [past+T, d] -> [H, T, w, hd]
+        padded = np.zeros((heads, w - 1 + kv_len, hd))
+        padded[:, w - 1:] = x.reshape(kv_len, heads, hd).transpose(1, 0, 2)
+        return padded[:, rows]
+
+    def unwindow(gw):  # adjoint of `windows`: w shifted slice-adds
+        full = np.zeros((heads, w - 1 + kv_len, hd))
+        for j in range(w):
+            full[:, past + j:past + j + t_len] += gw[:, :, j]
+        return full[:, w - 1:].transpose(1, 0, 2).reshape(kv_len, d)
+
+    kw, vw = windows(k.data), windows(v.data)
+    qh = q.data.reshape(t_len, heads, 1, hd).transpose(1, 0, 2, 3)
+    scale = 1.0 / np.sqrt(hd)
+    scores = (qh @ kw.swapaxes(-1, -2)) * scale  # [H, T, 1, w]
+    if w - 1 > past:  # the first queries' windows reach into the padding
+        scores[:, rows[:, None] < w - 1] = MASK_VALUE
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = _op((p @ vw).transpose(1, 0, 2, 3).reshape(t_len, d), (q, k, v))
+    if out._prev:
+        def bw(g):
+            gh = g.reshape(t_len, heads, 1, hd).transpose(1, 0, 2, 3)
+            gp = gh @ vw.swapaxes(-1, -2)
+            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            _accum(q, (gs @ kw).transpose(1, 0, 2, 3).reshape(t_len, d))
+            _accum(k, unwindow(gs.swapaxes(-1, -2) * qh))
+            _accum(v, unwindow(p.swapaxes(-1, -2) * gh))
+        out._backward = bw
+    return out
 
 
 def _with_past(hidden: Tensor, past: Tensor | None) -> Tensor:
     return hidden if past is None else concat([past, hidden])
 
 
-def local_attention(hidden: Tensor, cfg: AttentionConfig,
+def local_attention(hidden: Tensor, window: int, heads: int,
                     params: ParameterStore, prefix: str = "attn.",
                     past: Tensor | None = None) -> Tensor:
     """Default path: q, k, v sliced from one shared linear projection.
@@ -74,20 +82,19 @@ def local_attention(hidden: Tensor, cfg: AttentionConfig,
     attend to, within the window.
     """
     _require(params, [prefix + n for n in ("w_qkv", "b_qkv", "w_o", "b_o")])
-    d = cfg.width
+    d = hidden.shape[-1]
     qkv = _with_past(hidden, past) @ params[prefix + "w_qkv"] + params[prefix + "b_qkv"]
     q = qkv[-hidden.shape[0]:, 0:d]
     k, v = qkv[:, d:2 * d], qkv[:, 2 * d:3 * d]
-    return _attend(q, k, v, cfg, params, prefix)
+    return _attend(q, k, v, window, heads) @ params[prefix + "w_o"] \
+        + params[prefix + "b_o"]
 
 
-def latent_attention(hidden: Tensor, cfg: AttentionConfig,
+def latent_attention(hidden: Tensor, window: int, heads: int,
                      params: ParameterStore, prefix: str = "attn.",
                      past: Tensor | None = None) -> Tensor:
     """Latent-KV variant: keys/values lifted from a compressed bottleneck.
     `past` is as in `local_attention`."""
-    if cfg.latent_dim is None:
-        raise NumericsError("latent_attention requires latent_dim")
     _require(params, [prefix + n for n in
                       ("w_q", "b_q", "w_z", "b_z", "w_k_up", "b_k_up",
                        "w_v_up", "b_v_up", "w_o", "b_o")])
@@ -95,4 +102,5 @@ def latent_attention(hidden: Tensor, cfg: AttentionConfig,
     z = _with_past(hidden, past) @ params[prefix + "w_z"] + params[prefix + "b_z"]
     k = z @ params[prefix + "w_k_up"] + params[prefix + "b_k_up"]
     v = z @ params[prefix + "w_v_up"] + params[prefix + "b_v_up"]
-    return _attend(q, k, v, cfg, params, prefix)
+    return _attend(q, k, v, window, heads) @ params[prefix + "w_o"] \
+        + params[prefix + "b_o"]

@@ -105,9 +105,13 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"bad prompt: {e}") from e
     if not all(0 <= t < cfg.vocab_size for t in prompt):
         raise ConfigError(f"prompt token ids must lie in [0, {cfg.vocab_size})")
-    if len(prompt) > cfg.max_seq_len:
-        raise ConfigError(f"prompt of {len(prompt)} tokens exceeds the "
-                          f"model's max_seq_len {cfg.max_seq_len}")
+    if args.max_new < 0:
+        raise ConfigError(f"--max-new must be >= 0, got {args.max_new}")
+    # An --eos stop may never come, so the whole budget must fit.
+    if len(prompt) + args.max_new > cfg.max_seq_len:
+        raise ConfigError(f"prompt of {len(prompt)} tokens plus --max-new "
+                          f"{args.max_new} exceeds the model's max_seq_len "
+                          f"{cfg.max_seq_len}")
     tokens = generate(prompt, args.max_new, params, cfg,
                       eos_token=args.eos,
                       stop_threshold=args.stop_threshold)

@@ -13,7 +13,7 @@ from .numerics import (
     Tensor, ParameterStore, NumericsError, check_finite, rmsnorm, concat,
     stack, take_rows, straight_through,
 )
-from .attention import AttentionConfig, local_attention, latent_attention
+from .attention import local_attention, latent_attention
 from .memory import fast_update, memory_read, slow_write
 from .correction import predict_init, refine_step
 from .controller import ControllerParams, clamp_ratio, prefix_event_mask
@@ -91,16 +91,6 @@ class ModelConfig:
             raise NumericsError("mhc needs mhc_streams >= 2 and sinkhorn_iters >= 1")
         if self.latent_dim is not None and self.latent_dim < 1:
             raise NumericsError("latent_dim must be >= 1")
-
-    @property
-    def head_dim(self) -> int:
-        return self.width // self.heads
-
-    def attention_config(self) -> AttentionConfig:
-        return AttentionConfig(
-            window=self.window, heads=self.heads,
-            head_dim=self.head_dim, latent_dim=self.latent_dim,
-        )
 
     def to_canonical(self) -> str:
         lines = []
@@ -271,7 +261,7 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
 
         attend = local_attention if cfg.latent_dim is None else latent_attention
         past = cache.history
-        a = attend(n, cfg.attention_config(), params, p + "attn.", past=past)
+        a = attend(n, cfg.window, cfg.heads, params, p + "attn.", past=past)
         cache.history = (n if past is None else concat([past, n]))[-cfg.window:]
 
         # Memory pathway over the whole span: one scan gives the fast

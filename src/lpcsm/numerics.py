@@ -95,9 +95,6 @@ class Tensor:
 
     # -- graph --------------------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root, accumulating leaf grads."""
         if self.data.size != 1:
@@ -173,13 +170,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return _wrap(other) / self
-
-    def reciprocal(self):
-        a = self
-        out = _op(1.0 / a.data, (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, -g / (a.data * a.data))
-        return out
 
     def __matmul__(self, other):
         a, b = self, _wrap(other)
@@ -279,16 +269,6 @@ class Tensor:
         out = _op(y, (a,))
         if out._prev:
             out._backward = lambda g: _accum(a, g * 0.5 / y)
-        return out
-
-    def maximum(self, other):
-        a, b = self, _wrap(other)
-        out = _op(np.maximum(a.data, b.data), (a, b))
-        if out._prev:
-            def bw(g):
-                _accum(a, g * (a.data >= b.data))
-                _accum(b, g * (b.data > a.data))
-            out._backward = bw
         return out
 
     def softmax(self):
@@ -500,9 +480,6 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for t in self._entries.values():
             t.grad = None
-
-    def num_values(self) -> int:
-        return sum(t.size for t in self._entries.values())
 
 
 def forward_backward(root: Tensor, params: ParameterStore) -> dict[str, Tensor]:

@@ -17,13 +17,9 @@ class DecodeCache:
     layers: list
     position: int = 0
 
-    @classmethod
-    def fresh(cls, cfg: ModelConfig) -> "DecodeCache":
-        return cls(layers=[LayerCache.fresh(cfg) for _ in range(cfg.layers)])
-
 
 def init_cache(cfg: ModelConfig) -> DecodeCache:
-    return DecodeCache.fresh(cfg)
+    return DecodeCache(layers=[LayerCache.fresh(cfg) for _ in range(cfg.layers)])
 
 
 def step_decode(token: int, cache: DecodeCache, params: ParameterStore,
@@ -46,6 +42,8 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
     prompt = list(prompt)
     if not prompt:
         raise NumericsError("generate requires a nonempty prompt")
+    if max_new < 0:
+        raise NumericsError("max_new must be >= 0")
     cache = init_cache(cfg)
     logits = None
     for tok in prompt:

@@ -1,13 +1,14 @@
 """Windowed causal attention: masking, single-token and collapsed-window
-contracts, the latent-KV variant, and gradient checks."""
+contracts, the latent-KV variant, gradient checks, and the windowed node
+against the dense masked form it replaces."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
-from lpcsm.attention import (
-    MASK_VALUE, AttentionConfig, window_mask, local_attention, latent_attention,
-)
+from lpcsm.attention import MASK_VALUE, _attend, local_attention, latent_attention
 
 
 def make_params(d, seed=0, latent_dim=None, prefix="attn."):
@@ -30,53 +31,30 @@ def make_params(d, seed=0, latent_dim=None, prefix="attn."):
     return params
 
 
-class TestWindowMask:
-    def test_shape_and_diagonal(self):
-        m = window_mask(5, 2)
-        assert m.shape == (5, 5)
-        assert np.all(np.diag(m) == 0.0)
-
-    def test_future_blocked(self):
-        m = window_mask(4, 4)
-        assert np.all(m[np.triu_indices(4, k=1)] == MASK_VALUE)
-
-    def test_window_bound(self):
-        m = window_mask(5, 2)
-        # Position 4 sees only positions 3 and 4.
-        assert np.array_equal(m[4], [MASK_VALUE] * 3 + [0.0, 0.0])
-
-    def test_invalid_window(self):
-        with pytest.raises(NumericsError):
-            AttentionConfig(window=0, heads=1, head_dim=4)
-
-    def test_past_rows_are_trailing_rows(self):
-        for past, t_len, window in ((1, 1, 1), (3, 2, 2), (6, 1, 3), (2, 4, 8)):
-            full = window_mask(past + t_len, window)
-            assert np.array_equal(window_mask(t_len, window, past), full[past:])
-
-
 @pytest.mark.parametrize("latent_dim", [None, 3])
 @pytest.mark.parametrize("past", [1, 3, 6])
 def test_span_with_past_continues_sequence(latent_dim, past):
     # Attending a span after `past` earlier rows gives the trailing rows of
     # one pass over the whole sequence.
     d = 8
-    cfg = AttentionConfig(window=3, heads=2, head_dim=4, latent_dim=latent_dim)
     params = make_params(d, seed=30, latent_dim=latent_dim)
     attend = local_attention if latent_dim is None else latent_attention
     h = np.random.default_rng(31).standard_normal((7, d))
-    whole = attend(Tensor(h), cfg, params).data
-    span = attend(Tensor(h[past:]), cfg, params, past=Tensor(h[:past])).data
+    whole = attend(Tensor(h), 3, 2, params).data
+    span = attend(Tensor(h[past:]), 3, 2, params, past=Tensor(h[:past])).data
     assert np.max(np.abs(span - whole[past:])) < 1e-12
 
 
 class TestLocalAttention:
+    def test_invalid_window(self):
+        with pytest.raises(NumericsError):
+            local_attention(Tensor(np.zeros((2, 4))), 0, 1, make_params(4))
+
     def test_single_token_is_value_projection(self):
         d = 8
-        cfg = AttentionConfig(window=4, heads=2, head_dim=4)
         params = make_params(d, seed=1)
         h = Tensor(np.random.default_rng(2).standard_normal((1, d)))
-        out = local_attention(h, cfg, params)
+        out = local_attention(h, 4, 2, params)
         qkv = h.data @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
         v = qkv[:, 2 * d:3 * d]
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -84,10 +62,9 @@ class TestLocalAttention:
 
     def test_window_one_collapses_to_self(self):
         d = 8
-        cfg = AttentionConfig(window=1, heads=2, head_dim=4)
         params = make_params(d, seed=3)
         h = Tensor(np.random.default_rng(4).standard_normal((5, d)))
-        out = local_attention(h, cfg, params)
+        out = local_attention(h, 1, 2, params)
         qkv = h.data @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
         v = qkv[:, 2 * d:3 * d]
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -95,13 +72,12 @@ class TestLocalAttention:
 
     def test_identical_keys_uniform_weights(self):
         d = 4
-        cfg = AttentionConfig(window=2, heads=1, head_dim=4)
         params = make_params(d, seed=5)
         # Zero key weights give the key b_k at every position, so each row
         # reads the plain mean of the value rows in its window.
         params["attn.w_qkv"].data[:, d:2 * d] = 0.0
         h = np.random.default_rng(6).standard_normal((3, d))
-        out = local_attention(Tensor(h), cfg, params).data
+        out = local_attention(Tensor(h), 2, 1, params).data
         qkv = h @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
         v = qkv[:, 2 * d:]
         for t in range(3):
@@ -111,38 +87,35 @@ class TestLocalAttention:
 
     def test_causality_perturbation(self):
         d = 8
-        cfg = AttentionConfig(window=3, heads=2, head_dim=4)
         params = make_params(d, seed=7)
         rng = np.random.default_rng(8)
         h = rng.standard_normal((6, d))
-        base = local_attention(Tensor(h.copy()), cfg, params).data
+        base = local_attention(Tensor(h.copy()), 3, 2, params).data
         h2 = h.copy()
         h2[4] += rng.standard_normal(d)
-        pert = local_attention(Tensor(h2), cfg, params).data
+        pert = local_attention(Tensor(h2), 3, 2, params).data
         assert np.array_equal(base[:4], pert[:4])
         assert np.max(np.abs(base[4] - pert[4])) > 0.0
 
     def test_window_locality_perturbation(self):
         d = 8
-        cfg = AttentionConfig(window=2, heads=2, head_dim=4)
         params = make_params(d, seed=9)
         rng = np.random.default_rng(10)
         h = rng.standard_normal((6, d))
-        base = local_attention(Tensor(h.copy()), cfg, params).data
+        base = local_attention(Tensor(h.copy()), 2, 2, params).data
         h2 = h.copy()
         h2[0] += rng.standard_normal(d)
-        pert = local_attention(Tensor(h2), cfg, params).data
+        pert = local_attention(Tensor(h2), 2, 2, params).data
         # Position 0 is outside the window of every t >= 2.
         assert np.array_equal(base[2:], pert[2:])
 
     def test_grad_check(self):
         d = 8
-        cfg = AttentionConfig(window=3, heads=2, head_dim=4)
         params = make_params(d, seed=11)
         h = np.random.default_rng(12).standard_normal((4, d))
 
         def loss(p):
-            r = local_attention(Tensor(h), cfg, p)
+            r = local_attention(Tensor(h), 3, 2, p)
             return (r * r).sum()
 
         assert grad_check(loss, params, sample=8).passed
@@ -150,9 +123,8 @@ class TestLocalAttention:
 
 class TestLatentAttention:
     def test_requires_latent_dim(self):
-        cfg = AttentionConfig(window=2, heads=1, head_dim=4)
         with pytest.raises(NumericsError):
-            latent_attention(Tensor(np.zeros((2, 4))), cfg, make_params(4))
+            latent_attention(Tensor(np.zeros((2, 4))), 2, 1, make_params(4))
 
     def test_passthrough_matches_local(self):
         d = 8
@@ -171,15 +143,12 @@ class TestLatentAttention:
         latent.add("attn.w_o", base["attn.w_o"].data.copy())
         latent.add("attn.b_o", base["attn.b_o"].data.copy())
         h = Tensor(np.random.default_rng(14).standard_normal((5, d)))
-        cfg_local = AttentionConfig(window=3, heads=2, head_dim=4)
-        cfg_latent = AttentionConfig(window=3, heads=2, head_dim=4, latent_dim=d)
-        a = local_attention(h, cfg_local, base).data
-        b = latent_attention(h, cfg_latent, latent).data
+        a = local_attention(h, 3, 2, base).data
+        b = latent_attention(h, 3, 2, latent).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_rank_one_keys(self):
         d = 4
-        cfg = AttentionConfig(window=2, heads=1, head_dim=4, latent_dim=1)
         params = make_params(d, seed=15, latent_dim=1)
         params["attn.b_z"].data = np.zeros(1)
         params["attn.b_k_up"].data = np.zeros(d)
@@ -193,10 +162,9 @@ class TestLatentAttention:
 
     def test_single_token(self):
         d = 8
-        cfg = AttentionConfig(window=4, heads=2, head_dim=4, latent_dim=3)
         params = make_params(d, seed=17, latent_dim=3)
         h = Tensor(np.random.default_rng(18).standard_normal((1, d)))
-        out = latent_attention(h, cfg, params)
+        out = latent_attention(h, 4, 2, params)
         z = h.data @ params["attn.w_z"].data + params["attn.b_z"].data
         v = z @ params["attn.w_v_up"].data + params["attn.b_v_up"].data
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -204,12 +172,102 @@ class TestLatentAttention:
 
     def test_grad_check(self):
         d = 8
-        cfg = AttentionConfig(window=3, heads=2, head_dim=4, latent_dim=3)
         params = make_params(d, seed=19, latent_dim=3)
         h = np.random.default_rng(20).standard_normal((4, d))
 
         def loss(p):
-            r = latent_attention(Tensor(h), cfg, p)
+            r = latent_attention(Tensor(h), 3, 2, p)
             return (r * r).sum()
 
         assert grad_check(loss, params, sample=8).passed
+
+
+def dense_attention(q, k, v, window, heads):
+    """The masked form the windowed node replaces: [H, T, past+T] scores
+    under a [T, past+T] additive window mask."""
+    t_len, kv_len = q.shape[0], k.shape[0]
+    hd = q.shape[1] // heads
+    qpos = np.arange(kv_len - t_len, kv_len)[:, None]
+    kpos = np.arange(kv_len)[None, :]
+    mask = np.where((kpos <= qpos) & (kpos > qpos - window), 0.0, MASK_VALUE)
+    qh = q.reshape((t_len, heads, hd)).transpose((1, 0, 2))
+    kh = k.reshape((kv_len, heads, hd)).transpose((1, 0, 2))
+    vh = v.reshape((kv_len, heads, hd)).transpose((1, 0, 2))
+    scores = (qh @ kh.transpose((0, 2, 1))) * (1.0 / np.sqrt(hd)) + Tensor(mask)
+    mixed = scores.softmax() @ vh
+    return mixed.transpose((1, 0, 2)).reshape((t_len, heads * hd))
+
+
+def tape_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._prev)
+    return len(seen)
+
+
+# (T, past rows, window): a window wider than the sequence, window 1,
+# one-token spans after 0 to 8 past rows, and longer spans with a past.
+WINDOW_CASES = ([(3, 0, 6), (5, 0, 1), (4, 3, 2), (9, 5, 4)]
+                + [(1, past, 4) for past in range(9)])
+
+
+class TestWindowedNode:
+    @pytest.mark.parametrize("t_len,past,window", WINDOW_CASES)
+    def test_matches_dense_masked_form(self, t_len, past, window):
+        d, heads = 8, 2
+        rng = np.random.default_rng(40 + 10 * t_len + past)
+        q, k, v = (rng.standard_normal((n, d)) for n in (t_len, past + t_len,
+                                                         past + t_len))
+        g = rng.standard_normal((t_len, d))
+        results = []
+        for attend in (_attend, dense_attention):
+            leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+            out = attend(*leaves, window, heads)
+            (out * Tensor(g)).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for a, b in zip(*results):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize("latent_dim", [None, 3])
+    @pytest.mark.parametrize("t_len,past,window", WINDOW_CASES)
+    def test_grad_check(self, t_len, past, window, latent_dim):
+        d = 8
+        params = make_params(d, seed=41 + past, latent_dim=latent_dim)
+        attend = local_attention if latent_dim is None else latent_attention
+        h = np.random.default_rng(42 + t_len).standard_normal((past + t_len, d))
+
+        def loss(p):
+            past_rows = Tensor(h[:past]) if past else None
+            r = attend(Tensor(h[past:]), window, 2, p, past=past_rows)
+            return (r * r).sum()
+
+        assert grad_check(loss, params, sample=6).passed
+
+    def test_tape_nodes_do_not_grow_with_length(self):
+        params = make_params(32, seed=43)
+        counts = []
+        for t_len in (64, 256):
+            h = Tensor(np.random.default_rng(44).standard_normal((t_len, 32)),
+                       requires_grad=True)
+            counts.append(tape_nodes(local_attention(h, 8, 4, params)))
+        assert counts[0] == counts[1]
+
+    def test_memory_linear_in_length(self):
+        # The dense form peaked at 17.5 MB for T=256 and 67.9 MB for T=512.
+        params = make_params(32, seed=45)
+
+        def peak_bytes(t_len):
+            h = Tensor(np.random.default_rng(46).standard_normal((t_len, 32)),
+                       requires_grad=True)
+            tracemalloc.start()
+            try:
+                out = local_attention(h, 8, 4, params)
+                (out * out).sum().backward()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(512) <= 2.5 * peak_bytes(256)

@@ -485,6 +485,14 @@ class TestCli:
         assert main(["eval", "--ckpt", str(tmp_path / "missing.ckpt"),
                      "--task", "kind=copy,vocab_size=8,seq_len=8,key_len=2"]) == 4
 
+    def test_generate_fills_max_seq_len(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        save_checkpoint(init_params(cfg), cfg, ckpt)
+        assert main(["generate", "--ckpt", ckpt, "--prompt", "2,3",
+                     "--max-new", "30"]) == 0
+        assert len(capsys.readouterr().out.strip().split(",")) == cfg.max_seq_len
+
     def test_bad_checkpoint_exit_code(self, tmp_path):
         junk = tmp_path / "junk.ckpt"
         junk.write_bytes(b"garbage bytes here")
@@ -577,6 +585,10 @@ class TestCli:
         "prompt longer than max_seq_len": (
             None, ["generate", "--prompt", ",".join(["2"] * 33),
                    "--max-new", "1"], 2),
+        "max-new past max_seq_len": (
+            None, ["generate", "--prompt", "2,3", "--max-new", "31"], 2),
+        "negative max-new": (
+            None, ["generate", "--prompt", "2,3", "--max-new", "-3"], 2),
         "non-finite checkpoint tensor": (nan_last_value, ["generate", *PROMPT], 3),
     }
 

@@ -250,7 +250,7 @@ def straight_line_block(h, params, cfg):
     # attention
     qkv = n @ P("attn.w_qkv") + P("attn.b_qkv")
     q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
-    hd = cfg.head_dim
+    hd = d // cfg.heads
     a = np.zeros((t_len, d))
     for head in range(cfg.heads):
         sl = slice(head * hd, (head + 1) * hd)

@@ -118,6 +118,12 @@ class TestGenerate:
         params = init_params(cfg, seed=8)
         assert generate([2, 3], 0, params, cfg) == [2, 3]
 
+    def test_negative_max_new_rejected(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=8)
+        with pytest.raises(NumericsError):
+            generate([2, 3], -1, params, cfg)
+
     def test_empty_prompt_rejected(self):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=9)
