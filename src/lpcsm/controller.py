@@ -9,11 +9,13 @@ within its own prefix, for all positions of a span at once."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from .numerics import Tensor, NumericsError, _wrap, straight_through, take_rows
+from .numerics import Tensor, NumericsError, _wrap, _op, _accum, straight_through
 
 SCORE_STD_EPS = 1e-6
 
@@ -26,7 +28,6 @@ class ControllerParams:
     ratio_raw: Tensor
     ratio_min: float
     ratio_max: float
-    adaptive: bool
 
     def __post_init__(self):
         if not (0.0 < self.ratio_min < self.ratio_max <= 1.0):
@@ -97,53 +98,102 @@ def hard_mask(scores: Tensor, ratio: float) -> EventMask:
     )
 
 
-def prefix_event_mask(error_norms: Tensor, start: int, p: ControllerParams,
-                      ratio: float) -> tuple[Tensor, Tensor]:
-    """Causal event bits of positions start..N-1 of `error_norms` [N].
+def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
+                      p: ControllerParams, ratio: float) -> tuple[Tensor, Tensor]:
+    """Causal event bits of a span whose prefix norms are `past`.
 
     Position t gets the bit that hard_mask(event_scores(e[:t+1]), ratio)
-    gives it, hard and soft. Row r of one [T, N] score matrix holds the
-    scores of prefix t = start + r in its first t+1 columns. Its prefix
-    means and variances are summed one prefix at a time, so every score
-    is the same float that event_scores computes; the backward pass runs
-    through their lower-triangular masked forms. The tape gains O(1)
-    nodes for any span length.
+    gives it, hard and soft. `ranked` is the pair (values, index) of lists
+    holding the prefix norms in ascending order, equal values in position
+    order; each position of the span is inserted into it in place, so a
+    carried pair makes a one-token span cost one position's work.
+
+    The score map is weakly monotone in the norm (reversed when scale < 0),
+    so hard_mask's threshold is the score of an order statistic of the
+    sorted prefix, and only the scores it compares are computed: as
+    Python floats, from event_scores' exact prefix mean and variance, in
+    event_scores' op order, so each is the same float. The soft bits are
+    one tape node for any span length, with an O(T) backward; the hard
+    bits route their gradient to it straight through.
     """
     e = _wrap(error_norms)
-    n = e.shape[0]
-    t = np.arange(start, n)                    # last position of each prefix
-    count = t + 1.0
-    rows = np.arange(t.size)
-    inside = np.arange(n)[None, :] <= t[:, None]
+    values, index = ranked
+    start, span = len(past), e.shape[0]
+    norms = np.concatenate([past, e.data])
+    scale, bias = float(p.scale.data), float(p.bias.data)
+    inv_temp = 1.0 / p.temperature
+    rising = scale >= 0.0           # scores weakly follow the norms' order
 
-    share = Tensor(inside / count[:, None])    # masked-mean weights
-    sums = np.array([np.add.reduce(e.data[:i + 1]) for i in t])
-    mu = straight_through(sums / count, share @ e)
-    centered = e.reshape((1, n)) - mu.reshape((t.size, 1))
-    sq = centered * centered
-    var_exact = np.array([np.add.reduce(sq.data[r, :i + 1])
-                          for r, i in zip(rows, t)]) / count
-    var = straight_through(var_exact, (sq * share).sum(axis=1))
-    # A constant prefix (var == 0) takes event_scores' eps-floored branch,
-    # which sends no gradient into var; its sqrt is taken at 1, not 0.
-    flat = var_exact == 0.0
-    den = (var + Tensor(flat)).sqrt() + SCORE_STD_EPS
-    z = centered / den.reshape((t.size, 1)) * Tensor(~flat[:, None]) \
-        + centered * Tensor(flat[:, None] * (1.0 / SCORE_STD_EPS))
-    scores = (z * p.scale + p.bias) * (1.0 / p.temperature)
+    hard = np.zeros(span)
+    diff = np.empty(span)           # s_t - s_theta, exact
+    slope = np.empty(span)          # dz/de: 1/den, or 1/eps on a flat row
+    mu = np.empty(span)
+    sd = np.zeros(span)             # sqrt(var); 0 on a flat row
+    theta = np.empty(span, dtype=np.int64)
+    for r, x in enumerate(e.data.tolist()):
+        t = start + r
+        n = t + 1
+        pos = bisect_right(values, x)
+        values.insert(pos, x)
+        index.insert(pos, t)
 
-    # hard_mask keeps order[:k] of a stable descending sort; its threshold
-    # is the k-th kept score, the (k - #greater)-th tie in index order.
-    s = scores.data
-    k = np.ceil(ratio * count).astype(np.int64)
-    theta_val = -np.sort(np.where(inside, -s, np.inf), axis=1)[rows, k - 1]
-    greater = ((s > theta_val[:, None]) & inside).sum(axis=1)
-    ties = (s == theta_val[:, None]) & inside
-    theta = np.argmax(np.cumsum(ties, axis=1) >= (k - greater)[:, None], axis=1)
-    own = s[rows, t]
-    hard = ((own > theta_val) | (theta == t)).astype(np.float64)
+        prefix = norms[:n]
+        m = float(np.add.reduce(prefix) / n)
+        c = prefix - m
+        var = float(np.add.reduce(c * c) / n)
+        flat = var == 0.0
+        if flat:
+            slope[r] = inv = 1.0 / SCORE_STD_EPS
+        else:
+            sd[r] = root = math.sqrt(var)
+            den = root + SCORE_STD_EPS
+            slope[r] = 1.0 / den
 
-    pair = take_rows(scores.reshape((t.size * n,)),
-                     np.stack([rows * n + t, rows * n + theta]))
-    soft = (pair[0] - pair[1]).sigmoid()
+        def score(v):
+            z = (v - m) * inv if flat else (v - m) / den
+            return (z * scale + bias) * inv_temp
+
+        # hard_mask's threshold is the k-th score of its stable descending
+        # order: the (k - #greater)-th, in position order, of its run of
+        # equal scores, which is contiguous in the sorted prefix.
+        k = int(math.ceil(ratio * n))
+        v = values[n - k if rising else k - 1]
+        s_theta = score(v)
+        lo, hi = bisect_left(values, v), bisect_right(values, v)
+        while lo > 0 and score(values[lo - 1]) == s_theta:
+            lo = bisect_left(values, values[lo - 1], 0, lo)
+        while hi < n and score(values[hi]) == s_theta:
+            hi = bisect_right(values, values[hi], hi)
+        rank = k - (n - hi if rising else lo) - 1
+        if values[lo] == values[hi - 1]:
+            j = index[lo + rank]
+        else:  # rounding merged distinct norms into one score
+            j = sorted(index[lo:hi])[rank]
+
+        s_own = score(x)
+        hard[r] = s_own > s_theta or j == t
+        diff[r] = s_own - s_theta
+        mu[r], theta[r] = m, j
+
+    soft_vals = expit(diff)
+    soft = _op(soft_vals, (e, p.scale, p.bias))
+    if soft._prev:
+        def bw(g):
+            gs = g * soft_vals * (1.0 - soft_vals) * inv_temp  # d/d(s_t - s_theta)
+            dz = (e.data - norms[theta]) * slope               # z_t - z_theta
+            _accum(p.scale, np.sum(gs * dz))
+            _accum(p.bias, np.zeros(()))  # cancels in s_t - s_theta
+            w = gs * scale * slope          # d/de_t, and minus d/de_theta
+            full = np.zeros(norms.shape[0])
+            full[start:] += w
+            np.subtract.at(full, theta, w)
+            # The std term: c_t * (e_i - mu_t) for every i <= t of a row
+            # with var > 0, summed over t with two reverse cumsums; both
+            # sides are taken about the last mean to keep the difference.
+            c = np.divide(-w * dz, (np.arange(start, norms.shape[0]) + 1.0) * sd,
+                          out=np.zeros(span), where=sd > 0.0)
+            tail = np.cumsum(c[::-1])[::-1]
+            tail_mu = np.cumsum((c * (mu - mu[-1]))[::-1])[::-1]
+            _accum(e, full[start:] + (e.data - mu[-1]) * tail - tail_mu)
+        soft._backward = bw
     return straight_through(hard, soft), soft

@@ -196,7 +196,6 @@ def controller_params(params: ParameterStore, cfg: ModelConfig, prefix: str) -> 
         ratio_raw=params[prefix + "ctrl.ratio_raw"],
         ratio_min=cfg.ratio_min,
         ratio_max=cfg.ratio_max,
-        adaptive=cfg.adaptive_ratio,
     )
 
 
@@ -211,7 +210,11 @@ class LayerCache:
     writes: int  # slow writes so far
     chunk_sum: Tensor  # sum of the fast states of the open chunk
     chunk_count: int  # tokens in the open chunk, below chunk_size
-    error_norms: list  # per-position mismatch norms, full prefix
+    error_norms: np.ndarray  # per-position mismatch norms, full prefix
+    # The same norms in ascending order, equal values in position order,
+    # and the position of each: the controller's sorted prefix.
+    sorted_norms: list
+    sorted_index: list
     # mHC gain, set by the first span; parameters are frozen while a
     # cache is carried.
     route_gain: Tensor | None = None
@@ -225,23 +228,29 @@ class LayerCache:
             writes=0,
             chunk_sum=Tensor(np.zeros(cfg.width)),
             chunk_count=0,
-            error_norms=[],
+            error_norms=np.zeros(0),
+            sorted_norms=[],
+            sorted_index=[],
         )
 
 
 def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
-                     past=()) -> tuple[Tensor, Tensor, float]:
+                     past=(), ranked=None) -> tuple[Tensor, Tensor, float]:
     """Per-position event bits using only each position's prefix statistics.
 
     Position t takes the bit assigned to it by the hard mask computed over
     scores of tokens 1..t, where `past` holds the norms of the tokens
     before this span; this keeps teacher forcing and incremental decode
-    identical. Returns (hard bits, soft bits, ratio).
+    identical. `ranked` is past's sorted prefix, (values, index), advanced
+    in place past the span; without it, it is sorted from `past`. Returns
+    (hard bits, soft bits, ratio).
     """
     ratio = float(clamp_ratio(cp).data)
-    if len(past):
-        error_norms = concat([Tensor(np.asarray(past)), error_norms])
-    hard, soft = prefix_event_mask(error_norms, len(past), cp, ratio)
+    past = np.asarray(past, dtype=np.float64)
+    if ranked is None:
+        order = np.argsort(past, kind="stable")
+        ranked = (past[order].tolist(), order.tolist())
+    hard, soft = prefix_event_mask(error_norms, past, ranked, cp, ratio)
     return hard, soft, ratio
 
 
@@ -308,8 +317,10 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             error_norms = Tensor(np.zeros(t_len))
 
         cp = controller_params(params, cfg, p)
-        hard_bits, soft_bits, _ = causal_mask_bits(error_norms, cp, cache.error_norms)
-        cache.error_norms.extend(error_norms.data.tolist())
+        hard_bits, soft_bits, _ = causal_mask_bits(
+            error_norms, cp, cache.error_norms,
+            (cache.sorted_norms, cache.sorted_index))
+        cache.error_norms = np.concatenate([cache.error_norms, error_norms.data])
         mask = soft_bits if soft_mask else hard_bits
         density = float(hard_bits.data.mean())
         ratio_t = clamp_ratio(cp)

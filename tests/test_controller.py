@@ -1,21 +1,24 @@
 """Sparse event controller: bounded ratio, score normalization, the hard
 top-k mask with tie-break, and the straight-through contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
+from lpcsm.numerics import (
+    Tensor, NumericsError, ParameterStore, forward_backward, grad_check,
+)
 from lpcsm.controller import (
     ControllerParams, ratio_raw_init, clamp_ratio, event_scores, hard_mask,
 )
 
 
 def make_cp(bias=0.0, scale=1.0, temperature=1.0, ratio_raw=0.0,
-            ratio_min=0.05, ratio_max=0.95, adaptive=True):
+            ratio_min=0.05, ratio_max=0.95):
     return ControllerParams(
         bias=Tensor(bias), scale=Tensor(scale), temperature=temperature,
-        ratio_raw=Tensor(ratio_raw), ratio_min=ratio_min,
-        ratio_max=ratio_max, adaptive=adaptive,
+        ratio_raw=Tensor(ratio_raw), ratio_min=ratio_min, ratio_max=ratio_max,
     )
 
 
@@ -231,9 +234,147 @@ class TestCausalMaskBitsOracle:
         def loss(p):
             cp = ControllerParams(bias=p["bias"], scale=p["scale"],
                                   temperature=1.3, ratio_raw=Tensor(0.0),
-                                  ratio_min=0.05, ratio_max=0.95, adaptive=True)
+                                  ratio_min=0.05, ratio_max=0.95)
             _, soft, _ = causal_mask_bits(p["errs"], cp, past)
             return (soft * weights).sum()
 
         report = grad_check(loss, params)
         assert report.passed, report.max_rel_error
+
+
+def tape_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._prev)
+    return len(seen)
+
+
+class TestPrefixEventNode:
+    """The hand-written backward of the controller node, and its cost."""
+
+    @pytest.mark.parametrize("past", [0, 5])
+    @pytest.mark.parametrize("scale", [0.8, -1.1])
+    def test_grad_check_with_flat_rows(self, past, scale):
+        # The span opens with two constant norms after a constant past, so
+        # its first rows take the var == 0 branch. The constants are not
+        # perturbed: a perturbed flat row would leave that branch.
+        from lpcsm.model import causal_mask_bits
+        from lpcsm.numerics import concat
+
+        rng = np.random.default_rng(35 + past)
+        params = ParameterStore()
+        params.add("errs", 0.3 + 0.37 * rng.permutation(9))  # well apart
+        params.add("scale", scale)
+        params.add("bias", -0.4)
+        weights = Tensor(rng.standard_normal(11))
+
+        def run(p):
+            cp = ControllerParams(bias=p["bias"], scale=p["scale"],
+                                  temperature=1.7, ratio_raw=Tensor(0.4),
+                                  ratio_min=0.05, ratio_max=0.95)
+            span = concat([Tensor(np.full(2, 0.7)), p["errs"]])
+            return causal_mask_bits(span, cp, [0.7] * past)
+
+        hard, _, _ = run(params)
+        report = grad_check(lambda p: (run(p)[1] * weights).sum(), params)
+        assert report.passed, report.max_rel_error
+        for name in ("errs", "scale"):  # no threshold crossed under eps
+            params[name].data += 1e-5
+            assert np.array_equal(run(params)[0].data, hard.data)
+            params[name].data -= 1e-5
+
+    @pytest.mark.parametrize("past", [0, 5])
+    @pytest.mark.parametrize("scale", [1.2, -0.7])
+    def test_backward_matches_per_prefix_tape(self, past, scale):
+        # Against the tape of per-prefix event_scores + hard_mask, which
+        # also covers the flat (var == 0) rows a finite difference cannot.
+        from lpcsm.model import causal_mask_bits
+        from lpcsm.numerics import concat
+
+        rng = np.random.default_rng(41 + past)
+        errs = np.r_[np.full(7, 0.7), np.abs(rng.standard_normal(13))]
+        g = Tensor(rng.standard_normal(errs.size - past))
+        grads = []
+        for node in (True, False):
+            e = Tensor(errs[past:], requires_grad=True)
+            cp = make_cp(bias=0.3, scale=scale, temperature=0.6, ratio_raw=-0.5)
+            cp.scale.requires_grad = cp.bias.requires_grad = True
+            if node:
+                _, soft, _ = causal_mask_bits(e, cp, errs[:past])
+            else:
+                ratio = float(clamp_ratio(cp).data)
+                full = concat([Tensor(errs[:past]), e])
+                soft = concat([
+                    hard_mask(event_scores(full[0:t + 1], cp), ratio).soft[t:t + 1]
+                    for t in range(past, errs.size)])
+            (soft * g).sum().backward()
+            grads.append((e.grad, cp.scale.grad, cp.bias.grad))
+        (e_node, scale_node, bias_node), (e_ref, scale_ref, bias_ref) = grads
+        assert np.max(np.abs(e_node - e_ref)) < 1e-9 * np.max(np.abs(e_ref))
+        assert abs(scale_node - scale_ref) < 1e-9 * max(1.0, abs(scale_ref))
+        assert bias_node == 0.0 and abs(bias_ref) < 1e-12
+
+    @pytest.mark.parametrize("splits", [(1,), (2, 5), (3, 4, 9), (10,)])
+    def test_carried_prefix_matches_one_span(self, splits):
+        # Spans that carry the sorted prefix give the bits of one span and
+        # leave it as one span leaves it; tied norms keep position order.
+        from lpcsm.model import causal_mask_bits
+
+        errs = np.random.default_rng(40).choice([0.2, 0.5, 0.9, 1.4], size=12)
+        cp = make_cp(bias=0.1, scale=-0.6)
+        whole = ([], [])
+        hard, soft, _ = causal_mask_bits(Tensor(errs), cp, (), whole)
+        parts = ([], [])
+        pieces = [causal_mask_bits(Tensor(errs[lo:hi]), cp, errs[:lo], parts)
+                  for lo, hi in zip((0,) + splits, splits + (12,))]
+        assert np.array_equal(np.concatenate([h.data for h, _, _ in pieces]),
+                              hard.data)
+        assert np.array_equal(np.concatenate([s.data for _, s, _ in pieces]),
+                              soft.data)
+        assert parts == whole
+        order = np.argsort(errs, kind="stable")
+        assert whole == (errs[order].tolist(), order.tolist())
+
+    def test_tape_and_memory_flat_in_length(self):
+        from lpcsm.model import causal_mask_bits
+
+        cp = make_cp(scale=0.9)
+        cp.scale.requires_grad = True
+        counts = []
+        for t_len in (64, 1024):
+            e = Tensor(np.abs(np.random.default_rng(36).standard_normal(t_len)),
+                       requires_grad=True)
+            counts.append(tape_nodes(causal_mask_bits(e, cp)[0]))
+        assert counts[0] == counts[1]
+
+        # The [T, N] prefix-score form peaked at 638 MB for T=2048.
+        e = Tensor(np.abs(np.random.default_rng(37).standard_normal(2048)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            hard, _, _ = causal_mask_bits(e, cp)
+            (hard * e).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, peak
+
+    def test_bias_gradient_is_exactly_zero(self):
+        # bias shifts every score of a prefix alike, so it cancels in the
+        # top-k comparison and in s_t - s_theta.
+        from lpcsm.model import ModelConfig, init_params
+        from lpcsm.objective import LossWeights
+        from lpcsm.train import sequence_loss
+
+        cfg = ModelConfig(vocab_size=11, width=8, layers=2, heads=2,
+                          max_seq_len=16)
+        params = init_params(cfg, seed=38)
+        tokens = np.random.default_rng(39).integers(0, 11, size=13)
+        b, _ = sequence_loss(tokens[:-1], tokens[1:], params, cfg, LossWeights())
+        grads = forward_backward(b.total, params)
+        for layer in range(cfg.layers):
+            assert grads[f"layers.{layer}.ctrl.bias"].data == 0.0
+            assert np.any(grads[f"layers.{layer}.ctrl.scale"].data != 0.0)

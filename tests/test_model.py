@@ -159,7 +159,8 @@ class TestSpanSplits:
     @pytest.mark.parametrize("splits", [(1,), (2, 5), (3, 4, 9), (7,), (10,)])
     def test_split_spans_match_one_span(self, splits):
         # Partial chunks carried in the cache across a split write the
-        # same slow state, at the same boundaries, as one span.
+        # same slow state, at the same boundaries, as one span, and the
+        # controller carries the same norms and sorted prefix.
         cfg = tiny_cfg(chunk_size=3)
         params = init_params(cfg, seed=12)
         h = np.random.default_rng(13).standard_normal((11, cfg.width))
@@ -177,6 +178,13 @@ class TestSpanSplits:
         assert np.max(np.abs(parts.chunk_sum.data - whole.chunk_sum.data)) < 1e-12
         assert np.max(np.abs(parts.fast.data - whole.fast.data)) < 1e-12
         assert np.array_equal(parts.history.data, whole.history.data)
+        # The controller's carried norms and sorted prefix; the norms of a
+        # split differ from one span's only in the last bits.
+        assert np.max(np.abs(parts.error_norms - whole.error_norms)) < 1e-12
+        assert parts.sorted_index == whole.sorted_index
+        assert np.max(np.abs(np.subtract(parts.sorted_norms,
+                                         whole.sorted_norms))) < 1e-12
+        assert parts.sorted_norms == sorted(parts.error_norms.tolist())
 
 
 class TestStraightLineOracle:
