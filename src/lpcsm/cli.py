@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 
 from .numerics import NumericsError
@@ -40,23 +41,12 @@ def _load_run(args) -> RunConfig:
 
 def _cmd_train(args) -> int:
     run = _load_run(args)
-    with open(args.metrics, "w") if args.metrics else _null_writer() as out:
+    with open(args.metrics, "w") if args.metrics else nullcontext() as out:
         result = train(run, metrics_out=out)
     if args.out:
         save_checkpoint(result.params, run.model, args.out)
     print(f"final lm {result.final_lm:.4f} ratio {result.final_ratio:.3f}")
     return EXIT_OK
-
-
-class _null_writer:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def write(self, _):
-        pass
 
 
 def _pairs(spec: str) -> dict[str, str]:
@@ -107,6 +97,11 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"prompt token ids must lie in [0, {cfg.vocab_size})")
     if args.max_new < 0:
         raise ConfigError(f"--max-new must be >= 0, got {args.max_new}")
+    if args.eos is not None and not 0 <= args.eos < cfg.vocab_size:
+        raise ConfigError(f"--eos must lie in [0, {cfg.vocab_size})")
+    if args.stop_threshold is not None and not 0.0 <= args.stop_threshold <= 1.0:
+        raise ConfigError(f"--stop-threshold must lie in [0, 1], "
+                          f"got {args.stop_threshold}")
     # An --eos stop may never come, so the whole budget must fit.
     if len(prompt) + args.max_new > cfg.max_seq_len:
         raise ConfigError(f"prompt of {len(prompt)} tokens plus --max-new "
@@ -156,6 +151,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_verify_ont(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     checks, elapsed = verify_properties(trials=args.trials)
     ok = True
     for c in checks:

@@ -30,8 +30,9 @@ class SyntheticTask:
             raise NumericsError(f"unknown task kind {self.kind!r}")
         if self.vocab_size < 3 or self.key_len < 1:
             raise NumericsError("task needs vocab >= 3 and key_len >= 1")
-        if self.seq_len < 1 or self.distractor_len < 0:
-            raise NumericsError("task needs seq_len >= 1 and distractor_len >= 0")
+        if self.seq_len < 1 or self.distractor_len < 0 or self.seed < 0:
+            raise NumericsError("task needs seq_len >= 1, distractor_len >= 0 "
+                                "and seed >= 0")
         if (self.kind == "key-recall"
                 and 2 * self.key_len + self.distractor_len + 1 > self.seq_len):
             raise NumericsError("key-recall layout exceeds seq_len")

@@ -35,7 +35,7 @@ def slow_write(h_boundary: Tensor, c: Tensor, slow: Tensor,
     """Gated write of the (optionally transported) chunk summary `c`, the
     mean fast state of the chunk."""
     if ont_enabled and alpha_n != 0.0:
-        c_star = ont_transport(alpha_n, c, slow).transported
+        c_star = ont_transport(alpha_n, c, slow)
     else:
         # alpha = 0 transport is the identity for any reference; skipping it
         # keeps the backward graph identical to the disabled path.

@@ -207,7 +207,6 @@ class LayerCache:
     history: Tensor | None  # the last <= window post-norm rows, [<=window, d]
     fast: Tensor  # fast state after the last token
     slow: Tensor  # slow state after the last chunk boundary
-    writes: int  # slow writes so far
     chunk_sum: Tensor  # sum of the fast states of the open chunk
     chunk_count: int  # tokens in the open chunk, below chunk_size
     error_norms: np.ndarray  # per-position mismatch norms, full prefix
@@ -225,7 +224,6 @@ class LayerCache:
             history=None,
             fast=Tensor(np.zeros(cfg.width)),
             slow=Tensor(np.zeros(cfg.width)),
-            writes=0,
             chunk_sum=Tensor(np.zeros(cfg.width)),
             chunk_count=0,
             error_norms=np.zeros(0),
@@ -235,7 +233,7 @@ class LayerCache:
 
 
 def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
-                     past=(), ranked=None) -> tuple[Tensor, Tensor, float]:
+                     past=(), ranked=None) -> tuple[Tensor, Tensor, Tensor]:
     """Per-position event bits using only each position's prefix statistics.
 
     Position t takes the bit assigned to it by the hard mask computed over
@@ -243,14 +241,15 @@ def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
     before this span; this keeps teacher forcing and incremental decode
     identical. `ranked` is past's sorted prefix, (values, index), advanced
     in place past the span; without it, it is sorted from `past`. Returns
-    (hard bits, soft bits, ratio).
+    (hard bits, soft bits, clamped ratio).
     """
-    ratio = float(clamp_ratio(cp).data)
+    ratio = clamp_ratio(cp)
     past = np.asarray(past, dtype=np.float64)
     if ranked is None:
         order = np.argsort(past, kind="stable")
         ranked = (past[order].tolist(), order.tolist())
-    hard, soft = prefix_event_mask(error_norms, past, ranked, cp, ratio)
+    hard, soft = prefix_event_mask(error_norms, past, ranked, cp,
+                                   float(ratio.data))
     return hard, soft, ratio
 
 
@@ -295,7 +294,6 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             if start < t_len:
                 cache.chunk_sum = cache.chunk_sum + fast[start:].sum(axis=0)
                 cache.chunk_count += t_len - start
-            cache.writes += len(ends)
         if ends:
             chunk_of_row = np.searchsorted(ends, np.arange(t_len), side="right")
             slow = take_rows(stack(slow_values), chunk_of_row)
@@ -317,13 +315,12 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             error_norms = Tensor(np.zeros(t_len))
 
         cp = controller_params(params, cfg, p)
-        hard_bits, soft_bits, _ = causal_mask_bits(
+        hard_bits, soft_bits, ratio_t = causal_mask_bits(
             error_norms, cp, cache.error_norms,
             (cache.sorted_norms, cache.sorted_index))
         cache.error_norms = np.concatenate([cache.error_norms, error_norms.data])
         mask = soft_bits if soft_mask else hard_bits
         density = float(hard_bits.data.mean())
-        ratio_t = clamp_ratio(cp)
         if soft_mask:
             sparse_ratio_st = ratio_t
         else:

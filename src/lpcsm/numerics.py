@@ -446,14 +446,12 @@ class ParameterStore:
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, value, trainable: bool = True) -> Tensor:
         if name in self._entries:
             raise NumericsError(f"duplicate parameter name {name!r}")
         t = Tensor(value, requires_grad=trainable)
         self._entries[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -472,10 +470,10 @@ class ParameterStore:
         return self._entries.items()
 
     def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
+        return self._entries[name].requires_grad
 
     def trainable_items(self):
-        return [(n, t) for n, t in self._entries.items() if self._trainable[n]]
+        return [(n, t) for n, t in self._entries.items() if t.requires_grad]
 
     def zero_grad(self) -> None:
         for t in self._entries.values():

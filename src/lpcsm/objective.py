@@ -76,26 +76,18 @@ def aux_losses(aux: list[LayerAux], stop_scores: Tensor | None, eos_targets,
     zero = Tensor(0.0)
     n_layers = max(1, len(aux))
 
-    if cfg.predictive_coding and aux:
+    if cfg.predictive_coding:
         pred = sum((a.error_sq.mean() for a in aux), zero) * (1.0 / n_layers)
     else:
         pred = zero
-
-    if aux:
-        sparse = sum((a.sparse_ratio_st * a.sparse_ratio_st for a in aux),
-                     zero) * (1.0 / n_layers)
-    else:
-        sparse = zero
-
-    if aux:
-        mem = sum(
-            (((a.fast_final * a.fast_final).sum()
-              + (a.slow_final * a.slow_final).sum()) * (1.0 / cfg.width)
-             for a in aux),
-            zero,
-        ) * (1.0 / n_layers)
-    else:
-        mem = zero
+    sparse = sum((a.sparse_ratio_st * a.sparse_ratio_st for a in aux),
+                 zero) * (1.0 / n_layers)
+    mem = sum(
+        (((a.fast_final * a.fast_final).sum()
+          + (a.slow_final * a.slow_final).sum()) * (1.0 / cfg.width)
+         for a in aux),
+        zero,
+    ) * (1.0 / n_layers)
 
     if cfg.stop_head:
         if stop_scores is None:

@@ -21,20 +21,6 @@ from .numerics import Tensor, NumericsError, _wrap
 ZERO_NORM_FLOOR = 1e-30
 
 
-@dataclass
-class NoveltyDecomposition:
-    aligned: Tensor
-    novelty: Tensor
-    reference_norm_sq: float
-
-
-@dataclass
-class TransportResult:
-    transported: Tensor
-    alpha: float
-    decomposition: NoveltyDecomposition
-
-
 def _check_lengths(c: Tensor, m: Tensor) -> None:
     if c.shape != m.shape or c.ndim != 1:
         raise NumericsError(f"vector length mismatch: {c.shape} vs {m.shape}")
@@ -59,27 +45,15 @@ def ont_novelty(c: Tensor, m: Tensor) -> Tensor:
     return c - ont_proj(c, m)
 
 
-def decompose(c: Tensor, m: Tensor) -> NoveltyDecomposition:
-    c, m = _wrap(c), _wrap(m)
-    aligned = ont_proj(c, m)
-    return NoveltyDecomposition(
-        aligned=aligned,
-        novelty=c - aligned,
-        reference_norm_sq=float((m.data * m.data).sum()),
-    )
-
-
-def ont_transport(alpha: float, c: Tensor, m: Tensor) -> TransportResult:
+def ont_transport(alpha: float, c: Tensor, m: Tensor) -> Tensor:
     """Transported summary c + alpha * novelty; keeps <x, m> = <c, m>."""
     c, m = _wrap(c), _wrap(m)
-    d = decompose(c, m)
+    _check_lengths(c, m)
     if _reference_is_zero(m):
         # Zero reference: the whole summary is novelty, so the transport is
         # exactly the unconstrained amplification.
-        transported = c * (1.0 + alpha)
-    else:
-        transported = c + d.novelty * alpha
-    return TransportResult(transported=transported, alpha=alpha, decomposition=d)
+        return c * (1.0 + alpha)
+    return c + ont_novelty(c, m) * alpha
 
 
 def ont_target(alpha: float, c: Tensor) -> Tensor:
@@ -133,6 +107,8 @@ def verify_properties(trials: int = 1000, seed: int = 0) -> tuple[list[PropertyC
     including 0, and m = 0 cases mixed in. Returns the per-property
     worst errors and the wall-clock runtime.
     """
+    if trials < 1:
+        raise NumericsError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     errs = {
         "feasibility": 0.0,
@@ -154,10 +130,10 @@ def verify_properties(trials: int = 1000, seed: int = 0) -> tuple[list[PropertyC
         m = np.zeros(dim) if trial % 7 == 0 else rng.standard_normal(dim)
         ct, mt = Tensor(c), Tensor(m)
 
-        res = ont_transport(alpha, ct, mt)
-        t = res.transported.data
-        p = res.decomposition.aligned.data
-        n = res.decomposition.novelty.data
+        transported = ont_transport(alpha, ct, mt)
+        t = transported.data
+        p = ont_proj(ct, mt).data
+        n = ont_novelty(ct, mt).data
         y = ont_target(alpha, ct).data
 
         scale = max(1.0, float(np.linalg.norm(c) * np.linalg.norm(m)))
@@ -190,7 +166,7 @@ def verify_properties(trials: int = 1000, seed: int = 0) -> tuple[list[PropertyC
         # Variational identity holds for arbitrary x, feasible or not.
         x_any = x if trial % 2 == 0 else c + rng.standard_normal(dim)
         jx = ont_write_objective(alpha, ct, mt, Tensor(x_any))
-        jt = ont_write_objective(alpha, ct, mt, res.transported)
+        jt = ont_write_objective(alpha, ct, mt, transported)
         half_sq = 0.5 * float(((x_any - t) ** 2).sum())
         errs["variational"] = max(
             errs["variational"],

@@ -25,8 +25,6 @@ def init_cache(cfg: ModelConfig) -> DecodeCache:
 def step_decode(token: int, cache: DecodeCache, params: ParameterStore,
                 cfg: ModelConfig) -> tuple[Logits, DecodeCache]:
     """Run the model on one token as a span that continues the cache."""
-    if cache.position >= cfg.max_seq_len:
-        raise NumericsError("decode past max_seq_len")
     with no_grad():
         logits, _ = model_forward([token], params, cfg, caches=cache.layers,
                                   position=cache.position)

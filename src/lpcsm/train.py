@@ -3,7 +3,6 @@ ablation driver."""
 
 from __future__ import annotations
 
-import hashlib
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -136,9 +135,10 @@ class ProbeSpec:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.n_prompts < 1 or self.key_len < 1 or self.distractor_len < 0:
-            raise NumericsError("probe needs n_prompts >= 1, key_len >= 1 "
-                                "and distractor_len >= 0")
+        if (self.n_prompts < 1 or self.key_len < 1 or self.distractor_len < 0
+                or self.seed < 0):
+            raise NumericsError("probe needs n_prompts >= 1, key_len >= 1, "
+                                "distractor_len >= 0 and seed >= 0")
         if 2 * self.key_len + self.distractor_len + 1 > self.prompt_len:
             raise NumericsError("probe key, distractor, trigger and recall "
                                 "exceed prompt_len")
@@ -148,7 +148,6 @@ class ProbeSpec:
 class ProbeResult:
     key_cross_entropy: float
     prompt_length: int
-    config_fingerprint: str
 
 
 def probe_delayed_identifier(params: ParameterStore, cfg: ModelConfig,
@@ -170,11 +169,7 @@ def probe_delayed_identifier(params: ParameterStore, cfg: ModelConfig,
             lp = log_softmax(logits.lm).data
             picked = lp[np.arange(task.seq_len), targets[i]]
             ce += -float(picked[key].mean()) / spec.n_prompts
-    return ProbeResult(
-        key_cross_entropy=ce,
-        prompt_length=spec.prompt_len,
-        config_fingerprint=hashlib.sha256(cfg.to_canonical().encode()).hexdigest(),
-    )
+    return ProbeResult(key_cross_entropy=ce, prompt_length=spec.prompt_len)
 
 
 @dataclass

@@ -169,7 +169,7 @@ class TestCausalMaskBitsOracle:
 
         errs = np.asarray(errs, dtype=np.float64)
         hard, soft, ratio = causal_mask_bits(Tensor(errs), cp)
-        ref_hard, ref_soft = per_prefix_bits(errs, cp, ratio)
+        ref_hard, ref_soft = per_prefix_bits(errs, cp, float(ratio.data))
         assert np.array_equal(hard.data, ref_hard)
         assert np.array_equal(soft.data, ref_soft)
         for p in splits:

@@ -376,6 +376,8 @@ class TestProbe:
                                      ProbeSpec(prompt_len=999))
 
     def test_fingerprint_independent_of_hash_seed(self):
+        # The probe's key cross-entropy, to the last bit, across processes
+        # with different string hash seeds.
         code = (
             "from lpcsm.model import ModelConfig, init_params\n"
             "from lpcsm.train import probe_delayed_identifier, ProbeSpec\n"
@@ -384,7 +386,7 @@ class TestProbe:
             "spec = ProbeSpec(n_prompts=1, prompt_len=24, distractor_len=8,"
             " key_len=3)\n"
             "print(probe_delayed_identifier(init_params(cfg), cfg, spec)"
-            ".config_fingerprint)\n"
+            ".key_cross_entropy.hex())\n"
         )
         runs = [run_python(["-c", code], PYTHONHASHSEED=seed)
                 for seed in ("1", "2")]
@@ -476,6 +478,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("pass") >= 7
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_verify_ont_without_trials(self, trials, capsys):
+        assert main(["verify-ont", "--trials", trials]) == 2
+        assert "pass" not in capsys.readouterr().out
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("model:\n  nonsense: 1\n")
@@ -550,6 +557,13 @@ class TestCli:
             run_yaml("steps: 2", "steps: 2\n  batch_size: 0"), ["train"], 2),
         "negative seed": (
             run_yaml("steps: 2", "steps: 2\n  seed: -1"), ["train"], 2),
+        "negative task seed": (
+            run_yaml("key_len: 3", "key_len: 3\n  seed: -1"), ["train"], 2),
+        "negative eval task seed": (
+            None, ["eval", "--task", TASK + ",seed=-1"], 2),
+        "negative probe seed": (
+            None, ["probe", "--probe-spec",
+                   PROBE_SPEC.replace("seed=1", "seed=-3")], 2),
         "zero steps": (run_yaml("steps: 2", "steps: 0"), ["train"], 2),
         "zero steps flag": (TestRunConfig.GOOD, ["train", "--steps", "0"], 2),
         "task vocab above model vocab": (
@@ -589,6 +603,9 @@ class TestCli:
             None, ["generate", "--prompt", "2,3", "--max-new", "31"], 2),
         "negative max-new": (
             None, ["generate", "--prompt", "2,3", "--max-new", "-3"], 2),
+        "eos above vocab": (None, ["generate", *PROMPT, "--eos", "11"], 2),
+        "nan stop threshold": (
+            None, ["generate", *PROMPT, "--stop-threshold", "nan"], 2),
         "non-finite checkpoint tensor": (nan_last_value, ["generate", *PROMPT], 3),
     }
 

@@ -6,7 +6,7 @@ import pytest
 
 from lpcsm.numerics import Tensor, NumericsError
 from lpcsm.ont import (
-    ont_proj, ont_novelty, decompose, ont_transport, ont_target,
+    ont_proj, ont_novelty, ont_transport, ont_target,
     ont_oracle_min, ont_write_objective, verify_properties,
 )
 
@@ -44,26 +44,27 @@ class TestNovelty:
         rng = np.random.default_rng(0)
         for _ in range(50):
             c, m = rng.standard_normal(5), rng.standard_normal(5)
-            d = decompose(Tensor(c), Tensor(m))
-            assert np.max(np.abs(d.aligned.data + d.novelty.data - c)) < 1e-12
+            aligned = ont_proj(Tensor(c), Tensor(m)).data
+            novelty = ont_novelty(Tensor(c), Tensor(m)).data
+            assert np.max(np.abs(aligned + novelty - c)) < 1e-12
 
 
 class TestTransport:
     def test_orthogonal_scales(self):
-        t = ont_transport(0.5, vec(1, 0), vec(0, 1)).transported
+        t = ont_transport(0.5, vec(1, 0), vec(0, 1))
         assert np.max(np.abs(t.data - [1.5, 0])) < 1e-15
 
     def test_aligned_unchanged(self):
-        t = ont_transport(3.0, vec(2, 0), vec(1, 0)).transported
+        t = ont_transport(3.0, vec(2, 0), vec(1, 0))
         assert np.array_equal(t.data, [2, 0])
 
     def test_general(self):
-        t = ont_transport(1.0, vec(1, 1), vec(1, 0)).transported
+        t = ont_transport(1.0, vec(1, 1), vec(1, 0))
         assert np.max(np.abs(t.data - [1, 2])) < 1e-15
 
     def test_zero_reference_exact(self):
         c = vec(0.3, -1.7, 2.0)
-        t = ont_transport(2.0, c, vec(0, 0, 0)).transported
+        t = ont_transport(2.0, c, vec(0, 0, 0))
         assert np.array_equal(t.data, c.data * 3.0)
 
 
@@ -101,7 +102,7 @@ class TestOracle:
             alpha = float(rng.uniform(-2, 4))
             c, m = rng.standard_normal(dim), rng.standard_normal(dim)
             oracle = ont_oracle_min(alpha, Tensor(c), Tensor(m)).data
-            direct = ont_transport(alpha, Tensor(c), Tensor(m)).transported.data
+            direct = ont_transport(alpha, Tensor(c), Tensor(m)).data
             assert np.max(np.abs(oracle - direct)) < 1e-10
 
 
@@ -126,7 +127,7 @@ class TestWriteObjective:
             dim = int(rng.integers(1, 12))
             alpha = float(rng.uniform(-2, 4))
             c, m, x = (rng.standard_normal(dim) for _ in range(3))
-            t = ont_transport(alpha, Tensor(c), Tensor(m)).transported.data
+            t = ont_transport(alpha, Tensor(c), Tensor(m)).data
             jx = ont_write_objective(alpha, Tensor(c), Tensor(m), Tensor(x))
             jt = ont_write_objective(alpha, Tensor(c), Tensor(m), Tensor(t))
             gap = 0.5 * float(((x - t) ** 2).sum())
@@ -141,6 +142,11 @@ class TestPropertySuite:
             assert c.passed, f"{c.name}: {c.max_error} > {c.tol}"
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(NumericsError):
+            verify_properties(trials=trials)
+
     def test_gradient_through_transport(self):
         from lpcsm.numerics import ParameterStore, grad_check
 
@@ -150,7 +156,7 @@ class TestPropertySuite:
         params.add("m", rng.standard_normal(4))
 
         def loss(p):
-            t = ont_transport(0.7, p["c"], p["m"]).transported
+            t = ont_transport(0.7, p["c"], p["m"])
             return (t * t).sum()
 
         assert grad_check(loss, params).passed

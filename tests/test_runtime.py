@@ -32,7 +32,7 @@ class TestCache:
         assert cache.position == 0
         assert len(cache.layers) == cfg.layers
         for lc in cache.layers:
-            assert lc.chunk_count == lc.writes == 0
+            assert lc.chunk_count == 0
             assert lc.history is None
             assert np.array_equal(lc.fast.data, np.zeros(cfg.width))
 
@@ -95,9 +95,10 @@ class TestParity:
         cache = init_cache(cfg)
         writes = []
         for t in range(8):
-            _, cache = step_decode(2, cache, params, cfg)
-            writes.append(cache.layers[0].writes)
-        assert writes == [0, 0, 0, 1, 1, 1, 1, 2]
+            _, aux = model_forward([2], params, cfg, caches=cache.layers,
+                                   position=t)
+            writes.append(sum(a.write_count for a in aux))
+        assert np.cumsum(writes).tolist() == [0, 0, 0, 1, 1, 1, 1, 2]
 
     def test_stop_logit_parity(self):
         cfg = tiny_cfg()
