@@ -56,17 +56,14 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
         scores[:, rows[:, None] < w - 1] = MASK_VALUE
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = _op((p @ vw).transpose(1, 0, 2, 3).reshape(t_len, d), (q, k, v))
-    if out._prev:
-        def bw(g):
-            gh = g.reshape(t_len, heads, 1, hd).transpose(1, 0, 2, 3)
-            gp = gh @ vw.swapaxes(-1, -2)
-            gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-            _accum(q, (gs @ kw).transpose(1, 0, 2, 3).reshape(t_len, d))
-            _accum(k, unwindow(gs.swapaxes(-1, -2) * qh))
-            _accum(v, unwindow(p.swapaxes(-1, -2) * gh))
-        out._backward = bw
-    return out
+    def bw(g):
+        gh = g.reshape(t_len, heads, 1, hd).transpose(1, 0, 2, 3)
+        gp = gh @ vw.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        _accum(q, (gs @ kw).transpose(1, 0, 2, 3).reshape(t_len, d))
+        _accum(k, unwindow(gs.swapaxes(-1, -2) * qh))
+        _accum(v, unwindow(p.swapaxes(-1, -2) * gh))
+    return _op((p @ vw).transpose(1, 0, 2, 3).reshape(t_len, d), (q, k, v), bw)
 
 
 def _with_past(hidden: Tensor, past: Tensor | None) -> Tensor:

@@ -102,6 +102,8 @@ def _cmd_generate(args) -> int:
     if args.stop_threshold is not None and not 0.0 <= args.stop_threshold <= 1.0:
         raise ConfigError(f"--stop-threshold must lie in [0, 1], "
                           f"got {args.stop_threshold}")
+    if args.stop_threshold is not None and not cfg.stop_head:
+        raise ConfigError("--stop-threshold needs a checkpoint with a stop head")
     # An --eos stop may never come, so the whole budget must fit.
     if len(prompt) + args.max_new > cfg.max_seq_len:
         raise ConfigError(f"prompt of {len(prompt)} tokens plus --max-new "

@@ -176,24 +176,22 @@ def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
         mu[r], theta[r] = m, j
 
     soft_vals = expit(diff)
-    soft = _op(soft_vals, (e, p.scale, p.bias))
-    if soft._prev:
-        def bw(g):
-            gs = g * soft_vals * (1.0 - soft_vals) * inv_temp  # d/d(s_t - s_theta)
-            dz = (e.data - norms[theta]) * slope               # z_t - z_theta
-            _accum(p.scale, np.sum(gs * dz))
-            _accum(p.bias, np.zeros(()))  # cancels in s_t - s_theta
-            w = gs * scale * slope          # d/de_t, and minus d/de_theta
-            full = np.zeros(norms.shape[0])
-            full[start:] += w
-            np.subtract.at(full, theta, w)
-            # The std term: c_t * (e_i - mu_t) for every i <= t of a row
-            # with var > 0, summed over t with two reverse cumsums; both
-            # sides are taken about the last mean to keep the difference.
-            c = np.divide(-w * dz, (np.arange(start, norms.shape[0]) + 1.0) * sd,
-                          out=np.zeros(span), where=sd > 0.0)
-            tail = np.cumsum(c[::-1])[::-1]
-            tail_mu = np.cumsum((c * (mu - mu[-1]))[::-1])[::-1]
-            _accum(e, full[start:] + (e.data - mu[-1]) * tail - tail_mu)
-        soft._backward = bw
+    def bw(g):
+        gs = g * soft_vals * (1.0 - soft_vals) * inv_temp  # d/d(s_t - s_theta)
+        dz = (e.data - norms[theta]) * slope               # z_t - z_theta
+        _accum(p.scale, np.sum(gs * dz))
+        _accum(p.bias, np.zeros(()))  # cancels in s_t - s_theta
+        w = gs * scale * slope          # d/de_t, and minus d/de_theta
+        full = np.zeros(norms.shape[0])
+        full[start:] += w
+        np.subtract.at(full, theta, w)
+        # The std term: c_t * (e_i - mu_t) for every i <= t of a row
+        # with var > 0, summed over t with two reverse cumsums; both
+        # sides are taken about the last mean to keep the difference.
+        c = np.divide(-w * dz, (np.arange(start, norms.shape[0]) + 1.0) * sd,
+                      out=np.zeros(span), where=sd > 0.0)
+        tail = np.cumsum(c[::-1])[::-1]
+        tail_mu = np.cumsum((c * (mu - mu[-1]))[::-1])[::-1]
+        _accum(e, full[start:] + (e.data - mu[-1]) * tail - tail_mu)
+    soft = _op(soft_vals, (e, p.scale, p.bias), bw)
     return straight_through(hard, soft), soft

@@ -5,6 +5,7 @@ block serves teacher forcing and incremental decode."""
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -80,13 +81,15 @@ class ModelConfig:
             raise NumericsError("chunk_size and window must be positive")
         if not (0 <= self.s_ref <= 8):
             raise NumericsError("s_ref must lie in 0..8")
-        if self.alpha_n < 0.0:
-            raise NumericsError("alpha_n must be >= 0 for model use")
+        if not 0.0 <= self.alpha_n < math.inf:
+            raise NumericsError("alpha_n must be finite and >= 0 for model use")
         if not (0.0 < self.ratio_min < self.ratio_init < self.ratio_max <= 1.0):
             raise NumericsError("ratios must satisfy "
                                 "0 < ratio_min < ratio_init < ratio_max <= 1")
-        if self.temperature <= 0.0:
-            raise NumericsError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise NumericsError("temperature must be finite and positive")
+        if not 0.0 < self.rmsnorm_eps < math.inf:
+            raise NumericsError("rmsnorm_eps must be finite and positive")
         if self.mhc_streams < 2 or self.sinkhorn_iters < 1:
             raise NumericsError("mhc needs mhc_streams >= 2 and sinkhorn_iters >= 1")
         if self.latent_dim is not None and self.latent_dim < 1:

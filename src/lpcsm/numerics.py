@@ -21,6 +21,8 @@ class NumericsError(Exception):
 # evaluations run with the tape off.
 _GRAD_ENABLED = True
 
+_F64 = np.dtype(np.float64)
+
 
 class no_grad:
     """Context manager that disables tape construction."""
@@ -123,22 +125,16 @@ class Tensor:
 
     def __add__(self, other):
         a, b = self, _wrap(other)
-        out = _op(a.data + b.data, (a, b))
-        if out._prev:
-            def bw(g):
-                _accum(a, g)
-                _accum(b, g)
-            out._backward = bw
-        return out
+        def bw(g):
+            _accum(a, g)
+            _accum(b, g)
+        return _op(a.data + b.data, (a, b), bw)
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self
-        out = _op(-a.data, (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, -g)
-        return out
+        return _op(-a.data, (a,), lambda g: _accum(a, -g))
 
     def __sub__(self, other):
         return self + (-_wrap(other))
@@ -148,28 +144,19 @@ class Tensor:
 
     def __mul__(self, other):
         a, b = self, _wrap(other)
-        out = _op(a.data * b.data, (a, b))
-        if out._prev:
-            def bw(g):
-                _accum(a, g * b.data)
-                _accum(b, g * a.data)
-            out._backward = bw
-        return out
+        def bw(g):
+            _accum(a, g * b.data)
+            _accum(b, g * a.data)
+        return _op(a.data * b.data, (a, b), bw)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self, _wrap(other)
-        out = _op(a.data / b.data, (a, b))
-        if out._prev:
-            def bw(g):
-                _accum(a, g / b.data)
-                _accum(b, -g * a.data / (b.data * b.data))
-            out._backward = bw
-        return out
-
-    def __rtruediv__(self, other):
-        return _wrap(other) / self
+        def bw(g):
+            _accum(a, g / b.data)
+            _accum(b, -g * a.data / (b.data * b.data))
+        return _op(a.data / b.data, (a, b), bw)
 
     def __matmul__(self, other):
         a, b = self, _wrap(other)
@@ -177,99 +164,73 @@ class Tensor:
             data = a.data @ b.data
         except ValueError as e:
             raise NumericsError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from e
-        out = _op(data, (a, b))
-        if out._prev:
-            def bw(g):
-                ad, bd = a.data, b.data
-                a2 = ad if ad.ndim > 1 else ad[None, :]
-                b2 = bd if bd.ndim > 1 else bd[:, None]
-                g2 = g
-                if ad.ndim == 1 and bd.ndim == 1:
-                    g2 = g.reshape(1, 1)
-                elif ad.ndim == 1:
-                    g2 = g[..., None, :]
-                elif bd.ndim == 1:
-                    g2 = g[..., :, None]
-                ga = g2 @ np.swapaxes(b2, -1, -2)
-                gb = np.swapaxes(a2, -1, -2) @ g2
-                _accum(a, _unbroadcast(ga, a2.shape).reshape(ad.shape))
-                _accum(b, _unbroadcast(gb, b2.shape).reshape(bd.shape))
-            out._backward = bw
-        return out
+        def bw(g):
+            ad, bd = a.data, b.data
+            a2 = ad if ad.ndim > 1 else ad[None, :]
+            b2 = bd if bd.ndim > 1 else bd[:, None]
+            g2 = g
+            if ad.ndim == 1 and bd.ndim == 1:
+                g2 = g.reshape(1, 1)
+            elif ad.ndim == 1:
+                g2 = g[..., None, :]
+            elif bd.ndim == 1:
+                g2 = g[..., :, None]
+            ga = g2 @ np.swapaxes(b2, -1, -2)
+            gb = np.swapaxes(a2, -1, -2) @ g2
+            _accum(a, _unbroadcast(ga, a2.shape).reshape(ad.shape))
+            _accum(b, _unbroadcast(gb, b2.shape).reshape(bd.shape))
+        return _op(data, (a, b), bw)
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
         a = self
-        out = _op(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-        if out._prev:
-            def bw(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                _accum(a, np.broadcast_to(g, a.data.shape))
-            out._backward = bw
-        return out
+        def bw(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            _accum(a, np.broadcast_to(g, a.data.shape))
+        return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
     def mean(self, axis=None, keepdims=False):
         a = self
-        out = _op(a.data.mean(axis=axis, keepdims=keepdims), (a,))
-        if out._prev:
+        def bw(g):
             n = a.data.size if axis is None else a.data.shape[axis]
-            def bw(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                _accum(a, np.broadcast_to(g, a.data.shape) / n)
-            out._backward = bw
-        return out
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            _accum(a, np.broadcast_to(g, a.data.shape) / n)
+        return _op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
 
     # -- elementwise nonlinearities ----------------------------------------
 
     def tanh(self):
         a = self
         y = np.tanh(a.data)
-        out = _op(y, (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, g * (1.0 - y * y))
-        return out
+        return _op(y, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
 
     def sigmoid(self):
         a = self
         y = expit(a.data)
-        out = _op(y, (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, g * y * (1.0 - y))
-        return out
+        return _op(y, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
 
     def softplus(self):
         """log(1 + exp(x)), without overflow for large x."""
         a = self
-        out = _op(np.logaddexp(0.0, a.data), (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, g * expit(a.data))
-        return out
+        return _op(np.logaddexp(0.0, a.data), (a,),
+                   lambda g: _accum(a, g * expit(a.data)))
 
     def exp(self):
         a = self
         y = np.exp(a.data)
-        out = _op(y, (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, g * y)
-        return out
+        return _op(y, (a,), lambda g: _accum(a, g * y))
 
     def log(self):
         a = self
-        out = _op(np.log(a.data), (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, g / a.data)
-        return out
+        return _op(np.log(a.data), (a,), lambda g: _accum(a, g / a.data))
 
     def sqrt(self):
         a = self
         y = np.sqrt(a.data)
-        out = _op(y, (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, g * 0.5 / y)
-        return out
+        return _op(y, (a,), lambda g: _accum(a, g * 0.5 / y))
 
     def softmax(self):
         """Softmax over the last axis; subtracts the row max before exp."""
@@ -277,65 +238,54 @@ class Tensor:
         shifted = a.data - a.data.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=-1, keepdims=True)
-        out = _op(y, (a,))
-        if out._prev:
-            def bw(g):
-                _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-            out._backward = bw
-        return out
+        def bw(g):
+            _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        return _op(y, (a,), bw)
 
     # -- structure ----------------------------------------------------------
 
     def reshape(self, shape):
         a = self
-        out = _op(a.data.reshape(shape), (a,))
-        if out._prev:
-            out._backward = lambda g: _accum(a, g.reshape(a.data.shape))
-        return out
+        return _op(a.data.reshape(shape), (a,),
+                   lambda g: _accum(a, g.reshape(a.data.shape)))
 
     def transpose(self, axes=None):
         a = self
-        out = _op(np.transpose(a.data, axes), (a,))
-        if out._prev:
+        def bw(g):
             inv = None if axes is None else np.argsort(axes)
-            out._backward = lambda g: _accum(a, np.transpose(g, inv))
-        return out
+            _accum(a, np.transpose(g, inv))
+        return _op(np.transpose(a.data, axes), (a,), bw)
 
     def __getitem__(self, key):
         a = self
-        out = _op(a.data[key], (a,))
-        if out._prev:
-            def bw(g):
-                full = np.zeros_like(a.data)
-                full[key] = g
-                _accum(a, full)
-            out._backward = bw
-        return out
-
-
-def _node(data) -> Tensor:
-    """A Tensor around `data` without the constructor's copy and check."""
-    out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
-    out.requires_grad = False
-    out._prev = ()
-    out._backward = None
-    return out
+        def bw(g):
+            full = np.zeros_like(a.data)
+            full[key] = g
+            _accum(a, full)
+        return _op(a.data[key], (a,), bw)
 
 
 def _wrap(x) -> Tensor:
     """An operand as a Tensor; constants are copied but not checked."""
-    return x if isinstance(x, Tensor) else _node(np.array(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else _op(np.array(x, dtype=np.float64), (), None)
 
 
-def _op(data: np.ndarray, inputs: tuple) -> Tensor:
-    """The tape node of an op's freshly computed result. Its finiteness is
-    checked at the model's boundaries, not here."""
-    out = _node(data)
+def _op(data, inputs: tuple, backward) -> Tensor:
+    """The tape node of an op's freshly computed result, built without the
+    constructor's copy and check: finiteness is checked at the model's
+    boundaries. While the tape is on and an input requires grad, the node
+    records `inputs` and `backward(g)`, which accumulates g's share into
+    each input; otherwise it records nothing."""
+    out = Tensor.__new__(Tensor)
+    # Most results are float64 arrays already, and this check costs less
+    # than np.asarray on one.
+    out.data = (data if type(data) is np.ndarray and data.dtype is _F64
+                else np.asarray(data, dtype=np.float64))
+    out.grad = None
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._prev = inputs
+        out.requires_grad, out._prev, out._backward = True, inputs, backward
+    else:
+        out.requires_grad, out._prev, out._backward = False, (), None
     return out
 
 
@@ -351,15 +301,11 @@ def _accum(t: Tensor, g) -> None:
 
 def concat(tensors, axis=0) -> Tensor:
     ts = [_wrap(t) for t in tensors]
-    out = _op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts))
-    if out._prev:
-        sizes = [t.data.shape[axis] for t in ts]
-        splits = np.cumsum(sizes)[:-1]
-        def bw(g):
-            for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-                _accum(t, piece)
-        out._backward = bw
-    return out
+    def bw(g):
+        splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
+        for t, piece in zip(ts, np.split(g, splits, axis=axis)):
+            _accum(t, piece)
+    return _op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bw)
 
 
 def stack(tensors) -> Tensor:
@@ -370,14 +316,11 @@ def stack(tensors) -> Tensor:
 def take_rows(t: Tensor, indices) -> Tensor:
     """Gather rows along the leading axis (integer fancy indexing)."""
     idx = np.asarray(indices, dtype=np.int64)
-    out = _op(t.data[idx], (t,))
-    if out._prev:
-        def bw(g):
-            full = np.zeros_like(t.data)
-            np.add.at(full, idx, g)
-            _accum(t, full)
-        out._backward = bw
-    return out
+    def bw(g):
+        full = np.zeros_like(t.data)
+        np.add.at(full, idx, g)
+        _accum(t, full)
+    return _op(t.data[idx], (t,), bw)
 
 
 def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
@@ -398,23 +341,20 @@ def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
     for t in range(dec.shape[0]):
         f = dec[t] * f + wr[t]
         rows[t] = f
-    out = _op(rows.reshape(a.shape), (a, b, f0))
-    if out._prev:
-        def bw(g):
-            g = g.reshape(dec.shape)
-            g_dec = np.empty_like(dec)
-            g_wr = np.empty_like(dec)
-            carry = np.zeros_like(f0.data)  # dL/df_t from later steps
-            for t in range(dec.shape[0] - 1, -1, -1):
-                carry = carry + g[t]
-                g_wr[t] = carry
-                g_dec[t] = carry * (rows[t - 1] if t > 0 else f0.data)
-                carry = carry * dec[t]
-            _accum(a, g_dec.reshape(a.shape))
-            _accum(b, g_wr.reshape(a.shape))
-            _accum(f0, carry)
-        out._backward = bw
-    return out
+    def bw(g):
+        g = g.reshape(dec.shape)
+        g_dec = np.empty_like(dec)
+        g_wr = np.empty_like(dec)
+        carry = np.zeros_like(f0.data)  # dL/df_t from later steps
+        for t in range(dec.shape[0] - 1, -1, -1):
+            carry = carry + g[t]
+            g_wr[t] = carry
+            g_dec[t] = carry * (rows[t - 1] if t > 0 else f0.data)
+            carry = carry * dec[t]
+        _accum(a, g_dec.reshape(a.shape))
+        _accum(b, g_wr.reshape(a.shape))
+        _accum(f0, carry)
+    return _op(rows.reshape(a.shape), (a, b, f0), bw)
 
 
 def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
@@ -422,10 +362,7 @@ def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
     hard = np.asarray(hard_values, dtype=np.float64)
     if hard.shape != soft.shape:
         raise NumericsError("straight-through shape mismatch")
-    out = _op(hard, (soft,))
-    if out._prev:
-        out._backward = lambda g: _accum(soft, g)
-    return out
+    return _op(hard, (soft,), lambda g: _accum(soft, g))
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
@@ -493,7 +430,7 @@ def forward_backward(root: Tensor, params: ParameterStore) -> dict[str, Tensor]:
     for name, t in params.trainable_items():
         if t.grad is not None:
             check_finite(t.grad, f"gradient of {name!r}")
-            grads[name] = _node(t.grad.copy())
+            grads[name] = _op(t.grad.copy(), (), None)
     return grads
 
 

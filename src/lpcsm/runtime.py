@@ -42,6 +42,8 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
         raise NumericsError("generate requires a nonempty prompt")
     if max_new < 0:
         raise NumericsError("max_new must be >= 0")
+    if stop_threshold is not None and not cfg.stop_head:
+        raise NumericsError("stop_threshold needs a model with a stop head")
     cache = init_cache(cfg)
     logits = None
     for tok in prompt:
@@ -53,7 +55,6 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
         if eos_token is not None and nxt == eos_token:
             break
         logits, cache = step_decode(nxt, cache, params, cfg)
-        if (stop_threshold is not None and cfg.stop_head
-                and expit(logits.stop.item()) > stop_threshold):
+        if stop_threshold is not None and expit(logits.stop.item()) > stop_threshold:
             break
     return out

@@ -417,6 +417,12 @@ def nan_last_value(path):
     open(path, "wb").write(raw[:-8] + struct.pack("<d", float("nan")))
 
 
+def save_without_stop_head(path):
+    """Replace a checkpoint with one of the same model minus its stop head."""
+    cfg = tiny_cfg(stop_head=False)
+    save_checkpoint(init_params(cfg), cfg, path)
+
+
 def run_yaml(old, new):
     """The good run config with `old` replaced by `new`."""
     assert old in TestRunConfig.GOOD
@@ -550,6 +556,15 @@ class TestCli:
         "ratio_min above ratio_init": (
             model_yaml("ratio_min: 0.9"), ["train"], 2),
         "zero temperature": (model_yaml("temperature: 0.0"), ["train"], 2),
+        "nan temperature": (model_yaml("temperature: .nan"), ["train"], 2),
+        "infinite temperature": (model_yaml("temperature: .inf"), ["train"], 2),
+        "nan alpha_n": (model_yaml("alpha_n: .nan"), ["train"], 2),
+        "infinite alpha_n": (model_yaml("alpha_n: .inf"), ["train"], 2),
+        "negative rmsnorm_eps": (model_yaml("rmsnorm_eps: -1.0"), ["train"], 2),
+        "nan rmsnorm_eps": (model_yaml("rmsnorm_eps: .nan"), ["train"], 2),
+        "checkpoint infinite alpha_n": (
+            lambda p: rewrite_config(p, "alpha_n=0.5", "alpha_n=1e999"),
+            ["generate", *PROMPT], 4),
         "one mhc stream": (model_yaml("mhc_streams: 1"), ["train"], 2),
         "zero sinkhorn iters": (model_yaml("sinkhorn_iters: 0"), ["train"], 2),
         "zero latent_dim": (model_yaml("latent_dim: 0"), ["train"], 2),
@@ -606,6 +621,9 @@ class TestCli:
         "eos above vocab": (None, ["generate", *PROMPT, "--eos", "11"], 2),
         "nan stop threshold": (
             None, ["generate", *PROMPT, "--stop-threshold", "nan"], 2),
+        "stop threshold without a stop head": (
+            save_without_stop_head,
+            ["generate", *PROMPT, "--stop-threshold", "0.0"], 2),
         "non-finite checkpoint tensor": (nan_last_value, ["generate", *PROMPT], 3),
     }
 

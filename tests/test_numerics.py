@@ -1,14 +1,23 @@
 """Autodiff core: primitive gradients against finite differences, the
 norm helper, and the gradient-check harness itself."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lpcsm
+from lpcsm.attention import local_attention
+from lpcsm.controller import ControllerParams
+from lpcsm.model import causal_mask_bits
 from lpcsm.numerics import (
     Tensor, NumericsError, no_grad, concat, stack, take_rows,
     straight_through, gated_scan, rmsnorm, ParameterStore, forward_backward,
     grad_check, check_finite,
 )
+
+SRC = Path(lpcsm.__file__).parent
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -179,6 +188,59 @@ class TestTensorBasics:
         with no_grad():
             y = (x * 2.0).sum()
         assert y._prev == ()
+        # Each node-building op, with inputs that require grad, keeps no
+        # inputs and no backward closure while the tape is off.
+        rng = np.random.default_rng(7)
+
+        def leaf(*shape):
+            return Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=True)
+
+        x, m = leaf(2, 4), leaf(4, 3)
+        params = ParameterStore()
+        for name, shape in (("w_qkv", (4, 12)), ("b_qkv", (12,)),
+                            ("w_o", (4, 4)), ("b_o", (4,))):
+            params.add("attn." + name, rng.standard_normal(shape))
+        cp = ControllerParams(bias=leaf(), scale=leaf(), temperature=1.0,
+                              ratio_raw=leaf(), ratio_min=0.1, ratio_max=0.9)
+        builds = [
+            lambda: x + 1.0, lambda: 1.0 + x, lambda: -x, lambda: x - 1.0,
+            lambda: 1.0 - x, lambda: x * 2.0, lambda: 2.0 * x,
+            lambda: x / 2.0, lambda: x @ m, lambda: x.sum(), lambda: x.mean(0),
+            lambda: x.tanh(), lambda: x.sigmoid(), lambda: x.softplus(),
+            lambda: x.exp(), lambda: x.log(), lambda: x.sqrt(),
+            lambda: x.softmax(), lambda: x.reshape((4, 2)),
+            lambda: x.transpose(), lambda: x[1],
+            lambda: concat([x, x]), lambda: take_rows(x, [1, 0, 1]),
+            lambda: gated_scan(x, x, x[0]),
+            lambda: straight_through(np.ones(4), x[0]),
+            lambda: local_attention(x, 2, 2, params),
+            lambda: causal_mask_bits(x[0], cp),
+        ]
+        with no_grad():
+            for build in builds:
+                out = build()
+                for t in out if isinstance(out, tuple) else (out,):
+                    assert t._prev == () and t._backward is None
+                    assert not t.requires_grad
+
+    def test_only_op_records_tape(self):
+        # One protocol builds tape nodes: outside numerics._op, only the
+        # public constructor sets its own empty record.
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            if path.stem == "numerics":
+                tensor = next(n for n in tree.body if getattr(n, "name", "") == "Tensor")
+                for fn in [*tree.body, *tensor.body]:
+                    if getattr(fn, "name", "") in ("_op", "__init__"):
+                        allowed.update(range(fn.lineno, fn.end_lineno + 1))
+            offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                          if isinstance(n, ast.Attribute)
+                          and n.attr in ("_prev", "_backward")
+                          and isinstance(n.ctx, ast.Store)
+                          and n.lineno not in allowed]
+        assert offenders == []
 
     def test_straight_through_values_and_grad(self):
         soft = Tensor(np.array([0.2, 0.8]), requires_grad=True)

@@ -1,10 +1,12 @@
 """Incremental decoding: cache lifecycle, teacher-forcing parity, and
 greedy generation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from lpcsm.numerics import NumericsError
+from lpcsm.numerics import NumericsError, Tensor
 from lpcsm.model import ModelConfig, init_params, model_forward
 from lpcsm.runtime import init_cache, step_decode, generate
 
@@ -50,6 +52,21 @@ class TestCache:
         full, _ = model_forward([4], params, cfg)
         assert np.max(np.abs(logits.lm.data - full.lm.data[0])) < 1e-9
         assert cache.position == 1
+
+    def test_cache_holds_no_tape(self):
+        # Decode runs with the tape off even though the parameters require
+        # grad, so nothing the cache carries links back to earlier tokens.
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=2)
+        cache = init_cache(cfg)
+        for tok in [2, 3, 4, 5, 6, 7, 8]:
+            _, cache = step_decode(tok, cache, params, cfg)
+        held = [getattr(lc, f.name) for lc in cache.layers for f in fields(lc)]
+        tensors = [t for t in held if isinstance(t, Tensor)]
+        assert len(tensors) == 5 * cfg.layers
+        for t in tensors:
+            assert t._prev == () and t._backward is None
+            assert not t.requires_grad
 
     def test_position_advances_and_bounds(self):
         cfg = tiny_cfg(max_seq_len=3, layers=1)
@@ -154,6 +171,12 @@ class TestGenerate:
         out = generate([2, 3], 8, params, cfg, stop_threshold=0.0)
         # One token is appended, then the stop head fires.
         assert len(out) == 3
+
+    def test_stop_threshold_without_stop_head_rejected(self):
+        cfg = tiny_cfg(stop_head=False)
+        params = init_params(cfg, seed=12)
+        with pytest.raises(NumericsError, match="stop head"):
+            generate([2, 3], 8, params, cfg, stop_threshold=0.0)
 
     def test_prefix_stability(self):
         # Greedy continuation never rewrites earlier tokens.
