@@ -3,6 +3,8 @@ then named little-endian float64 tensors."""
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -53,10 +55,10 @@ def save_checkpoint(params: ParameterStore, cfg: ModelConfig, path: str) -> None
 
 
 def _read(f, n: int) -> bytes:
-    b = f.read(n)
-    if len(b) != n:
+    """The next n bytes; a size past the end of the file is never read."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise TruncatedCheckpointError("checkpoint file is truncated")
-    return b
+    return f.read(n)
 
 
 def load_checkpoint(path: str,
@@ -87,8 +89,8 @@ def load_checkpoint(path: str,
                 raise CheckpointError(f"tensor name is not UTF-8: {e}") from e
             (rank,) = struct.unpack("<I", _read(f, 4))
             shape = tuple(struct.unpack("<I", _read(f, 4))[0] for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read(f, 8 * n), dtype="<f8").reshape(shape)
+            data = np.frombuffer(_read(f, 8 * math.prod(shape)),
+                                 dtype="<f8").reshape(shape)
             check_finite(data, f"checkpoint tensor {name!r}")
             loaded[name] = data.astype(np.float64)
         if f.read(1):

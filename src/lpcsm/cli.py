@@ -33,10 +33,7 @@ def _load_run(args) -> RunConfig:
     run = load_run_config(args.config)
     given = {k: v for k, v in (("steps", args.steps), ("seed", args.seed))
              if v is not None}
-    try:
-        return replace(run, train=replace(run.train, **given))
-    except NumericsError as e:
-        raise ConfigError(f"section [train]: {e}") from e
+    return replace(run, train=replace(run.train, **given))
 
 
 def _cmd_train(args) -> int:
@@ -70,7 +67,7 @@ def _parse_task(spec: str) -> SyntheticTask:
             distractor_len=int(kwargs.pop("distractor_len", 0)),
             seed=int(kwargs.pop("seed", 0)),
         )
-    except (KeyError, ValueError, NumericsError) as e:
+    except (KeyError, ValueError) as e:
         raise ConfigError(f"bad task spec: {e}") from e
     if kwargs:
         raise ConfigError(f"unknown task spec keys: {sorted(kwargs)}")
@@ -93,22 +90,6 @@ def _cmd_generate(args) -> int:
         prompt = [int(t) for t in args.prompt.split(",")]
     except ValueError as e:
         raise ConfigError(f"bad prompt: {e}") from e
-    if not all(0 <= t < cfg.vocab_size for t in prompt):
-        raise ConfigError(f"prompt token ids must lie in [0, {cfg.vocab_size})")
-    if args.max_new < 0:
-        raise ConfigError(f"--max-new must be >= 0, got {args.max_new}")
-    if args.eos is not None and not 0 <= args.eos < cfg.vocab_size:
-        raise ConfigError(f"--eos must lie in [0, {cfg.vocab_size})")
-    if args.stop_threshold is not None and not 0.0 <= args.stop_threshold <= 1.0:
-        raise ConfigError(f"--stop-threshold must lie in [0, 1], "
-                          f"got {args.stop_threshold}")
-    if args.stop_threshold is not None and not cfg.stop_head:
-        raise ConfigError("--stop-threshold needs a checkpoint with a stop head")
-    # An --eos stop may never come, so the whole budget must fit.
-    if len(prompt) + args.max_new > cfg.max_seq_len:
-        raise ConfigError(f"prompt of {len(prompt)} tokens plus --max-new "
-                          f"{args.max_new} exceeds the model's max_seq_len "
-                          f"{cfg.max_seq_len}")
     tokens = generate(prompt, args.max_new, params, cfg,
                       eos_token=args.eos,
                       stop_threshold=args.stop_threshold)
@@ -118,25 +99,22 @@ def _cmd_generate(args) -> int:
 
 def _parse_probe_spec(spec: str) -> ProbeSpec:
     """Inline `k=v,...` pairs, or the path of a file holding them."""
-    if "=" not in spec:
-        with open(spec) as f:
-            spec = f.read()
-    kwargs = _pairs(spec)
-    unknown = set(kwargs) - {f.name for f in fields(ProbeSpec)}
-    if unknown:
-        raise ConfigError(f"unknown probe spec keys: {sorted(unknown)}")
     try:
+        if "=" not in spec:
+            with open(spec) as f:
+                spec = f.read()
+        kwargs = _pairs(spec)
+        unknown = set(kwargs) - {f.name for f in fields(ProbeSpec)}
+        if unknown:
+            raise ConfigError(f"unknown probe spec keys: {sorted(unknown)}")
         return ProbeSpec(**{k: int(v) for k, v in kwargs.items()})
-    except (ValueError, NumericsError) as e:
+    except ValueError as e:  # also a file that is not UTF-8
         raise ConfigError(f"bad probe spec: {e}") from e
 
 
 def _cmd_probe(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
     spec = _parse_probe_spec(args.probe_spec) if args.probe_spec else ProbeSpec()
-    if spec.prompt_len > cfg.max_seq_len:
-        raise ConfigError(f"probe prompt_len {spec.prompt_len} exceeds the "
-                          f"model's max_seq_len {cfg.max_seq_len}")
     result = probe_delayed_identifier(params, cfg, spec)
     print(f"key cross-entropy: {result.key_cross_entropy:.6f}")
     print(f"prompt length: {result.prompt_length}")
@@ -153,8 +131,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_verify_ont(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     checks, elapsed = verify_properties(trials=args.trials)
     ok = True
     for c in checks:

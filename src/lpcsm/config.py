@@ -6,14 +6,10 @@ from dataclasses import dataclass
 
 import yaml
 
-from .numerics import NumericsError
+from .numerics import ConfigError
 from .model import ModelConfig, check_field_types
 from .objective import LossWeights, SgdConfig
 from .data import SyntheticTask
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass
@@ -24,8 +20,8 @@ class TrainSettings:
 
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1 or self.seed < 0:
-            raise NumericsError("train needs steps >= 1, batch_size >= 1 "
-                                "and seed >= 0")
+            raise ConfigError("train needs steps >= 1, batch_size >= 1 "
+                              "and seed >= 0")
 
 
 @dataclass
@@ -52,7 +48,7 @@ def _build(section: str, cls, data):
     try:
         check_field_types(cls, data)
         return cls(**data)
-    except (TypeError, NumericsError) as e:
+    except (TypeError, ConfigError) as e:
         raise ConfigError(f"section [{section}]: {e}") from e
 
 
@@ -70,7 +66,7 @@ def load_run_config(path: str) -> RunConfig:
     try:
         with open(path) as f:
             raw = yaml.safe_load(f)
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot parse {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")

@@ -29,12 +29,6 @@ class ControllerParams:
     ratio_min: float
     ratio_max: float
 
-    def __post_init__(self):
-        if not (0.0 < self.ratio_min < self.ratio_max <= 1.0):
-            raise NumericsError("controller ratio bounds must satisfy 0 < min < max <= 1")
-        if self.temperature <= 0.0:
-            raise NumericsError("controller temperature must be positive")
-
 
 @dataclass
 class EventMask:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericsError
+from .numerics import ConfigError
 
 EOS = 0
 DELIM = 1
@@ -27,15 +27,15 @@ class SyntheticTask:
 
     def __post_init__(self):
         if self.kind not in ("copy", "key-recall"):
-            raise NumericsError(f"unknown task kind {self.kind!r}")
+            raise ConfigError(f"unknown task kind {self.kind!r}")
         if self.vocab_size < 3 or self.key_len < 1:
-            raise NumericsError("task needs vocab >= 3 and key_len >= 1")
+            raise ConfigError("task needs vocab >= 3 and key_len >= 1")
         if self.seq_len < 1 or self.distractor_len < 0 or self.seed < 0:
-            raise NumericsError("task needs seq_len >= 1, distractor_len >= 0 "
-                                "and seed >= 0")
+            raise ConfigError("task needs seq_len >= 1, distractor_len >= 0 "
+                              "and seed >= 0")
         if (self.kind == "key-recall"
                 and 2 * self.key_len + self.distractor_len + 1 > self.seq_len):
-            raise NumericsError("key-recall layout exceeds seq_len")
+            raise ConfigError("key-recall layout exceeds seq_len")
 
 
 def _copy_sequence(task: SyntheticTask, rng) -> np.ndarray:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .numerics import (
-    Tensor, ParameterStore, NumericsError, check_finite, rmsnorm, concat,
-    stack, take_rows, straight_through,
+    Tensor, ParameterStore, NumericsError, ConfigError, check_finite, rmsnorm,
+    concat, stack, take_rows, straight_through,
 )
 from .attention import local_attention, latent_attention
 from .memory import fast_update, memory_read, slow_write
@@ -32,17 +32,17 @@ _LITERAL_TYPES = {
 
 
 def check_field_types(cls, values: dict) -> None:
-    """Raise NumericsError unless every key names a field of the dataclass
+    """Raise ConfigError unless every key names a field of the dataclass
     `cls` and every value is a literal of that field's annotated type.
     Config text and YAML both parse `2.0` where an int belongs; caught
     here, it never reaches a slice or a loop bound."""
     types = {f.name: f.type for f in fields(cls)}
     for key, value in values.items():
         if key not in types:
-            raise NumericsError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         if type(value) not in _LITERAL_TYPES[types[key]]:
-            raise NumericsError(f"config key {key!r} expects {types[key]}, "
-                                f"got {value!r}")
+            raise ConfigError(f"config key {key!r} expects {types[key]}, "
+                              f"got {value!r}")
 
 
 @dataclass
@@ -74,26 +74,26 @@ class ModelConfig:
     def __post_init__(self):
         if (self.layers < 0 or self.width < 1 or self.vocab_size < 2
                 or self.heads < 1 or self.max_seq_len < 1):
-            raise NumericsError("invalid model dimensions")
+            raise ConfigError("invalid model dimensions")
         if self.width % self.heads != 0:
-            raise NumericsError("width must be divisible by head count")
+            raise ConfigError("width must be divisible by head count")
         if self.chunk_size < 1 or self.window < 1:
-            raise NumericsError("chunk_size and window must be positive")
+            raise ConfigError("chunk_size and window must be positive")
         if not (0 <= self.s_ref <= 8):
-            raise NumericsError("s_ref must lie in 0..8")
+            raise ConfigError("s_ref must lie in 0..8")
         if not 0.0 <= self.alpha_n < math.inf:
-            raise NumericsError("alpha_n must be finite and >= 0 for model use")
+            raise ConfigError("alpha_n must be finite and >= 0 for model use")
         if not (0.0 < self.ratio_min < self.ratio_init < self.ratio_max <= 1.0):
-            raise NumericsError("ratios must satisfy "
-                                "0 < ratio_min < ratio_init < ratio_max <= 1")
+            raise ConfigError("ratios must satisfy "
+                              "0 < ratio_min < ratio_init < ratio_max <= 1")
         if not 0.0 < self.temperature < math.inf:
-            raise NumericsError("temperature must be finite and positive")
+            raise ConfigError("temperature must be finite and positive")
         if not 0.0 < self.rmsnorm_eps < math.inf:
-            raise NumericsError("rmsnorm_eps must be finite and positive")
+            raise ConfigError("rmsnorm_eps must be finite and positive")
         if self.mhc_streams < 2 or self.sinkhorn_iters < 1:
-            raise NumericsError("mhc needs mhc_streams >= 2 and sinkhorn_iters >= 1")
+            raise ConfigError("mhc needs mhc_streams >= 2 and sinkhorn_iters >= 1")
         if self.latent_dim is not None and self.latent_dim < 1:
-            raise NumericsError("latent_dim must be >= 1")
+            raise ConfigError("latent_dim must be >= 1")
 
     def to_canonical(self) -> str:
         lines = []
@@ -373,9 +373,9 @@ def embed(tokens, params: ParameterStore, cfg: ModelConfig,
     if tokens.ndim != 1 or tokens.size < 1:
         raise NumericsError("tokens must be a nonempty 1-D sequence")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise NumericsError("token id out of vocabulary range")
+        raise ConfigError("token id out of vocabulary range")
     if position_offset + tokens.size > cfg.max_seq_len:
-        raise NumericsError("sequence exceeds max_seq_len")
+        raise ConfigError("sequence exceeds max_seq_len")
     tok = take_rows(params["embed.tok"], tokens)
     pos = params["embed.pos"][position_offset:position_offset + tokens.size]
     return tok + pos

@@ -17,6 +17,10 @@ class NumericsError(Exception):
     """Shape mismatch, non-finite value, or invalid primitive use."""
 
 
+class ConfigError(NumericsError):
+    """An input the model cannot take: a config value, token, prompt or spec."""
+
+
 # A single flag gates tape construction; decode and finite-difference
 # evaluations run with the tape off.
 _GRAD_ENABLED = True

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError, check_finite
+from .numerics import Tensor, ParameterStore, NumericsError, ConfigError, check_finite
 from .model import ModelConfig, LayerAux
 
 
@@ -22,7 +22,7 @@ class LossWeights:
         lams = (self.lambda_pred, self.lambda_sparse, self.lambda_mem,
                 self.lambda_stop)
         if not all(math.isfinite(lam) and lam >= 0.0 for lam in lams):
-            raise NumericsError("loss weights must be finite and nonnegative")
+            raise ConfigError("loss weights must be finite and nonnegative")
 
 
 @dataclass
@@ -122,11 +122,11 @@ class SgdConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise NumericsError("lr must be finite and positive")
+            raise ConfigError("lr must be finite and positive")
         if not (0.0 <= self.momentum < 1.0):
-            raise NumericsError("momentum must lie in [0, 1)")
+            raise ConfigError("momentum must lie in [0, 1)")
         if not (math.isfinite(self.clip_norm) and self.clip_norm > 0.0):
-            raise NumericsError("clip_norm must be finite and positive")
+            raise ConfigError("clip_norm must be finite and positive")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, NumericsError, _wrap
+from .numerics import Tensor, NumericsError, ConfigError, _wrap
 
 # Below this norm the reference state is treated as zero; the exact-zero
 # dichotomy is an exact-arithmetic statement and 1/||m||^2 would overflow
@@ -108,7 +108,7 @@ def verify_properties(trials: int = 1000, seed: int = 0) -> tuple[list[PropertyC
     worst errors and the wall-clock runtime.
     """
     if trials < 1:
-        raise NumericsError(f"trials must be >= 1, got {trials}")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     errs = {
         "feasibility": 0.0,

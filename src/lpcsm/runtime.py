@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .numerics import ParameterStore, NumericsError, no_grad
+from .numerics import ParameterStore, ConfigError, no_grad
 from .model import ModelConfig, Logits, LayerCache, model_forward
 
 
@@ -36,14 +36,26 @@ def step_decode(token: int, cache: DecodeCache, params: ParameterStore,
 def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
              eos_token: int | None = None,
              stop_threshold: float | None = None) -> list[int]:
-    """Greedy decode; halts at max_new, at EOS, or on the stop head."""
+    """Greedy decode; halts at max_new, at EOS, or on the stop head.
+
+    Every argument is checked before the first token is decoded. An EOS
+    stop may never come, so the prompt plus max_new must fit max_seq_len."""
     prompt = list(prompt)
     if not prompt:
-        raise NumericsError("generate requires a nonempty prompt")
+        raise ConfigError("generate requires a nonempty prompt")
+    if not all(0 <= t < cfg.vocab_size for t in prompt):
+        raise ConfigError(f"prompt token ids must lie in [0, {cfg.vocab_size})")
     if max_new < 0:
-        raise NumericsError("max_new must be >= 0")
+        raise ConfigError(f"max_new must be >= 0, got {max_new}")
+    if len(prompt) + max_new > cfg.max_seq_len:
+        raise ConfigError(f"prompt of {len(prompt)} tokens plus max_new "
+                          f"{max_new} exceeds max_seq_len {cfg.max_seq_len}")
+    if eos_token is not None and not 0 <= eos_token < cfg.vocab_size:
+        raise ConfigError(f"eos_token must lie in [0, {cfg.vocab_size})")
+    if stop_threshold is not None and not 0.0 <= stop_threshold <= 1.0:
+        raise ConfigError(f"stop_threshold must lie in [0, 1], got {stop_threshold}")
     if stop_threshold is not None and not cfg.stop_head:
-        raise NumericsError("stop_threshold needs a model with a stop head")
+        raise ConfigError("stop_threshold needs a model with a stop head")
     cache = init_cache(cfg)
     logits = None
     for tok in prompt:

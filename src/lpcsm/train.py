@@ -16,7 +16,7 @@ from .objective import (
     lm_loss, aux_losses, total_loss, log_softmax,
 )
 from .data import SyntheticTask, make_batch, recall_key_slice, EOS
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 
 METRICS_HEADER = "step,lm,pred,sparse,mem,stop,total,effective_ratio,tokens_per_second"
 
@@ -137,11 +137,11 @@ class ProbeSpec:
     def __post_init__(self):
         if (self.n_prompts < 1 or self.key_len < 1 or self.distractor_len < 0
                 or self.seed < 0):
-            raise NumericsError("probe needs n_prompts >= 1, key_len >= 1, "
-                                "distractor_len >= 0 and seed >= 0")
+            raise ConfigError("probe needs n_prompts >= 1, key_len >= 1, "
+                              "distractor_len >= 0 and seed >= 0")
         if 2 * self.key_len + self.distractor_len + 1 > self.prompt_len:
-            raise NumericsError("probe key, distractor, trigger and recall "
-                                "exceed prompt_len")
+            raise ConfigError("probe key, distractor, trigger and recall "
+                              "exceed prompt_len")
 
 
 @dataclass
@@ -155,7 +155,7 @@ def probe_delayed_identifier(params: ParameterStore, cfg: ModelConfig,
     """Teacher-forced key cross-entropy on delayed-identifier prompts."""
     spec = spec or ProbeSpec()
     if spec.prompt_len > cfg.max_seq_len:
-        raise NumericsError("probe prompt exceeds max_seq_len")
+        raise ConfigError("probe prompt exceeds max_seq_len")
     task = SyntheticTask(
         kind="key-recall", vocab_size=cfg.vocab_size, seq_len=spec.prompt_len,
         key_len=spec.key_len, distractor_len=spec.distractor_len, seed=spec.seed,
@@ -190,7 +190,7 @@ def ablate(run: RunConfig, toggles: list[str] | None = None,
         toggles = list(variants)
     unknown = [t for t in toggles if t not in variants]
     if unknown:
-        raise NumericsError(f"unknown ablation toggles: {unknown}")
+        raise ConfigError(f"unknown ablation toggles: {unknown}")
     rows = []
     full = train(run, steps=steps, seed=seed)
     rows.append(AblationRow("Full", full.final_lm, 0.0,

@@ -40,12 +40,6 @@ class TestClampRatio:
         cp = make_cp(ratio_raw=raw)
         assert abs(clamp_ratio(cp).item() - 0.25) < 1e-12
 
-    def test_invalid_bounds(self):
-        with pytest.raises(NumericsError):
-            make_cp(ratio_min=0.5, ratio_max=0.2)
-        with pytest.raises(NumericsError):
-            make_cp(temperature=0.0)
-
 
 class TestEventScores:
     def test_constant_errors_give_bias(self):

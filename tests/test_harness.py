@@ -1,11 +1,13 @@
 """Harness plumbing: synthetic data, checkpoints, run configuration,
 training determinism, the recall probe, the ablation driver, and the CLI."""
 
+import ast
 import io
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,22 @@ train:
         with pytest.raises(ConfigError):
             load_run_config(self._write(tmp_path, "model: [unclosed"))
 
+    def test_validators_raise_config_error(self):
+        # An input check raises ConfigError where it lives, so every caller
+        # maps it to exit 2 without re-checking or re-wrapping.
+        offenders = []
+        for path in sorted(Path(lpcsm.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if getattr(fn, "name", "") not in ("__post_init__",
+                                                   "check_field_types"):
+                    continue
+                offenders += [
+                    f"{path.name}:{n.lineno}" for n in ast.walk(fn)
+                    if isinstance(n, ast.Raise)
+                    and not (isinstance(n.exc, ast.Call)
+                             and getattr(n.exc.func, "id", "") == "ConfigError")]
+        assert offenders == []
+
 
 class TestTrainHarness:
     def test_steps_zero_keeps_initialization(self):
@@ -421,6 +439,22 @@ def save_without_stop_head(path):
     """Replace a checkpoint with one of the same model minus its stop head."""
     cfg = tiny_cfg(stop_head=False)
     save_checkpoint(init_params(cfg), cfg, path)
+
+
+def save_vocab_two(path):
+    """Replace a checkpoint with one of the same model over two tokens."""
+    cfg = tiny_cfg(vocab_size=2)
+    save_checkpoint(init_params(cfg), cfg, path)
+
+
+def huge_first_dims(path):
+    """Set the first tensor's two dims to 4e9, far past the end of the file."""
+    raw = bytearray(open(path, "rb").read())
+    (cfg_len,) = struct.unpack("<I", raw[8:12])
+    (name_len,) = struct.unpack("<I", raw[16 + cfg_len:20 + cfg_len])
+    dims = 24 + cfg_len + name_len  # after the tensor's name and rank
+    raw[dims:dims + 8] = struct.pack("<II", 4_000_000_000, 4_000_000_000)
+    open(path, "wb").write(bytes(raw))
 
 
 def run_yaml(old, new):
@@ -625,6 +659,11 @@ class TestCli:
             save_without_stop_head,
             ["generate", *PROMPT, "--stop-threshold", "0.0"], 2),
         "non-finite checkpoint tensor": (nan_last_value, ["generate", *PROMPT], 3),
+        "probe on a two-token vocabulary": (
+            save_vocab_two, ["probe", "--probe-spec", "n_prompts=1,prompt_len=12,"
+                             "distractor_len=2,key_len=2"], 2),
+        "tensor dims past the end of the file": (
+            huge_first_dims, ["generate", *PROMPT], 4),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -644,6 +683,21 @@ class TestCli:
         proc = run_python(["-m", "lpcsm.cli", command, *source, *args])
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_run_config(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_bytes(self.CONFIG.encode() + b"\xff\xfe\n")
+        assert main(["train", "--config", str(path)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
+    def test_non_utf8_probe_spec_file(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        save_checkpoint(init_params(cfg), cfg, ckpt)
+        spec = tmp_path / "probe.spec"
+        spec.write_bytes(b"n_prompts=2\n\xff\n")
+        assert main(["probe", "--ckpt", ckpt, "--probe-spec", str(spec)]) == 2
+        assert "bad probe spec" in capsys.readouterr().err
 
     def test_diverged_train_writes_no_checkpoint(self, tmp_path):
         path = tmp_path / "run.yaml"

@@ -6,7 +6,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lpcsm.numerics import NumericsError, Tensor
+from lpcsm import runtime
+from lpcsm.numerics import ConfigError, NumericsError, Tensor
 from lpcsm.model import ModelConfig, init_params, model_forward
 from lpcsm.runtime import init_cache, step_decode, generate
 
@@ -177,6 +178,25 @@ class TestGenerate:
         params = init_params(cfg, seed=12)
         with pytest.raises(NumericsError, match="stop head"):
             generate([2, 3], 8, params, cfg, stop_threshold=0.0)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        (([2, 3], 4), dict(eos_token=11)),
+        (([2, 3], 4), dict(stop_threshold=float("nan"))),
+        (([2, 3], 23), {}),
+        (([2, 10**20], 2), {}),
+    ], ids=["eos outside vocab", "nan stop threshold", "past max_seq_len",
+            "token beyond int64"])
+    def test_bad_argument_rejected_before_decoding(self, monkeypatch, args,
+                                                   kwargs):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=12)
+        calls = []
+        step = runtime.step_decode
+        monkeypatch.setattr(runtime, "step_decode",
+                            lambda *a: calls.append(1) or step(*a))
+        with pytest.raises(ConfigError):
+            generate(*args, params, cfg, **kwargs)
+        assert calls == []
 
     def test_prefix_stability(self):
         # Greedy continuation never rewrites earlier tokens.
