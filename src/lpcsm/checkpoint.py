@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from .numerics import ParameterStore, NumericsError, check_finite
+from .numerics import ParameterStore, ConfigError, check_finite
 from .model import ModelConfig, init_params
 
 MAGIC = b"LPCM"
@@ -17,22 +17,6 @@ VERSION = 1
 
 
 class CheckpointError(Exception):
-    pass
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionMismatchError(CheckpointError):
-    pass
-
-
-class TruncatedCheckpointError(CheckpointError):
-    pass
-
-
-class ConfigMismatchError(CheckpointError):
     pass
 
 
@@ -57,7 +41,7 @@ def save_checkpoint(params: ParameterStore, cfg: ModelConfig, path: str) -> None
 def _read(f, n: int) -> bytes:
     """The next n bytes; a size past the end of the file is never read."""
     if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise TruncatedCheckpointError("checkpoint file is truncated")
+        raise CheckpointError("checkpoint file is truncated")
     return f.read(n)
 
 
@@ -66,18 +50,17 @@ def load_checkpoint(path: str,
                     ) -> tuple[ParameterStore, ModelConfig]:
     with open(path, "rb") as f:
         if _read(f, 4) != MAGIC:
-            raise BadMagicError("bad magic bytes")
+            raise CheckpointError("bad magic bytes")
         (version,) = struct.unpack("<I", _read(f, 4))
         if version != VERSION:
-            raise VersionMismatchError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read(f, 4))
         try:
             cfg = ModelConfig.from_canonical(_read(f, cfg_len).decode("utf-8"))
-        except (ValueError, SyntaxError, TypeError, RecursionError,
-                NumericsError) as e:
+        except (UnicodeDecodeError, ConfigError) as e:
             raise CheckpointError(f"corrupt config text: {e}") from e
         if expect_cfg is not None and cfg != expect_cfg:
-            raise ConfigMismatchError("checkpoint config does not match expected config")
+            raise CheckpointError("checkpoint config does not match expected config")
 
         (count,) = struct.unpack("<I", _read(f, 4))
         loaded: dict[str, np.ndarray] = {}
@@ -100,9 +83,9 @@ def load_checkpoint(path: str,
     # come from the architecture, then overwrite values from the file.
     params = init_params(cfg, seed=0)
     if set(params.names()) != set(loaded):
-        raise ConfigMismatchError("checkpoint entries do not match the config's parameters")
+        raise CheckpointError("checkpoint entries do not match the config's parameters")
     for name, t in params.items():
         if t.shape != loaded[name].shape:
-            raise ConfigMismatchError(f"shape mismatch for {name!r}")
+            raise CheckpointError(f"shape mismatch for {name!r}")
         t.data = loaded[name]
     return params, cfg

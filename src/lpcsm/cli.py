@@ -8,10 +8,11 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .numerics import NumericsError
 from .config import ConfigError, RunConfig, check_task_fits, load_run_config
+from .model import parse_fields
 from .checkpoint import CheckpointError, save_checkpoint, load_checkpoint
 from .train import (
     train, evaluate, ablate, probe_delayed_identifier, ProbeSpec,
@@ -46,37 +47,9 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _pairs(spec: str) -> dict[str, str]:
-    """`k=v` entries separated by commas or newlines."""
-    kwargs = {}
-    for part in spec.replace("\n", ",").split(","):
-        if part.strip():
-            key, _, val = part.partition("=")
-            kwargs[key.strip()] = val.strip()
-    return kwargs
-
-
-def _parse_task(spec: str) -> SyntheticTask:
-    kwargs = _pairs(spec)
-    try:
-        task = SyntheticTask(
-            kind=kwargs.pop("kind"),
-            vocab_size=int(kwargs.pop("vocab_size")),
-            seq_len=int(kwargs.pop("seq_len")),
-            key_len=int(kwargs.pop("key_len")),
-            distractor_len=int(kwargs.pop("distractor_len", 0)),
-            seed=int(kwargs.pop("seed", 0)),
-        )
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad task spec: {e}") from e
-    if kwargs:
-        raise ConfigError(f"unknown task spec keys: {sorted(kwargs)}")
-    return task
-
-
 def _cmd_eval(args) -> int:
     params, cfg = load_checkpoint(args.ckpt)
-    task = _parse_task(args.task)
+    task = parse_fields(SyntheticTask, args.task)
     check_task_fits(task, cfg)
     out = evaluate(params, cfg, task, LossWeights())
     for k, v in out.items():
@@ -99,17 +72,13 @@ def _cmd_generate(args) -> int:
 
 def _parse_probe_spec(spec: str) -> ProbeSpec:
     """Inline `k=v,...` pairs, or the path of a file holding them."""
-    try:
-        if "=" not in spec:
+    if "=" not in spec:
+        try:
             with open(spec) as f:
                 spec = f.read()
-        kwargs = _pairs(spec)
-        unknown = set(kwargs) - {f.name for f in fields(ProbeSpec)}
-        if unknown:
-            raise ConfigError(f"unknown probe spec keys: {sorted(unknown)}")
-        return ProbeSpec(**{k: int(v) for k, v in kwargs.items()})
-    except ValueError as e:  # also a file that is not UTF-8
-        raise ConfigError(f"bad probe spec: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"bad probe spec: {e}") from e
+    return parse_fields(ProbeSpec, spec)
 
 
 def _cmd_probe(args) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import yaml
 
 from .numerics import ConfigError
-from .model import ModelConfig, check_field_types
+from .model import ModelConfig, from_fields
 from .objective import LossWeights, SgdConfig
 from .data import SyntheticTask
 
@@ -46,9 +46,8 @@ def _build(section: str, cls, data):
     if not isinstance(data, dict):
         raise ConfigError(f"section [{section}] must be a mapping")
     try:
-        check_field_types(cls, data)
-        return cls(**data)
-    except (TypeError, ConfigError) as e:
+        return from_fields(cls, data)
+    except ConfigError as e:
         raise ConfigError(f"section [{section}]: {e}") from e
 
 

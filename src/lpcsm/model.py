@@ -21,6 +21,11 @@ from .controller import ControllerParams, clamp_ratio, prefix_event_mask
 from .mhc import mhc_route, route_gain
 
 
+# The most float64 parameter values a config may ask for (2 GiB): the
+# paper's 158M fit, and a size past it is refused before init_params
+# allocates anything.
+MAX_PARAMS = 2**28
+
 # Literal types accepted for each config field annotation.
 _LITERAL_TYPES = {
     "int": (int,),
@@ -31,11 +36,12 @@ _LITERAL_TYPES = {
 }
 
 
-def check_field_types(cls, values: dict) -> None:
-    """Raise ConfigError unless every key names a field of the dataclass
-    `cls` and every value is a literal of that field's annotated type.
-    Config text and YAML both parse `2.0` where an int belongs; caught
-    here, it never reaches a slice or a loop bound."""
+def from_fields(cls, values: dict):
+    """The dataclass `cls` built from `values`. Raise ConfigError unless
+    every key names a field, every value is a literal of that field's
+    annotated type and no required field is missing. Config text and YAML
+    both parse `2.0` where an int belongs; caught here, it never reaches a
+    slice or a loop bound."""
     types = {f.name: f.type for f in fields(cls)}
     for key, value in values.items():
         if key not in types:
@@ -43,6 +49,26 @@ def check_field_types(cls, values: dict) -> None:
         if type(value) not in _LITERAL_TYPES[types[key]]:
             raise ConfigError(f"config key {key!r} expects {types[key]}, "
                               f"got {value!r}")
+    try:
+        return cls(**values)
+    except TypeError as e:  # a required field is missing
+        raise ConfigError(str(e)) from e
+
+
+def parse_fields(cls, text: str):
+    """The dataclass `cls` from `k=v` entries separated by commas or
+    newlines. A value is read as a Python literal; one that is not a
+    literal is kept as the bare string, so `kind=copy` is 'copy'."""
+    values = {}
+    for part in text.replace("\n", ",").split(","):
+        if part.strip():
+            key, _, value = map(str.strip, part.partition("="))
+            try:
+                values[key] = ast.literal_eval(value)
+            except (ValueError, TypeError, SyntaxError, RecursionError,
+                    MemoryError):
+                values[key] = value
+    return from_fields(cls, values)
 
 
 @dataclass
@@ -94,6 +120,21 @@ class ModelConfig:
             raise ConfigError("mhc needs mhc_streams >= 2 and sinkhorn_iters >= 1")
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
+        if self.param_count() > MAX_PARAMS:
+            raise ConfigError(f"config asks for {self.param_count()} "
+                              f"parameters, more than {MAX_PARAMS}")
+
+    def param_count(self) -> int:
+        """The number of float64 values that init_params allocates."""
+        d, v, s, k = self.width, self.vocab_size, self.mhc_streams, self.latent_dim
+        attn = 3 * d * d + 3 * d if k is None else d * d + 3 * d * k + k + 3 * d
+        layer = (attn + 18 * d * d + 14 * d + 3
+                 + self.slow_memory * (2 * d * d + 2 * d)
+                 + self.predictive_coding * (7 * d * d + 4 * d)
+                 + self.mhc * (s * s + 2 * s))
+        # Embeddings, the layers, the final norm, the LM and stop heads.
+        return ((v + self.max_seq_len) * d + self.layers * layer
+                + d + (d + 1) * v + self.stop_head * (d + 1))
 
     def to_canonical(self) -> str:
         lines = []
@@ -103,12 +144,7 @@ class ModelConfig:
 
     @classmethod
     def from_canonical(cls, text: str) -> "ModelConfig":
-        kwargs = {}
-        for line in text.strip().splitlines():
-            key, _, val = line.partition("=")
-            kwargs[key] = ast.literal_eval(val)
-        check_field_types(cls, kwargs)
-        return cls(**kwargs)
+        return parse_fields(cls, text)
 
 
 @dataclass

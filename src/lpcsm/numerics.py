@@ -141,10 +141,14 @@ class Tensor:
         return _op(-a.data, (a,), lambda g: _accum(a, -g))
 
     def __sub__(self, other):
-        return self + (-_wrap(other))
+        a, b = self, _wrap(other)
+        def bw(g):
+            _accum(a, g)
+            _accum(b, -g)
+        return _op(a.data - b.data, (a, b), bw)
 
     def __rsub__(self, other):
-        return _wrap(other) + (-self)
+        return _wrap(other) - self
 
     def __mul__(self, other):
         a, b = self, _wrap(other)

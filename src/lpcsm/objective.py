@@ -57,9 +57,7 @@ def lm_loss(logits: Tensor, targets) -> Tensor:
         raise NumericsError("target length mismatch")
     if targets.min() < 0 or targets.max() >= vocab:
         raise NumericsError("target index out of range")
-    onehot = np.zeros((t_len, vocab))
-    onehot[np.arange(t_len), targets] = 1.0
-    return -(log_softmax(logits) * Tensor(onehot)).sum(axis=-1).mean()
+    return -log_softmax(logits)[np.arange(t_len), targets].mean()
 
 
 def binary_cross_entropy_logits(scores: Tensor, targets) -> Tensor:

@@ -15,8 +15,7 @@ import pytest
 from lpcsm.data import EOS, DELIM, SyntheticTask, make_batch, recall_key_slice
 from lpcsm.model import ModelConfig, init_params
 from lpcsm.checkpoint import (
-    save_checkpoint, load_checkpoint, BadMagicError, VersionMismatchError,
-    TruncatedCheckpointError, ConfigMismatchError, CheckpointError, MAGIC,
+    save_checkpoint, load_checkpoint, CheckpointError, MAGIC,
 )
 from lpcsm.config import ConfigError, RunConfig, TrainSettings, load_run_config
 from lpcsm.objective import LossWeights, SgdConfig
@@ -142,7 +141,7 @@ class TestCheckpoint:
         raw = bytearray(open(path, "rb").read())
         raw[:4] = b"NOPE"
         open(path, "wb").write(bytes(raw))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(CheckpointError, match="bad magic bytes"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -152,7 +151,8 @@ class TestCheckpoint:
         raw = bytearray(open(path, "rb").read())
         raw[4:8] = struct.pack("<I", 99)
         open(path, "wb").write(bytes(raw))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 99"):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
@@ -161,14 +161,14 @@ class TestCheckpoint:
         save_checkpoint(init_params(cfg), cfg, path)
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:len(raw) // 2])
-        with pytest.raises(TruncatedCheckpointError):
+        with pytest.raises(CheckpointError, match="checkpoint file is truncated"):
             load_checkpoint(path)
 
     def test_config_mismatch(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         cfg = tiny_cfg()
         save_checkpoint(init_params(cfg), cfg, path)
-        with pytest.raises(ConfigMismatchError):
+        with pytest.raises(CheckpointError, match="does not match expected config"):
             load_checkpoint(path, expect_cfg=tiny_cfg(width=16))
 
     def test_magic_constant(self, tmp_path):
@@ -181,6 +181,7 @@ class TestCheckpoint:
         ("window=3", "window=(3"),         # not a literal
         ("window=3", "window=__import__"),  # a name, not a literal
         ("window=3", "window='w'"),         # wrong type
+        ("window=3", "window={[1]: 2}"),    # unhashable, not a literal
         ("heads=2", "heads=2.0"),           # float for an int field
         ("mhc=True", "mhc=1"),              # int for a bool field
         ("latent_dim=None", "latent_dim=2.5"),
@@ -299,8 +300,8 @@ train:
         offenders = []
         for path in sorted(Path(lpcsm.__file__).parent.glob("*.py")):
             for fn in ast.walk(ast.parse(path.read_text())):
-                if getattr(fn, "name", "") not in ("__post_init__",
-                                                   "check_field_types"):
+                if getattr(fn, "name", "") not in (
+                        "__post_init__", "from_fields", "parse_fields"):
                     continue
                 offenders += [
                     f"{path.name}:{n.lineno}" for n in ast.walk(fn)
@@ -664,6 +665,31 @@ class TestCli:
                              "distractor_len=2,key_len=2"], 2),
         "tensor dims past the end of the file": (
             huge_first_dims, ["generate", *PROMPT], 4),
+        # Sizes the machine cannot allocate stop before init_params.
+        "max_seq_len past the parameter bound": (
+            run_yaml("max_seq_len: 32", "max_seq_len: 100000000000"),
+            ["train"], 2),
+        "checkpoint max_seq_len past the parameter bound": (
+            lambda p: rewrite_config(p, "max_seq_len=32",
+                                     "max_seq_len=100000000000"),
+            ["generate", *PROMPT], 4),
+        # A spec value is a Python literal, as in checkpoint config text,
+        # and a bare word is a string.
+        "task seq_len with a leading zero": (
+            None, ["eval", "--task", TASK.replace("seq_len=12", "seq_len=012")],
+            2),
+        "task seq_len in hexadecimal": (
+            None, ["eval", "--task", TASK.replace("seq_len=12", "seq_len=0xc")],
+            0),
+        "quoted task kind": (
+            None, ["eval", "--task", TASK.replace("kind=copy", "kind='copy'")],
+            0),
+        "task value nested too deep": (
+            None, ["eval", "--task", TASK + ",seed=" + "[" * 100000], 2),
+        "unhashable task value": (
+            None, ["eval", "--task", TASK + ",seed={[1]: 2}"], 2),
+        "task without a kind": (
+            None, ["eval", "--task", TASK.replace("kind=copy,", "")], 2),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -689,6 +715,18 @@ class TestCli:
         path.write_bytes(self.CONFIG.encode() + b"\xff\xfe\n")
         assert main(["train", "--config", str(path)]) == 2
         assert "cannot parse" in capsys.readouterr().err
+
+    def test_probe_spec_file_matches_inline(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        save_checkpoint(init_params(cfg), cfg, ckpt)
+        spec = tmp_path / "probe.spec"
+        spec.write_text(self.PROBE_SPEC.replace(",", "\n") + "\n")
+        outputs = []
+        for arg in (self.PROBE_SPEC, str(spec)):
+            assert main(["probe", "--ckpt", ckpt, "--probe-spec", arg]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_non_utf8_probe_spec_file(self, tmp_path, capsys):
         ckpt = str(tmp_path / "m.ckpt")

@@ -2,13 +2,15 @@
 writes, a straight-line re-implementation oracle, causality, and
 determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from lpcsm.numerics import Tensor, NumericsError, rmsnorm
+from lpcsm.numerics import Tensor, NumericsError, ConfigError, rmsnorm
 from lpcsm.model import (
-    ModelConfig, init_params, model_forward, block_forward, embed,
+    MAX_PARAMS, ModelConfig, init_params, model_forward, block_forward, embed,
     ablation_variants, causal_mask_bits, controller_params, LayerCache,
 )
 
@@ -60,6 +62,23 @@ class TestInitParams:
         assert all(".pred." in n or ".refine." in n for n in full - no_pred)
         assert all(".mhc." in n for n in full - no_mhc)
         assert full - no_stop == {"stop_head.w", "stop_head.b"}
+
+    @pytest.mark.parametrize("latent_dim", [None, 3])
+    def test_param_count_matches_init_params(self, latent_dim):
+        toggles = ("slow_memory", "predictive_coding", "ont", "stop_head", "mhc")
+        for combo in itertools.product([True, False], repeat=len(toggles)):
+            cfg = tiny_cfg(layers=2, latent_dim=latent_dim,
+                           **dict(zip(toggles, combo)))
+            sizes = sum(t.size for _, t in init_params(cfg).items())
+            assert cfg.param_count() == sizes, combo
+
+    def test_param_bound(self):
+        # Position rows up to the bound are taken, one more is refused.
+        d = 1024
+        rows = (MAX_PARAMS - tiny_cfg(width=d).param_count()) // d
+        tiny_cfg(width=d, max_seq_len=16 + rows)
+        with pytest.raises(ConfigError, match="parameters"):
+            tiny_cfg(width=d, max_seq_len=17 + rows)
 
     def test_seed_determinism(self):
         a = init_params(tiny_cfg(), seed=5)

@@ -160,6 +160,32 @@ class TestGatedScan:
         assert report.passed, report.max_rel_error
 
 
+class TestSubtraction:
+    def test_grad_check_both_operand_orders(self):
+        rng = np.random.default_rng(11)
+        params = ParameterStore()
+        params.add("a", rng.standard_normal((3, 4)))
+        params.add("b", rng.standard_normal(4))
+
+        def loss(p):
+            a, b = p["a"], p["b"]
+            return (((a - b) * (b - a)).sum() + (1.5 - a).tanh().sum()
+                    + (b - 0.5).sigmoid().sum() + (2.0 - b * b).exp().sum())
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error
+
+    def test_one_node_same_floats(self):
+        rng = np.random.default_rng(12)
+        x, y = rng.standard_normal((2, 5))
+        a = Tensor(x, requires_grad=True)
+        b = Tensor(y, requires_grad=True)
+        diff = a - b
+        assert np.array_equal(diff.data, x + (-y))
+        assert diff._prev == (a, b)
+        assert np.array_equal((2.0 - a).data, 2.0 + (-x))
+
+
 class TestTensorBasics:
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericsError):

@@ -43,6 +43,26 @@ class TestLmLoss:
         expect = -np.log(p[np.arange(6), targets]).mean()
         assert abs(loss - expect) < 1e-12
 
+    def test_gather_matches_one_hot_bitwise(self):
+        rng = np.random.default_rng(2)
+        logits = rng.standard_normal((7, 13)) * 4.0
+        targets = rng.integers(0, 13, size=7)
+
+        def one_hot_loss(x):
+            onehot = np.zeros((7, 13))
+            onehot[np.arange(7), targets] = 1.0
+            return -(log_softmax(x) * Tensor(onehot)).sum(axis=-1).mean()
+
+        results = []
+        for loss_fn in (lambda x: lm_loss(x, targets), one_hot_loss):
+            x = Tensor(logits, requires_grad=True)
+            loss = loss_fn(x)
+            loss.backward()
+            results.append((loss.data, x.grad))
+        (loss, grad), (ref_loss, ref_grad) = results
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
     def test_target_validation(self):
         with pytest.raises(NumericsError):
             lm_loss(Tensor(np.zeros((2, 4))), [0, 4])
