@@ -241,8 +241,8 @@ def controller_params(params: ParameterStore, cfg: ModelConfig, prefix: str) -> 
 @dataclass
 class LayerCache:
     """What a layer's next span reads of the tokens before it. Teacher
-    forcing runs one span from a fresh cache; decode runs one-token spans
-    on a carried one."""
+    forcing runs one span from a fresh cache; decode prefills the prompt
+    as one span, then runs one-token spans on the carried cache."""
     history: Tensor | None  # the last <= window post-norm rows, [<=window, d]
     fast: Tensor  # fast state after the last token
     slow: Tensor  # slow state after the last chunk boundary
@@ -403,13 +403,26 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
     return out, aux
 
 
+def token_ids(tokens, cfg: ModelConfig) -> np.ndarray:
+    """`tokens` as a 1-D integer array. Raise ConfigError unless every id
+    is a Python or numpy int (not a bool) in [0, vocab_size): a float or
+    str is refused, not truncated or parsed."""
+    ids = np.asarray(tokens)
+    if ids.ndim != 1 or ids.size < 1:
+        raise NumericsError("tokens must be a nonempty 1-D sequence")
+    # asarray turns a bool among ints into an int, so a sequence is looked
+    # through for one; an array's dtype already tells.
+    if (ids.dtype.kind not in "iu"
+            or (not isinstance(tokens, np.ndarray)
+                and any(isinstance(t, (bool, np.bool_)) for t in tokens))
+            or ids.min() < 0 or ids.max() >= cfg.vocab_size):
+        raise ConfigError(f"token ids must be integers in [0, {cfg.vocab_size})")
+    return ids
+
+
 def embed(tokens, params: ParameterStore, cfg: ModelConfig,
           position_offset: int = 0) -> Tensor:
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < 1:
-        raise NumericsError("tokens must be a nonempty 1-D sequence")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise ConfigError("token id out of vocabulary range")
+    tokens = token_ids(tokens, cfg)
     if position_offset + tokens.size > cfg.max_seq_len:
         raise ConfigError("sequence exceeds max_seq_len")
     tok = take_rows(params["embed.tok"], tokens)
@@ -422,11 +435,11 @@ def model_forward(tokens, params: ParameterStore, cfg: ModelConfig,
                   position: int = 0) -> tuple[Logits, list[LayerAux]]:
     """Embedding, L blocks, final norm, two heads over a span of tokens.
 
-    Teacher forcing passes the whole sequence. Decode passes each token
-    with `position` and the per-layer `caches` of the tokens before it,
-    which are advanced in place. `soft_mask` swaps the straight-through
-    event mask for its soft surrogate; used by gradient checks, never by
-    training or decode.
+    Teacher forcing passes the whole sequence. Decode passes the prompt
+    as one span, then each new token, with `position` and the per-layer
+    `caches` of the tokens before it, which are advanced in place.
+    `soft_mask` swaps the straight-through event mask for its soft
+    surrogate; used by gradient checks, never by training or decode.
     """
     h = embed(tokens, params, cfg, position_offset=position)
     aux_list = []

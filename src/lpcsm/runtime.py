@@ -1,5 +1,6 @@
 """Incremental autoregressive decoding: the per-layer caches that carry a
-sequence from one token to the next, and greedy generation."""
+sequence from one span to the next, and greedy generation (the prompt as
+one span, then one span per new token)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 from scipy.special import expit
 
 from .numerics import ParameterStore, ConfigError, no_grad
-from .model import ModelConfig, Logits, LayerCache, model_forward
+from .model import ModelConfig, Logits, LayerCache, model_forward, token_ids
 
 
 @dataclass
@@ -22,15 +23,17 @@ def init_cache(cfg: ModelConfig) -> DecodeCache:
     return DecodeCache(layers=[LayerCache.fresh(cfg) for _ in range(cfg.layers)])
 
 
-def step_decode(token: int, cache: DecodeCache, params: ParameterStore,
+def step_decode(tokens, cache: DecodeCache, params: ParameterStore,
                 cfg: ModelConfig) -> tuple[Logits, DecodeCache]:
-    """Run the model on one token as a span that continues the cache."""
+    """Run the model on a span of token ids (a bare id is a one-token
+    span) that continues the cache; returns the span's last-row logits."""
+    tokens = [tokens] if np.ndim(tokens) == 0 else tokens
     with no_grad():
-        logits, _ = model_forward([token], params, cfg, caches=cache.layers,
+        logits, _ = model_forward(tokens, params, cfg, caches=cache.layers,
                                   position=cache.position)
-    cache.position += 1
-    stop = None if logits.stop is None else logits.stop[0]
-    return Logits(lm=logits.lm[0], stop=stop), cache
+    cache.position += len(tokens)
+    stop = None if logits.stop is None else logits.stop[-1]
+    return Logits(lm=logits.lm[-1], stop=stop), cache
 
 
 def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
@@ -43,8 +46,7 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
     prompt = list(prompt)
     if not prompt:
         raise ConfigError("generate requires a nonempty prompt")
-    if not all(0 <= t < cfg.vocab_size for t in prompt):
-        raise ConfigError(f"prompt token ids must lie in [0, {cfg.vocab_size})")
+    prompt = token_ids(prompt, cfg).tolist()
     if max_new < 0:
         raise ConfigError(f"max_new must be >= 0, got {max_new}")
     if len(prompt) + max_new > cfg.max_seq_len:
@@ -56,10 +58,7 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
         raise ConfigError(f"stop_threshold must lie in [0, 1], got {stop_threshold}")
     if stop_threshold is not None and not cfg.stop_head:
         raise ConfigError("stop_threshold needs a model with a stop head")
-    cache = init_cache(cfg)
-    logits = None
-    for tok in prompt:
-        logits, cache = step_decode(int(tok), cache, params, cfg)
+    logits, cache = step_decode(prompt, init_cache(cfg), params, cfg)
     out = list(prompt)
     for _ in range(max_new):
         nxt = int(np.argmax(logits.lm.data))

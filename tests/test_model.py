@@ -98,6 +98,30 @@ class TestEmbed:
         with pytest.raises(NumericsError):
             embed([0] * 17, params, tiny_cfg())
 
+    @pytest.mark.parametrize("tokens", [
+        [2.9, 3], [2.0], ["3"], [True], [2, True], [np.True_, 2],
+        np.array([2.0, 3.0]), np.array([True, False]), [2, 10**20],
+    ], ids=["float", "integral float", "str", "bool", "bool among ints",
+            "numpy bool among ints", "float array", "bool array",
+            "beyond int64"])
+    def test_non_integer_ids_rejected(self, tokens):
+        # asarray(dtype=int64) would truncate 2.9 to 2 and parse "3".
+        params = init_params(tiny_cfg())
+        with pytest.raises(ConfigError, match="integers"):
+            embed(tokens, params, tiny_cfg())
+        with pytest.raises(ConfigError, match="integers"):
+            model_forward(tokens, params, tiny_cfg())
+
+    @pytest.mark.parametrize("tokens", [
+        [np.int64(2), 3], np.array([2, 3], dtype=np.int32),
+        np.array([2, 3], dtype=np.uint8),
+    ], ids=["numpy scalar", "int32 array", "uint8 array"])
+    def test_numpy_integer_ids_accepted(self, tokens):
+        cfg = tiny_cfg()
+        params = init_params(cfg)
+        assert np.array_equal(embed(tokens, params, cfg).data,
+                              embed([2, 3], params, cfg).data)
+
     def test_position_offset(self):
         cfg = tiny_cfg()
         params = init_params(cfg)

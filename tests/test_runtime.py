@@ -19,6 +19,45 @@ def tiny_cfg(**overrides):
     return ModelConfig(**base)
 
 
+def random_cfg(rng):
+    """A tiny config with every mechanism toggle, window, chunk size and
+    latent_dim drawn at random."""
+    return tiny_cfg(
+        window=int(rng.integers(1, 6)), chunk_size=int(rng.integers(1, 7)),
+        max_seq_len=40,
+        latent_dim=int(rng.integers(2, 6)) if rng.random() < 0.3 else None,
+        **{k: bool(rng.random() < 0.7) for k in (
+            "slow_memory", "predictive_coding", "ont", "stop_head", "mhc")})
+
+
+def random_params(cfg, rng, seed):
+    params = init_params(cfg, seed=seed)
+    if cfg.mhc:
+        # Move the routing weights off the identity initialization.
+        for l in range(cfg.layers):
+            params[f"layers.{l}.mhc.logits"].data = \
+                rng.uniform(-1, 1, (cfg.mhc_streams, cfg.mhc_streams))
+    return params
+
+
+def assert_caches_match(a, b, tol=1e-12):
+    """Equal positions, counts, sorted positions and history shapes, and
+    every float field within `tol`."""
+    assert a.position == b.position
+    for la, lb in zip(a.layers, b.layers, strict=True):
+        for f in fields(la):
+            x, y = getattr(la, f.name), getattr(lb, f.name)
+            if f.name in ("chunk_count", "sorted_index"):
+                assert x == y, f.name
+            elif x is None or y is None:
+                assert x is None and y is None, f.name
+            else:
+                x = np.asarray(getattr(x, "data", x))
+                y = np.asarray(getattr(y, "data", y))
+                assert x.shape == y.shape, f.name
+                assert np.max(np.abs(x - y), initial=0.0) <= tol, f.name
+
+
 def decode_all(tokens, params, cfg):
     cache = init_cache(cfg)
     rows = []
@@ -57,17 +96,21 @@ class TestCache:
     def test_cache_holds_no_tape(self):
         # Decode runs with the tape off even though the parameters require
         # grad, so nothing the cache carries links back to earlier tokens.
+        # The same holds for a cache filled by one span.
         cfg = tiny_cfg()
         params = init_params(cfg, seed=2)
+        prompt = [2, 3, 4, 5, 6, 7, 8]
         cache = init_cache(cfg)
-        for tok in [2, 3, 4, 5, 6, 7, 8]:
+        for tok in prompt:
             _, cache = step_decode(tok, cache, params, cfg)
-        held = [getattr(lc, f.name) for lc in cache.layers for f in fields(lc)]
-        tensors = [t for t in held if isinstance(t, Tensor)]
-        assert len(tensors) == 5 * cfg.layers
-        for t in tensors:
-            assert t._prev == () and t._backward is None
-            assert not t.requires_grad
+        _, span = step_decode(prompt, init_cache(cfg), params, cfg)
+        for c in (cache, span):
+            held = [getattr(lc, f.name) for lc in c.layers for f in fields(lc)]
+            tensors = [t for t in held if isinstance(t, Tensor)]
+            assert len(tensors) == 5 * cfg.layers
+            for t in tensors:
+                assert t._prev == () and t._backward is None
+                assert not t.requires_grad
 
     def test_position_advances_and_bounds(self):
         cfg = tiny_cfg(max_seq_len=3, layers=1)
@@ -129,6 +172,85 @@ class TestParity:
             stops.append(logits.stop.item())
         full, _ = model_forward(tokens, params, cfg)
         assert np.max(np.abs(np.array(stops) - full.stop.data)) < 1e-9
+
+
+class TestSpanPrefill:
+    @pytest.mark.parametrize("case", range(12))
+    def test_span_matches_per_token_loop(self, case):
+        # One call on the whole prompt leaves the cache and last-row logits
+        # that a call per token leaves; prompts of up to 29 tokens cross
+        # the window and chunk boundaries.
+        rng = np.random.default_rng(100 + case)
+        cfg = random_cfg(rng)
+        params = random_params(cfg, rng, seed=case)
+        prompt = rng.integers(0, cfg.vocab_size,
+                              size=int(rng.integers(1, 30))).tolist()
+        cache = init_cache(cfg)
+        for tok in prompt:
+            logits, cache = step_decode(tok, cache, params, cfg)
+        span, span_cache = step_decode(prompt, init_cache(cfg), params, cfg)
+        assert span_cache.position == len(prompt)
+        assert span.lm.shape == (cfg.vocab_size,)
+        assert np.max(np.abs(span.lm.data - logits.lm.data)) <= 1e-12
+        if cfg.stop_head:
+            assert span.stop.shape == ()
+            assert abs(span.stop.item() - logits.stop.item()) <= 1e-12
+        else:
+            assert span.stop is None
+        assert_caches_match(span_cache, cache)
+
+    def test_bare_int_is_a_one_token_span(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=3)
+        a, ca = step_decode(4, init_cache(cfg), params, cfg)
+        b, cb = step_decode([4], init_cache(cfg), params, cfg)
+        assert np.array_equal(a.lm.data, b.lm.data)
+        assert a.stop.item() == b.stop.item()
+        assert_caches_match(ca, cb, tol=0.0)
+
+    def test_empty_span_rejected_without_advancing(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=3)
+        _, cache = step_decode([2, 3], init_cache(cfg), params, cfg)
+        with pytest.raises(NumericsError):
+            step_decode([], cache, params, cfg)
+        assert cache.position == 2
+
+    def test_generate_matches_per_token_reference(self):
+        def per_token(prompt, max_new, params, cfg):
+            cache = init_cache(cfg)
+            for tok in prompt:
+                logits, cache = step_decode(tok, cache, params, cfg)
+            out = list(prompt)
+            for _ in range(max_new):
+                out.append(int(np.argmax(logits.lm.data)))
+                logits, cache = step_decode(out[-1], cache, params, cfg)
+            return out
+
+        rng = np.random.default_rng(7)
+        for case in range(24):
+            cfg = random_cfg(rng)
+            params = random_params(cfg, rng, seed=case)
+            prompt = rng.integers(0, cfg.vocab_size,
+                                  size=int(rng.integers(1, 20))).tolist()
+            max_new = int(rng.integers(1, 12))
+            assert generate(prompt, max_new, params, cfg) \
+                == per_token(prompt, max_new, params, cfg), case
+
+    def test_generate_calls_step_decode_once_per_new_token(self, monkeypatch):
+        # One call for the prompt, then one per new token: timing code
+        # takes the last max_new calls as decode steps and the one before
+        # them as the end of prefill.
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=4)
+        calls = []
+        step = runtime.step_decode
+        monkeypatch.setattr(runtime, "step_decode",
+                            lambda tokens, *a: calls.append(tokens)
+                            or step(tokens, *a))
+        out = generate([2, 3, 4, 5, 6], 7, params, cfg)
+        assert len(out) == 5 + 7
+        assert calls == [[2, 3, 4, 5, 6]] + out[5:]
 
 
 class TestGenerate:
@@ -197,6 +319,21 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(*args, params, cfg, **kwargs)
         assert calls == []
+
+    def test_non_integer_prompt_rejected(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=12)
+        for prompt in ([2.5, 3], ["3"], [True, 3]):
+            with pytest.raises(ConfigError, match="integers"):
+                generate(prompt, 2, params, cfg)
+
+    def test_returns_python_ints(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=12)
+        for prompt in ([2, 3], np.array([2, 3]), [np.int32(2), np.uint8(3)]):
+            out = generate(prompt, 2, params, cfg)
+            assert [type(t) for t in out] == [int] * 4
+            assert out == generate([2, 3], 2, params, cfg)
 
     def test_prefix_stability(self):
         # Greedy continuation never rewrites earlier tokens.
