@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError, concat, _op, _accum
+from .numerics import Tensor, ParameterStore, NumericsError, concat, linear, _op, _accum
 
 # Additive mask value; exp(x - 1e30) underflows to exactly 0, so masked
 # positions carry exactly zero weight.
@@ -80,11 +80,12 @@ def local_attention(hidden: Tensor, window: int, heads: int,
     """
     _require(params, [prefix + n for n in ("w_qkv", "b_qkv", "w_o", "b_o")])
     d = hidden.shape[-1]
-    qkv = _with_past(hidden, past) @ params[prefix + "w_qkv"] + params[prefix + "b_qkv"]
+    qkv = linear(_with_past(hidden, past), params[prefix + "w_qkv"],
+                 params[prefix + "b_qkv"])
     q = qkv[-hidden.shape[0]:, 0:d]
     k, v = qkv[:, d:2 * d], qkv[:, 2 * d:3 * d]
-    return _attend(q, k, v, window, heads) @ params[prefix + "w_o"] \
-        + params[prefix + "b_o"]
+    return linear(_attend(q, k, v, window, heads), params[prefix + "w_o"],
+                  params[prefix + "b_o"])
 
 
 def latent_attention(hidden: Tensor, window: int, heads: int,
@@ -95,9 +96,10 @@ def latent_attention(hidden: Tensor, window: int, heads: int,
     _require(params, [prefix + n for n in
                       ("w_q", "b_q", "w_z", "b_z", "w_k_up", "b_k_up",
                        "w_v_up", "b_v_up", "w_o", "b_o")])
-    q = hidden @ params[prefix + "w_q"] + params[prefix + "b_q"]
-    z = _with_past(hidden, past) @ params[prefix + "w_z"] + params[prefix + "b_z"]
-    k = z @ params[prefix + "w_k_up"] + params[prefix + "b_k_up"]
-    v = z @ params[prefix + "w_v_up"] + params[prefix + "b_v_up"]
-    return _attend(q, k, v, window, heads) @ params[prefix + "w_o"] \
-        + params[prefix + "b_o"]
+    q = linear(hidden, params[prefix + "w_q"], params[prefix + "b_q"])
+    z = linear(_with_past(hidden, past), params[prefix + "w_z"],
+               params[prefix + "b_z"])
+    k = linear(z, params[prefix + "w_k_up"], params[prefix + "b_k_up"])
+    v = linear(z, params[prefix + "w_v_up"], params[prefix + "b_v_up"])
+    return linear(_attend(q, k, v, window, heads), params[prefix + "w_o"],
+                  params[prefix + "b_o"])

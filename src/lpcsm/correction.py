@@ -3,12 +3,12 @@ memory reads, then iteratively refine against the explicit mismatch."""
 
 from __future__ import annotations
 
-from .numerics import Tensor, ParameterStore, NumericsError, concat
+from .numerics import Tensor, ParameterStore, NumericsError, concat, linear
 
 
 def _mlp(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
-    h = (x @ params[prefix + "w1"] + params[prefix + "b1"]).tanh()
-    return h @ params[prefix + "w2"] + params[prefix + "b2"]
+    h = linear(x, params[prefix + "w1"], params[prefix + "b1"]).tanh()
+    return linear(h, params[prefix + "w2"], params[prefix + "b2"])
 
 
 def predict_init(a: Tensor, r: Tensor, params: ParameterStore,

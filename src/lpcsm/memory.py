@@ -6,7 +6,7 @@ them; a span's fast states come from one `gated_scan`."""
 
 from __future__ import annotations
 
-from .numerics import Tensor, ParameterStore, concat, gated_scan
+from .numerics import Tensor, ParameterStore, concat, gated_scan, linear
 from .ont import ont_transport
 
 
@@ -14,8 +14,8 @@ def fast_update(h: Tensor, prev: Tensor, params: ParameterStore,
                 prefix: str = "mem.") -> Tensor:
     """Gated tokenwise update: d*prev + (1-d)*tanh write. For a [T, d]
     span of rows it returns the [T, d] states after each row."""
-    d = (h @ params[prefix + "w_d"] + params[prefix + "b_d"]).sigmoid()
-    u = (h @ params[prefix + "w_u"] + params[prefix + "b_u"]).tanh()
+    d = linear(h, params[prefix + "w_d"], params[prefix + "b_d"]).sigmoid()
+    u = linear(h, params[prefix + "w_u"], params[prefix + "b_u"]).tanh()
     return gated_scan(d, (1.0 - d) * u, prev)
 
 
@@ -23,10 +23,10 @@ def memory_read(h: Tensor, fast: Tensor, slow: Tensor,
                 params: ParameterStore, prefix: str = "mem.") -> Tensor:
     """Separate sigmoid gates query the fast and slow halves, then mix.
     A [T, d] span reads [T, d] fast and slow rows (or one shared state)."""
-    qf = (h @ params[prefix + "w_qf"] + params[prefix + "b_qf"]).sigmoid()
-    qs = (h @ params[prefix + "w_qs"] + params[prefix + "b_qs"]).sigmoid()
+    qf = linear(h, params[prefix + "w_qf"], params[prefix + "b_qf"]).sigmoid()
+    qs = linear(h, params[prefix + "w_qs"], params[prefix + "b_qs"]).sigmoid()
     gated = concat([qf * fast, qs * slow], axis=-1)
-    return gated @ params[prefix + "w_r"] + params[prefix + "b_r"]
+    return linear(gated, params[prefix + "w_r"], params[prefix + "b_r"])
 
 
 def slow_write(h_boundary: Tensor, c: Tensor, slow: Tensor,
@@ -40,6 +40,6 @@ def slow_write(h_boundary: Tensor, c: Tensor, slow: Tensor,
         # alpha = 0 transport is the identity for any reference; skipping it
         # keeps the backward graph identical to the disabled path.
         c_star = c
-    g = (h_boundary @ params[prefix + "w_g"] + params[prefix + "b_g"]).sigmoid()
-    u = (c_star @ params[prefix + "w_c"] + params[prefix + "b_c"]).tanh()
+    g = linear(h_boundary, params[prefix + "w_g"], params[prefix + "b_g"]).sigmoid()
+    u = linear(c_star, params[prefix + "w_c"], params[prefix + "b_c"]).tanh()
     return g * slow + (1.0 - g) * u

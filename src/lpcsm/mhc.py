@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, NumericsError, _wrap, check_finite
+from .numerics import Tensor, NumericsError, _wrap, _op, _accum, check_finite
 
 
 # Marginal-sum tolerance the transport matrix must reach, and the hard cap
@@ -23,31 +23,42 @@ def _marginal_residual(m: np.ndarray) -> float:
 
 
 def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
-    """Alternate row/column normalization of exp(logits).
+    """Alternate row/column normalization of exp(logits), as one tape node.
 
     Runs `iters` full passes, then keeps alternating until both marginal
     sums are within MARGINAL_TOL of 1; badly conditioned logits need far
     more passes than well-mixed ones, and the doubly-stochastic invariant
-    is the contract that matters downstream. Gradients flow through every
-    unrolled pass. An exp(logits) that overflows, or marginals that are not
-    finite after the `iters` passes, raise at once.
+    is the contract that matters downstream. The backward is the unrolled
+    adjoint of every pass run, extra passes included. An exp(logits) that
+    overflows, or marginals that are not finite after the `iters` passes,
+    raise at once.
     """
     logits = _wrap(logits)
     if iters < 1:
         raise NumericsError("sinkhorn iters must be >= 1")
     if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
         raise NumericsError("sinkhorn expects square logits")
-    m = logits.exp()
-    check_finite(m.data, "sinkhorn exp(logits)")
+    with np.errstate(over="ignore"):
+        m0 = np.exp(logits.data)
+    check_finite(m0, "sinkhorn exp(logits)")
+    m, passes = m0, []  # passes: (axis, divisor, output) in forward order
     for i in range(iters + MAX_EXTRA_PASSES):
-        m = m / m.sum(axis=1, keepdims=True)
-        m = m / m.sum(axis=0, keepdims=True)
+        for axis in (1, 0):
+            s = m.sum(axis=axis, keepdims=True)
+            m = m / s
+            passes.append((axis, s, m))
         if i + 1 >= iters:
-            residual = _marginal_residual(m.data)
+            residual = _marginal_residual(m)
             if residual <= MARGINAL_TOL:
-                return m
+                break
             check_finite(residual, "sinkhorn marginals")
-    raise NumericsError("sinkhorn failed to reach doubly-stochastic marginals")
+    else:
+        raise NumericsError("sinkhorn failed to reach doubly-stochastic marginals")
+    def bw(g):
+        for axis, s, y in reversed(passes):
+            g = (g - (g * y).sum(axis=axis, keepdims=True)) / s
+        _accum(logits, g * m0)
+    return _op(m, (logits,), bw)
 
 
 def route_gain(pre: Tensor, post: Tensor, logits: Tensor, iters: int) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .numerics import (
     Tensor, ParameterStore, NumericsError, ConfigError, check_finite, rmsnorm,
-    concat, stack, take_rows, straight_through,
+    concat, linear, stack, take_rows, straight_through,
 )
 from .attention import local_attention, latent_attention
 from .memory import fast_update, memory_read, slow_write
@@ -372,12 +372,12 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         else:
             corrected = Tensor(np.zeros((t_len, d)))
 
-        fused = concat([a, r, corrected], axis=-1) @ params[p + "fuse.w"] \
-            + params[p + "fuse.b"]
+        fused = linear(concat([a, r, corrected], axis=-1), params[p + "fuse.w"],
+                       params[p + "fuse.b"])
         resid = h + fused
         n2 = rmsnorm(resid, params[p + "norm2.gain"], cfg.rmsnorm_eps)
-        update = (n2 @ params[p + "ffn.w1"] + params[p + "ffn.b1"]).tanh() \
-            @ params[p + "ffn.w2"] + params[p + "ffn.b2"]
+        ffn = linear(n2, params[p + "ffn.w1"], params[p + "ffn.b1"]).tanh()
+        update = linear(ffn, params[p + "ffn.w2"], params[p + "ffn.b2"])
 
         if cfg.mhc:
             if cache.route_gain is None:
@@ -448,11 +448,11 @@ def model_forward(tokens, params: ParameterStore, cfg: ModelConfig,
                                cache=None if caches is None else caches[layer])
         aux_list.append(aux)
     n = rmsnorm(h, params["final_norm.gain"], cfg.rmsnorm_eps)
-    lm = n @ params["lm_head.w"] + params["lm_head.b"]
+    lm = linear(n, params["lm_head.w"], params["lm_head.b"])
     check_finite(lm.data, "LM logits")
     stop = None
     if cfg.stop_head:
-        stop = n @ params["stop_head.w"] + params["stop_head.b"]
+        stop = linear(n, params["stop_head.w"], params["stop_head.b"])
         check_finite(stop.data, "stop logits")
     return Logits(lm=lm, stop=stop), aux_list
 

@@ -172,22 +172,7 @@ class Tensor:
             data = a.data @ b.data
         except ValueError as e:
             raise NumericsError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from e
-        def bw(g):
-            ad, bd = a.data, b.data
-            a2 = ad if ad.ndim > 1 else ad[None, :]
-            b2 = bd if bd.ndim > 1 else bd[:, None]
-            g2 = g
-            if ad.ndim == 1 and bd.ndim == 1:
-                g2 = g.reshape(1, 1)
-            elif ad.ndim == 1:
-                g2 = g[..., None, :]
-            elif bd.ndim == 1:
-                g2 = g[..., :, None]
-            ga = g2 @ np.swapaxes(b2, -1, -2)
-            gb = np.swapaxes(a2, -1, -2) @ g2
-            _accum(a, _unbroadcast(ga, a2.shape).reshape(ad.shape))
-            _accum(b, _unbroadcast(gb, b2.shape).reshape(bd.shape))
-        return _op(data, (a, b), bw)
+        return _op(data, (a, b), lambda g: _matmul_backward(a, b, g))
 
     # -- reductions ---------------------------------------------------------
 
@@ -297,6 +282,24 @@ def _op(data, inputs: tuple, backward) -> Tensor:
     return out
 
 
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Accumulate the shares of g = d(a @ b) into a and b; either may be 1-D."""
+    ad, bd = a.data, b.data
+    a2 = ad if ad.ndim > 1 else ad[None, :]
+    b2 = bd if bd.ndim > 1 else bd[:, None]
+    g2 = g
+    if ad.ndim == 1 and bd.ndim == 1:
+        g2 = g.reshape(1, 1)
+    elif ad.ndim == 1:
+        g2 = g[..., None, :]
+    elif bd.ndim == 1:
+        g2 = g[..., :, None]
+    ga = g2 @ np.swapaxes(b2, -1, -2)
+    gb = np.swapaxes(a2, -1, -2) @ g2
+    _accum(a, _unbroadcast(ga, a2.shape).reshape(ad.shape))
+    _accum(b, _unbroadcast(gb, b2.shape).reshape(bd.shape))
+
+
 def _accum(t: Tensor, g) -> None:
     if not t.requires_grad:
         return
@@ -373,14 +376,34 @@ def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
     return _op(hard, (soft,), lambda g: _accum(soft, g))
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one tape node. x is one row or a [T, d] span; a 1-D w
+    with a scalar b maps each row to a scalar."""
+    try:
+        data = x.data @ w.data + b.data
+    except ValueError as e:
+        raise NumericsError(
+            f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}") from e
+    def bw(g):
+        _matmul_backward(x, w, g)
+        _accum(b, g)
+    return _op(data, (x, w, b), bw)
+
+
 def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
-    """y_i = gain_i * x_i / sqrt(mean_j(x_j^2) + eps) over the last axis."""
+    """y_i = gain_i * x_i / sqrt(mean_j(x_j^2) + eps) over the last axis,
+    as one tape node."""
     if x.shape[-1] == 0:
         raise NumericsError("rmsnorm on zero-length last axis")
     if gain.shape != (x.shape[-1],):
         raise NumericsError("rmsnorm gain length mismatch")
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x / (ms + eps).sqrt() * gain
+    rms = np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + eps)
+    xhat = x.data / rms
+    def bw(g):
+        gx = g * gain.data
+        _accum(x, (gx - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / rms)
+        _accum(gain, g * xhat)
+    return _op(xhat * gain.data, (x, gain), bw)
 
 
 # -- parameters -------------------------------------------------------------

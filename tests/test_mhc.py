@@ -1,6 +1,8 @@
 """Multi-stream residual routing: Sinkhorn normalization and the
 pre-mix / transport / post-mix path."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,47 @@ class TestSinkhorn:
         with np.errstate(all="ignore"), pytest.raises(NumericsError):
             sinkhorn_normalize(Tensor(logits), iters=5)
         assert len(passes) <= 1
+
+    def test_overflow_raises_without_warning(self):
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="non-finite sinkhorn exp"):
+                sinkhorn_normalize(Tensor(np.array([[800.0, 0.0], [0.0, 0.0]])),
+                                   iters=5)
+
+    def test_one_node_same_floats(self):
+        logits = Tensor(np.random.default_rng(7).uniform(-5, 5, (4, 4)),
+                        requires_grad=True)
+        out = sinkhorn_normalize(logits, iters=3)
+        assert out._prev == (logits,)
+        # The former unrolled form: two tape nodes per half-pass, run for
+        # as many passes as the node's forward ran.
+        m, passes = logits.exp(), 0
+        while True:
+            m = m / m.sum(axis=1, keepdims=True)
+            m = m / m.sum(axis=0, keepdims=True)
+            passes += 1
+            if passes >= 3 and mhc._marginal_residual(m.data) <= mhc.MARGINAL_TOL:
+                break
+        assert np.array_equal(out.data, m.data)
+
+    def test_grad_check_covers_extra_passes(self, monkeypatch):
+        logits = np.random.default_rng(8).uniform(-5, 5, (4, 4))
+        checks = []
+        residual = mhc._marginal_residual
+        monkeypatch.setattr(mhc, "_marginal_residual",
+                            lambda m: checks.append(1) or residual(m))
+        sinkhorn_normalize(Tensor(logits), iters=1)
+        assert len(checks) > 5  # the stop needs passes past `iters`
+        params = ParameterStore()
+        params.add("logits", logits)
+        weights = Tensor(np.random.default_rng(9).standard_normal((4, 4)))
+
+        def loss(p):
+            return (sinkhorn_normalize(p["logits"], iters=1) * weights).sum()
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error
 
     def test_grad_through_iterations(self):
         params = ParameterStore()

@@ -3,12 +3,18 @@ writes, a straight-line re-implementation oracle, causality, and
 determinism."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from lpcsm import numerics
+from lpcsm.data import SyntheticTask, make_batch
 from lpcsm.numerics import Tensor, NumericsError, ConfigError, rmsnorm
+from lpcsm.objective import LossWeights
+from lpcsm.runtime import init_cache, step_decode
+from lpcsm.train import sequence_loss
 from lpcsm.model import (
     MAX_PARAMS, ModelConfig, init_params, model_forward, block_forward, embed,
     ablation_variants, causal_mask_bits, controller_params, LayerCache,
@@ -428,3 +434,49 @@ class TestCausalMaskBits:
             scores = event_scores(errs[0:t + 1], cp)
             em = hard_mask(scores, float(ratio.data))
             assert hard_bits.data[t] == em.hard.data[t]
+
+
+class TestTapeBudget:
+    """Tape nodes built by the README model, counted as `_op` calls.
+
+    Cost per node, not arithmetic, bounds this model; a primitive that is
+    unrolled into many small nodes again pushes these counts over budget.
+    """
+
+    @staticmethod
+    def count_ops(monkeypatch):
+        calls = [0]
+        original = numerics._op
+
+        def counting(*args):
+            calls[0] += 1
+            return original(*args)
+
+        # Modules that import `_op` by name hold their own reference.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lpcsm") and getattr(module, "_op", None) is original:
+                monkeypatch.setattr(module, "_op", counting)
+        return calls
+
+    @staticmethod
+    def readme_cfg(max_seq_len):
+        return ModelConfig(vocab_size=32, width=32, layers=2, heads=4, window=8,
+                           chunk_size=16, max_seq_len=max_seq_len)
+
+    def test_train_sequence(self, monkeypatch):
+        cfg = self.readme_cfg(64)
+        inputs, targets = make_batch(SyntheticTask("copy", 32, 64, 2, seed=1), 1)
+        params = init_params(cfg, seed=1)
+        calls = self.count_ops(monkeypatch)
+        sequence_loss(inputs[0], targets[0], params, cfg, LossWeights())
+        assert 0 < calls[0] <= 420
+
+    def test_decode_token(self, monkeypatch):
+        cfg = self.readme_cfg(256)
+        task = SyntheticTask("key-recall", 32, 128, 4, distractor_len=119, seed=1)
+        prompt = make_batch(task, 1)[0][0]
+        params = init_params(cfg, seed=1)
+        logits, cache = step_decode(prompt, init_cache(cfg), params, cfg)
+        calls = self.count_ops(monkeypatch)
+        step_decode(int(np.argmax(logits.lm.data)), cache, params, cfg)
+        assert 0 < calls[0] <= 160

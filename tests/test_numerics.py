@@ -13,8 +13,8 @@ from lpcsm.controller import ControllerParams
 from lpcsm.model import causal_mask_bits
 from lpcsm.numerics import (
     Tensor, NumericsError, no_grad, concat, stack, take_rows,
-    straight_through, gated_scan, rmsnorm, ParameterStore, forward_backward,
-    grad_check, check_finite,
+    straight_through, gated_scan, linear, rmsnorm, ParameterStore,
+    forward_backward, grad_check, check_finite,
 )
 
 SRC = Path(lpcsm.__file__).parent
@@ -186,6 +186,39 @@ class TestSubtraction:
         assert np.array_equal((2.0 - a).data, 2.0 + (-x))
 
 
+class TestLinear:
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((4, 3), (3, 5), (5,)),  # a span of rows
+        ((3,), (3, 5), (5,)),    # one row, as slow_write projects it
+        ((4, 3), (3,), ()),      # the stop head: a 1-D w and a scalar b
+    ])
+    def test_grad_check(self, x_shape, w_shape, b_shape):
+        rng = np.random.default_rng(13)
+        params = ParameterStore()
+        for name, shape in (("x", x_shape), ("w", w_shape), ("b", b_shape)):
+            params.add(name, rng.standard_normal(shape))
+        weights = Tensor(rng.standard_normal(x_shape[:-1] + w_shape[1:]))
+
+        def loss(p):
+            return (linear(p["x"], p["w"], p["b"]).tanh() * weights).sum()
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error
+
+    def test_one_node_same_floats(self):
+        rng = np.random.default_rng(14)
+        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+                   for s in ((4, 3), (3, 5), (5,)))
+        out = linear(x, w, b)
+        assert out._prev == (x, w, b)
+        assert np.array_equal(out.data, (x @ w + b).data)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(NumericsError, match="linear shape mismatch"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))),
+                   Tensor(np.ones(5)))
+
+
 class TestTensorBasics:
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericsError):
@@ -303,6 +336,28 @@ class TestRmsNorm:
             return rmsnorm(t, Tensor(np.array([1.0, 2.0, 0.5])), 1e-6).sum()
 
         check_op(f, (2, 3), 5)
+
+    def test_grad_check_x_and_gain(self):
+        rng = np.random.default_rng(15)
+        params = ParameterStore()
+        params.add("x", rng.standard_normal((3, 4)))
+        params.add("gain", rng.standard_normal(4))
+        weights = Tensor(rng.standard_normal((3, 4)))
+
+        def loss(p):
+            return (rmsnorm(p["x"], p["gain"], 1e-6) * weights).sum()
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error
+
+    def test_one_node_same_floats(self):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        gain = Tensor(rng.standard_normal(4), requires_grad=True)
+        out = rmsnorm(x, gain, 1e-6)
+        assert out._prev == (x, gain)
+        composed = x / ((x * x).mean(axis=-1, keepdims=True) + 1e-6).sqrt() * gain
+        assert np.array_equal(out.data, composed.data)
 
 
 class TestGradCheckHarness:
