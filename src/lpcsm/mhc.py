@@ -30,8 +30,9 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
     more passes than well-mixed ones, and the doubly-stochastic invariant
     is the contract that matters downstream. The backward is the unrolled
     adjoint of every pass run, extra passes included. An exp(logits) that
-    overflows, or marginals that are not finite after the `iters` passes,
-    raise at once.
+    overflows, or marginals that are not finite after the `iters` passes
+    (a line of exp(logits) that underflows to 0), raise NumericsError at
+    once, without a RuntimeWarning.
     """
     logits = _wrap(logits)
     if iters < 1:
@@ -42,18 +43,22 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
         m0 = np.exp(logits.data)
     check_finite(m0, "sinkhorn exp(logits)")
     m, passes = m0, []  # passes: (axis, divisor, output) in forward order
-    for i in range(iters + MAX_EXTRA_PASSES):
-        for axis in (1, 0):
-            s = m.sum(axis=axis, keepdims=True)
-            m = m / s
-            passes.append((axis, s, m))
-        if i + 1 >= iters:
-            residual = _marginal_residual(m)
-            if residual <= MARGINAL_TOL:
-                break
-            check_finite(residual, "sinkhorn marginals")
-    else:
-        raise NumericsError("sinkhorn failed to reach doubly-stochastic marginals")
+    # A line of exp(logits) that underflows to 0 divides 0 by 0 in its
+    # pass; the marginal check raises on the NaNs that leaves.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(iters + MAX_EXTRA_PASSES):
+            for axis in (1, 0):
+                s = m.sum(axis=axis, keepdims=True)
+                m = m / s
+                passes.append((axis, s, m))
+            if i + 1 >= iters:
+                residual = _marginal_residual(m)
+                if residual <= MARGINAL_TOL:
+                    break
+                check_finite(residual, "sinkhorn marginals")
+        else:
+            raise NumericsError(
+                "sinkhorn failed to reach doubly-stochastic marginals")
     def bw(g):
         for axis, s, y in reversed(passes):
             g = (g - (g * y).sum(axis=axis, keepdims=True)) / s

@@ -12,7 +12,7 @@ import numpy as np
 
 from .numerics import (
     Tensor, ParameterStore, NumericsError, ConfigError, check_finite, rmsnorm,
-    concat, linear, stack, take_rows, straight_through,
+    concat, linear, take_rows, straight_through,
 )
 from .attention import local_attention, latent_attention
 from .memory import fast_update, memory_read, slow_write
@@ -312,32 +312,30 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         cache.history = (n if past is None else concat([past, n]))[-cfg.window:]
 
         # Memory pathway over the whole span: one scan gives the fast
-        # states, slow writes happen at chunk boundaries after that token's
-        # read, so each row reads the slow state of its chunk.
+        # states, one node all slow writes. A write happens at a chunk
+        # boundary after that token's read, so each row reads the slow
+        # state of its chunk.
         mem = p + "mem."
         fast = fast_update(n, cache.fast, params, mem)
         cache.fast = fast[t_len - 1]
-        slow_values, ends = [cache.slow], []
+        slow, ends = cache.slow, []
         if cfg.slow_memory:
             ends = list(range(cfg.chunk_size - cache.chunk_count, t_len + 1,
                               cfg.chunk_size))
-            start = 0
-            for end in ends:
-                mean = (cache.chunk_sum + fast[start:end].sum(axis=0)) \
-                    * (1.0 / cfg.chunk_size)
-                cache.slow = slow_write(n[end - 1], mean, cache.slow,
-                                        cfg.alpha_n, cfg.ont, params, mem)
+            if ends:
+                states = slow_write(fast, n, ends, cache.chunk_sum, cache.slow,
+                                    cfg.chunk_size, cfg.alpha_n, cfg.ont,
+                                    params, mem)
+                chunk_of_row = np.searchsorted(ends, np.arange(t_len),
+                                               side="right")
+                slow = take_rows(concat([cache.slow.reshape((1, d)), states]),
+                                 chunk_of_row)
+                cache.slow = states[len(ends) - 1]
                 cache.chunk_sum, cache.chunk_count = Tensor(np.zeros(d)), 0
-                slow_values.append(cache.slow)
-                start = end
+            start = ends[-1] if ends else 0
             if start < t_len:
                 cache.chunk_sum = cache.chunk_sum + fast[start:].sum(axis=0)
                 cache.chunk_count += t_len - start
-        if ends:
-            chunk_of_row = np.searchsorted(ends, np.arange(t_len), side="right")
-            slow = take_rows(stack(slow_values), chunk_of_row)
-        else:
-            slow = slow_values[0]
         r = memory_read(n, fast, slow, params, mem)
 
         # Predictive correction over the whole batch of positions.

@@ -4,6 +4,10 @@ Decomposes a chunk summary into the component aligned with the current
 slow state and the orthogonal novelty remainder, amplifies only the
 novelty, and certifies the result against a closed-form affine-projection
 oracle plus the variational write objective.
+
+The transport is defined once, on numpy vectors: `transport_array` and
+its VJP `transport_vjp`. `ont_transport` is one tape node over that pair,
+and the slow-write scan of `memory.slow_write` calls the same pair.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, NumericsError, ConfigError, _wrap
+from .numerics import Tensor, NumericsError, ConfigError, _wrap, _op, _accum
 
 # Below this norm the reference state is treated as zero; the exact-zero
 # dichotomy is an exact-arithmetic statement and 1/||m||^2 would overflow
@@ -26,15 +30,15 @@ def _check_lengths(c: Tensor, m: Tensor) -> None:
         raise NumericsError(f"vector length mismatch: {c.shape} vs {m.shape}")
 
 
-def _reference_is_zero(m: Tensor) -> bool:
-    return float(np.linalg.norm(m.data)) < ZERO_NORM_FLOOR
+def _reference_is_zero(m: np.ndarray) -> bool:
+    return float(np.linalg.norm(m)) < ZERO_NORM_FLOOR
 
 
 def ont_proj(c: Tensor, m: Tensor) -> Tensor:
     """Component of c aligned with m; the zero vector when m = 0."""
     c, m = _wrap(c), _wrap(m)
     _check_lengths(c, m)
-    if _reference_is_zero(m):
+    if _reference_is_zero(m.data):
         return c * 0.0
     return m * ((c * m).sum() / (m * m).sum())
 
@@ -45,15 +49,43 @@ def ont_novelty(c: Tensor, m: Tensor) -> Tensor:
     return c - ont_proj(c, m)
 
 
-def ont_transport(alpha: float, c: Tensor, m: Tensor) -> Tensor:
-    """Transported summary c + alpha * novelty; keeps <x, m> = <c, m>."""
-    c, m = _wrap(c), _wrap(m)
-    _check_lengths(c, m)
+def transport_array(alpha: float, c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """c + alpha * novelty of c against m, on numpy vectors; keeps
+    <x, m> = <c, m>."""
     if _reference_is_zero(m):
         # Zero reference: the whole summary is novelty, so the transport is
         # exactly the unconstrained amplification.
         return c * (1.0 + alpha)
-    return c + ont_novelty(c, m) * alpha
+    return c + (c - m * ((c * m).sum() / (m * m).sum())) * alpha
+
+
+def transport_vjp(alpha: float, c: np.ndarray, m: np.ndarray,
+                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shares (g_c, g_m) of g = dL/dx for x = transport_array(alpha, c, m).
+
+    With s = <c,m>/<m,m>, x = (1+alpha) c - alpha s m, so
+    g_c = (1+alpha) g - alpha (<g,m>/<m,m>) m and
+    g_m = -alpha (s g + (<g,m>/<m,m>) (c - 2 s m)); below the zero floor
+    x = (1+alpha) c does not depend on m."""
+    if _reference_is_zero(m):
+        return g * (1.0 + alpha), np.zeros_like(m)
+    mm = m @ m
+    s = (c @ m) / mm
+    gm_ratio = (g @ m) / mm
+    return ((1.0 + alpha) * g - (alpha * gm_ratio) * m,
+            -alpha * (s * g + gm_ratio * (c - (2.0 * s) * m)))
+
+
+def ont_transport(alpha: float, c: Tensor, m: Tensor) -> Tensor:
+    """Transported summary c + alpha * novelty as one tape node; keeps
+    <x, m> = <c, m>."""
+    c, m = _wrap(c), _wrap(m)
+    _check_lengths(c, m)
+    def bw(g):
+        g_c, g_m = transport_vjp(alpha, c.data, m.data, g)
+        _accum(c, g_c)
+        _accum(m, g_m)
+    return _op(transport_array(alpha, c.data, m.data), (c, m), bw)
 
 
 def ont_target(alpha: float, c: Tensor) -> Tensor:
@@ -70,7 +102,7 @@ def ont_oracle_min(alpha: float, c: Tensor, m: Tensor) -> Tensor:
     c, m = _wrap(c), _wrap(m)
     _check_lengths(c, m)
     y = ont_target(alpha, c)
-    if _reference_is_zero(m):
+    if _reference_is_zero(m.data):
         return y
     gap = (c * m).sum() - (y * m).sum()
     return y + m * (gap / (m * m).sum())

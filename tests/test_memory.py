@@ -2,14 +2,42 @@
 transported slow writes."""
 
 import numpy as np
+import pytest
 from scipy.special import expit
 
-from lpcsm.numerics import Tensor, ParameterStore, grad_check
+from lpcsm.numerics import Tensor, ParameterStore, grad_check, linear, stack
 from lpcsm.memory import fast_update, memory_read, slow_write
+from lpcsm.ont import ont_transport
 
 
 def zeros(d):
     return Tensor(np.zeros(d))
+
+
+def write_once(h, c, slow, alpha_n, ont_enabled, params):
+    """One slow write of summary c gated by row h: a one-row chunk of
+    size 1, whose mean is c."""
+    d = slow.shape[0]
+    states = slow_write(c.reshape((1, d)), h.reshape((1, d)), [1], zeros(d),
+                        slow, 1, alpha_n, ont_enabled, params)
+    return states.reshape((d,))
+
+
+def reference_writes(fast, n, ends, chunk_sum, slow, chunk_size, alpha_n,
+                     ont_enabled, p):
+    """The writes of a span one chunk at a time, from Tensor ops: the mean
+    fast state, the transport, then the gated write."""
+    states, start = [], 0
+    for end in ends:
+        mean = (chunk_sum + fast[start:end].sum(axis=0)) * (1.0 / chunk_size)
+        c = (ont_transport(alpha_n, mean, slow)
+             if ont_enabled and alpha_n != 0.0 else mean)
+        g = linear(n[end - 1], p["mem.w_g"], p["mem.b_g"]).sigmoid()
+        u = linear(c, p["mem.w_c"], p["mem.b_c"]).tanh()
+        slow = g * slow + (1.0 - g) * u
+        states.append(slow)
+        chunk_sum, start = zeros(slow.shape[0]), end
+    return stack(states)
 
 
 def make_params(d, seed=0, zero=False):
@@ -137,7 +165,7 @@ class TestSlowWrite:
         rng = np.random.default_rng(13)
         c = rng.standard_normal(d)
         h = rng.standard_normal(d)
-        new = slow_write(Tensor(h), Tensor(c), zeros(d),
+        new = write_once(Tensor(h), Tensor(c), zeros(d),
                          alpha_n=0.5, ont_enabled=True, params=params)
         g = expit(h @ params["mem.w_g"].data + params["mem.b_g"].data)
         u = np.tanh(1.5 * c @ params["mem.w_c"].data + params["mem.b_c"].data)
@@ -150,7 +178,7 @@ class TestSlowWrite:
         params["mem.b_g"].data = np.full(d, 40.0)
         rng = np.random.default_rng(15)
         slow = Tensor(rng.standard_normal(d))
-        new = slow_write(Tensor(rng.standard_normal(d)),
+        new = write_once(Tensor(rng.standard_normal(d)),
                          Tensor(rng.standard_normal(d)), slow,
                          alpha_n=0.5, ont_enabled=True, params=params)
         assert np.max(np.abs(new.data - slow.data)) < 1e-12
@@ -162,14 +190,12 @@ class TestSlowWrite:
         slow = Tensor(rng.standard_normal(d))
         h = Tensor(rng.standard_normal(d))
         c = Tensor(rng.standard_normal(d))
-        on = slow_write(h, c, slow, alpha_n=0.0, ont_enabled=True, params=params)
-        off = slow_write(h, c, slow, alpha_n=0.0, ont_enabled=False, params=params)
+        on = write_once(h, c, slow, alpha_n=0.0, ont_enabled=True, params=params)
+        off = write_once(h, c, slow, alpha_n=0.0, ont_enabled=False, params=params)
         assert np.array_equal(on.data, off.data)
 
     def test_write_feasibility_lifted(self):
         # The transported summary keeps its inner product with the slow state.
-        from lpcsm.ont import ont_transport
-
         rng = np.random.default_rng(18)
         for _ in range(20):
             c, m = rng.standard_normal(5), rng.standard_normal(5)
@@ -192,8 +218,72 @@ class TestSlowWrite:
                 reads = reads + (r * r).sum()
                 chunk = chunk + fast
                 if i % 2 == 1:
-                    slow = slow_write(ht, chunk * 0.5, slow, 0.5, True, p)
+                    slow = write_once(ht, chunk * 0.5, slow, 0.5, True, p)
                     chunk = zeros(d)
             return reads + (slow * slow).sum()
 
         assert grad_check(loss, params, sample=6).passed
+
+
+# (chunk_count of the open chunk, chunk_sum and slow nonzero, alpha_n, ont)
+SPANS = {
+    "fresh cache": (0, False, 0.5, True),
+    "starts mid-chunk": (2, True, 0.5, True),
+    "ont off": (2, True, 0.5, False),
+    "alpha zero": (2, True, 0.0, True),
+}
+
+
+def span_inputs(case, seed=30, d=5, t_len=13, chunk_size=4):
+    """A span store: the memory parameters plus its fast rows, normed rows,
+    carried chunk sum and slow state, and the chunk ends of the span."""
+    chunk_count, carried, alpha_n, ont = SPANS[case]
+    params = make_params(d, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    params.add("fast", rng.uniform(-1, 1, (t_len, d)))
+    params.add("n", rng.standard_normal((t_len, d)))
+    params.add("chunk_sum", rng.uniform(-1, 1, d) * carried * chunk_count)
+    params.add("slow", rng.uniform(-1, 1, d) * carried)
+    ends = list(range(chunk_size - chunk_count, t_len + 1, chunk_size))
+    return params, (ends, chunk_size, alpha_n, ont)
+
+
+def span_args(p, spec):
+    ends, chunk_size, alpha_n, ont = spec
+    return (p["fast"], p["n"], ends, p["chunk_sum"], p["slow"], chunk_size,
+            alpha_n, ont, p)
+
+
+class TestSlowWriteSpan:
+    @pytest.mark.parametrize("case", sorted(SPANS))
+    def test_matches_per_chunk_reference(self, case):
+        params, spec = span_inputs(case)
+        weights = np.random.default_rng(40).standard_normal((len(spec[0]), 5))
+
+        def run(fn):
+            params.zero_grad()
+            states = fn(*span_args(params, spec))
+            (states * weights).sum().backward()
+            return states, {name: t.grad for name, t in params.items()}
+
+        fused, grads = run(slow_write)
+        ref, ref_grads = run(reference_writes)
+        assert fused._prev[0] is params["fast"]  # the whole span is one node
+        assert np.array_equal(fused.data, ref.data)
+        for name, g in grads.items():
+            assert (g is None) == (ref_grads[name] is None), name
+            if g is not None:
+                assert np.max(np.abs(g - ref_grads[name])) < 1e-12, name
+
+    # A fresh cache's zero slow state sits on the transport's zero-reference
+    # branch, which a finite difference in it leaves.
+    @pytest.mark.parametrize("case", sorted(set(SPANS) - {"fresh cache"}))
+    def test_grad_check(self, case):
+        params, spec = span_inputs(case, seed=50)
+        weights = np.random.default_rng(51).standard_normal((len(spec[0]), 5))
+
+        def loss(p):
+            states = slow_write(*span_args(p, spec))
+            return (states * states * weights).sum()
+
+        assert grad_check(loss, params).passed

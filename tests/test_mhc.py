@@ -45,7 +45,7 @@ class TestSinkhorn:
         residual = mhc._marginal_residual
         monkeypatch.setattr(mhc, "_marginal_residual",
                             lambda m: passes.append(1) or residual(m))
-        with np.errstate(all="ignore"), pytest.raises(NumericsError):
+        with pytest.raises(NumericsError):
             sinkhorn_normalize(Tensor(logits), iters=5)
         assert len(passes) <= 1
 
@@ -54,6 +54,15 @@ class TestSinkhorn:
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match="non-finite sinkhorn exp"):
                 sinkhorn_normalize(Tensor(np.array([[800.0, 0.0], [0.0, 0.0]])),
+                                   iters=5)
+
+    def test_underflow_raises_without_warning(self):
+        # A row of exp(logits) that underflows to 0 divides 0 by 0 in the
+        # row pass; the marginal check reports it, not a RuntimeWarning.
+        with warnings.catch_warnings(), np.errstate(divide="warn", invalid="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="non-finite sinkhorn marginals"):
+                sinkhorn_normalize(Tensor(np.array([[-800.0, -800.0], [0.0, 0.0]])),
                                    iters=5)
 
     def test_one_node_same_floats(self):

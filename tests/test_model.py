@@ -469,14 +469,36 @@ class TestTapeBudget:
         params = init_params(cfg, seed=1)
         calls = self.count_ops(monkeypatch)
         sequence_loss(inputs[0], targets[0], params, cfg, LossWeights())
-        assert 0 < calls[0] <= 420
+        assert 0 < calls[0] <= 220
 
-    def test_decode_token(self, monkeypatch):
+    def test_long_train_sequence(self, monkeypatch):
+        # Four times the tokens and chunk boundaries of the T=64 sequence,
+        # within the same budget: no node count grows with T.
+        cfg = self.readme_cfg(256)
+        task = SyntheticTask("key-recall", 32, 256, 4, distractor_len=240, seed=1)
+        inputs, targets = make_batch(task, 1)
+        params = init_params(cfg, seed=1)
+        calls = self.count_ops(monkeypatch)
+        sequence_loss(inputs[0], targets[0], params, cfg, LossWeights())
+        assert 0 < calls[0] <= 220
+
+    def decode_ops(self, monkeypatch, prompt_len):
+        """`_op` calls of the token decoded after a `prompt_len` prompt,
+        and whether that token closes a chunk."""
         cfg = self.readme_cfg(256)
         task = SyntheticTask("key-recall", 32, 128, 4, distractor_len=119, seed=1)
-        prompt = make_batch(task, 1)[0][0]
+        prompt = make_batch(task, 1)[0][0][:prompt_len]
         params = init_params(cfg, seed=1)
         logits, cache = step_decode(prompt, init_cache(cfg), params, cfg)
+        closes = cache.layers[0].chunk_count == cfg.chunk_size - 1
         calls = self.count_ops(monkeypatch)
         step_decode(int(np.argmax(logits.lm.data)), cache, params, cfg)
-        assert 0 < calls[0] <= 160
+        return calls[0], closes
+
+    def test_decode_token(self, monkeypatch):
+        calls, closes = self.decode_ops(monkeypatch, 128)
+        assert not closes and 0 < calls <= 160
+
+    def test_decode_chunk_closing_token(self, monkeypatch):
+        calls, closes = self.decode_ops(monkeypatch, 127)
+        assert closes and 0 < calls <= 160

@@ -160,3 +160,24 @@ class TestPropertySuite:
             return (t * t).sum()
 
         assert grad_check(loss, params).passed
+
+    def test_gradient_zero_reference(self):
+        # Below the zero floor the transport is (1 + alpha) c: c gets the
+        # scaled gradient and the reference none.
+        from lpcsm.numerics import ParameterStore, grad_check
+
+        params = ParameterStore()
+        params.add("c", np.random.default_rng(6).standard_normal(4))
+        m = Tensor(np.zeros(4), requires_grad=True)
+
+        def loss(p):
+            t = ont_transport(0.7, p["c"], m)
+            return (t * t).sum()
+
+        assert grad_check(loss, params).passed
+        assert np.array_equal(m.grad, np.zeros(4))
+
+    def test_one_node(self):
+        c = Tensor(np.ones(3), requires_grad=True)
+        m = Tensor(np.arange(3.0), requires_grad=True)
+        assert ont_transport(0.5, c, m)._prev == (c, m)
