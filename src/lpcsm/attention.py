@@ -22,52 +22,65 @@ def _require(params: ParameterStore, names: list[str]) -> None:
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
     """Windowed attention of the T rows of q over the rows of k and v, the
-    last T of which sit at the queries' positions. One tape node.
+    last T of which sit at the queries' positions. q is [T, d] or a batch
+    [B, T, d], with k and v alike. One tape node.
 
     Slot j of query t holds key row past+t-w+1+j, w = min(window, past+T).
-    Keys and values are gathered per head from rows padded with w-1 zero
-    rows in front; the padded slots are masked out.
+    Keys and values are gathered per sequence and head from rows padded
+    with w-1 zero rows in front; the padded slots are masked out. The
+    backward works one slot at a time on the padded rows.
     """
     if window < 1:
         raise NumericsError("attention window must be >= 1")
-    (t_len, d), kv_len = q.shape, k.shape[0]
-    if d % heads or k.shape != (kv_len, d) or v.shape != k.shape or kv_len < t_len:
+    (t_len, d), kv_len = q.shape[-2:], k.shape[-2]
+    if (d % heads or k.shape != q.shape[:-2] + (kv_len, d) or v.shape != k.shape
+            or kv_len < t_len):
         raise NumericsError(f"attention shape mismatch: q {q.shape}, "
                             f"k {k.shape}, v {v.shape}, {heads} heads")
     w, hd, past = min(window, kv_len), d // heads, kv_len - t_len
+    lead = q.shape[:-2]  # the batch axis, if any
     rows = past + np.arange(t_len)[:, None] + np.arange(w)  # padded row ids
 
-    def windows(x):  # [past+T, d] -> [H, T, w, hd]
-        padded = np.zeros((heads, w - 1 + kv_len, hd))
-        padded[:, w - 1:] = x.reshape(kv_len, heads, hd).transpose(1, 0, 2)
-        return padded[:, rows]
+    def padded(x):  # [..., past+T, d] -> [..., H, w-1+past+T, hd]
+        out = np.zeros(lead + (heads, w - 1 + kv_len, hd))
+        out[..., w - 1:, :] = x.reshape(lead + (kv_len, heads, hd)).swapaxes(-3, -2)
+        return out
 
-    def unwindow(gw):  # adjoint of `windows`: w shifted slice-adds
-        full = np.zeros((heads, w - 1 + kv_len, hd))
-        for j in range(w):
-            full[:, past + j:past + j + t_len] += gw[:, :, j]
-        return full[:, w - 1:].transpose(1, 0, 2).reshape(kv_len, d)
+    def by_head(x):  # [..., T, d] -> [..., H, T, 1, hd]
+        return x.reshape(lead + (t_len, heads, 1, hd)).swapaxes(-4, -3)
 
-    kw, vw = windows(k.data), windows(v.data)
-    qh = q.data.reshape(t_len, heads, 1, hd).transpose(1, 0, 2, 3)
+    def by_row(x, shape):  # [..., H, n, hd] -> [..., n, d]
+        return x.swapaxes(-3, -2).reshape(shape)
+
+    kp, vp = padded(k.data), padded(v.data)
+    qh = by_head(q.data)
     scale = 1.0 / np.sqrt(hd)
-    scores = (qh @ kw.swapaxes(-1, -2)) * scale  # [H, T, 1, w]
+    scores = (qh @ kp[..., rows, :].swapaxes(-1, -2)) * scale  # [..., H, T, 1, w]
     if w - 1 > past:  # the first queries' windows reach into the padding
-        scores[:, rows[:, None] < w - 1] = MASK_VALUE
+        scores[..., rows[:, None] < w - 1] = MASK_VALUE
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    def bw(g):
-        gh = g.reshape(t_len, heads, 1, hd).transpose(1, 0, 2, 3)
-        gp = gh @ vw.swapaxes(-1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-        _accum(q, (gs @ kw).transpose(1, 0, 2, 3).reshape(t_len, d))
-        _accum(k, unwindow(gs.swapaxes(-1, -2) * qh))
-        _accum(v, unwindow(p.swapaxes(-1, -2) * gh))
-    return _op((p @ vw).transpose(1, 0, 2, 3).reshape(t_len, d), (q, k, v), bw)
+    def bw(g):  # slot by slot, so no [T, w] window is kept or rebuilt
+        # Slot j of every query is one shifted slice of the padded rows.
+        slots = [slice(past + j, past + j + t_len) for j in range(w)]
+        gh, q1, p1 = by_head(g)[..., 0, :], qh[..., 0, :], p[..., 0, :]
+        gp = np.stack([(gh * vp[..., s, :]).sum(axis=-1) for s in slots],
+                      axis=-1)
+        gs = p1 * (gp - (gp * p1).sum(axis=-1, keepdims=True)) * scale
+        gq, gk, gv = np.zeros(gh.shape), np.zeros(kp.shape), np.zeros(vp.shape)
+        for j, s in enumerate(slots):
+            gq += gs[..., j, None] * kp[..., s, :]
+            gk[..., s, :] += gs[..., j, None] * q1
+            gv[..., s, :] += p1[..., j, None] * gh
+        _accum(q, by_row(gq, q.shape))
+        _accum(k, by_row(gk[..., w - 1:, :], k.shape))
+        _accum(v, by_row(gv[..., w - 1:, :], v.shape))
+    out = (p @ vp[..., rows, :]).swapaxes(-4, -3).reshape(q.shape)
+    return _op(out, (q, k, v), bw)
 
 
 def _with_past(hidden: Tensor, past: Tensor | None) -> Tensor:
-    return hidden if past is None else concat([past, hidden])
+    return hidden if past is None else concat([past, hidden], axis=-2)
 
 
 def local_attention(hidden: Tensor, window: int, heads: int,
@@ -75,15 +88,16 @@ def local_attention(hidden: Tensor, window: int, heads: int,
                     past: Tensor | None = None) -> Tensor:
     """Default path: q, k, v sliced from one shared linear projection.
 
-    `past` holds earlier normed rows that the T rows of `hidden` may also
-    attend to, within the window.
+    `hidden` is a [T, d] span or a [B, T, d] batch; `past` holds earlier
+    normed rows, shaped alike, that its T rows may also attend to, within
+    the window.
     """
     _require(params, [prefix + n for n in ("w_qkv", "b_qkv", "w_o", "b_o")])
     d = hidden.shape[-1]
     qkv = linear(_with_past(hidden, past), params[prefix + "w_qkv"],
                  params[prefix + "b_qkv"])
-    q = qkv[-hidden.shape[0]:, 0:d]
-    k, v = qkv[:, d:2 * d], qkv[:, 2 * d:3 * d]
+    q = qkv[..., -hidden.shape[-2]:, 0:d]
+    k, v = qkv[..., d:2 * d], qkv[..., 2 * d:3 * d]
     return linear(_attend(q, k, v, window, heads), params[prefix + "w_o"],
                   params[prefix + "b_o"])
 

@@ -97,95 +97,114 @@ def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
     """Causal event bits of a span whose prefix norms are `past`.
 
     Position t gets the bit that hard_mask(event_scores(e[:t+1]), ratio)
-    gives it, hard and soft. `ranked` is the pair (values, index) of lists
-    holding the prefix norms in ascending order, equal values in position
-    order; each position of the span is inserted into it in place, so a
-    carried pair makes a one-token span cost one position's work.
+    gives it, hard and soft. `error_norms` is a [T] span with a [N] `past`,
+    or a [B, T] batch with a [B, N] one, each row its own sequence.
+    `ranked` is the pair (values, index) of lists holding a sequence's
+    prefix norms in ascending order, equal values in position order (for
+    a batch, a pair of B such lists); each position of the span is
+    inserted into it in place, so a carried pair makes a one-token span
+    cost one position's work.
 
     The score map is weakly monotone in the norm (reversed when scale < 0),
     so hard_mask's threshold is the score of an order statistic of the
     sorted prefix, and only the scores it compares are computed: as
     Python floats, from event_scores' exact prefix mean and variance, in
     event_scores' op order, so each is the same float. The soft bits are
-    one tape node for any span length, with an O(T) backward; the hard
-    bits route their gradient to it straight through.
+    one tape node for any span length and batch, with an O(T) backward;
+    the hard bits route their gradient to it straight through.
     """
     e = _wrap(error_norms)
-    values, index = ranked
-    start, span = len(past), e.shape[0]
-    norms = np.concatenate([past, e.data])
+    span = e.shape[-1]
+    norms = np.concatenate([past, e.data], axis=-1)
+    seqs = norms.reshape(-1, norms.shape[-1])  # one row per sequence
+    batch, start = seqs.shape[0], seqs.shape[1] - span
+    all_values, all_index = (ranked if e.ndim > 1
+                             else ([ranked[0]], [ranked[1]]))
     scale, bias = float(p.scale.data), float(p.bias.data)
     inv_temp = 1.0 / p.temperature
     rising = scale >= 0.0           # scores weakly follow the norms' order
 
-    hard = np.zeros(span)
-    diff = np.empty(span)           # s_t - s_theta, exact
-    slope = np.empty(span)          # dz/de: 1/den, or 1/eps on a flat row
-    mu = np.empty(span)
-    sd = np.zeros(span)             # sqrt(var); 0 on a flat row
-    theta = np.empty(span, dtype=np.int64)
-    for r, x in enumerate(e.data.tolist()):
-        t = start + r
-        n = t + 1
-        pos = bisect_right(values, x)
-        values.insert(pos, x)
-        index.insert(pos, t)
+    # Per position, sequence by sequence: the hard bit, s_t - s_theta
+    # (exact), dz/de (1/den, or 1/eps on a flat row), the prefix mean,
+    # sqrt(var) (0 on a flat row) and the threshold's position.
+    hards, diffs, slopes, mus, sds, thetas = [], [], [], [], [], []
+    for b in range(batch):
+        row, values, index = seqs[b], all_values[b], all_index[b]
+        for r, x in enumerate(row[start:].tolist()):
+            t = start + r
+            n = t + 1
+            pos = bisect_right(values, x)
+            values.insert(pos, x)
+            index.insert(pos, t)
 
-        prefix = norms[:n]
-        m = float(np.add.reduce(prefix) / n)
-        c = prefix - m
-        var = float(np.add.reduce(c * c) / n)
-        flat = var == 0.0
-        if flat:
-            slope[r] = inv = 1.0 / SCORE_STD_EPS
-        else:
-            sd[r] = root = math.sqrt(var)
-            den = root + SCORE_STD_EPS
-            slope[r] = 1.0 / den
+            prefix = row[:n]
+            m = float(np.add.reduce(prefix) / n)
+            c = prefix - m
+            var = float(np.add.reduce(c * c) / n)
+            flat = var == 0.0
+            if flat:
+                inv = 1.0 / SCORE_STD_EPS
+                slopes.append(inv)
+                sds.append(0.0)
+            else:
+                root = math.sqrt(var)
+                den = root + SCORE_STD_EPS
+                slopes.append(1.0 / den)
+                sds.append(root)
 
-        def score(v):
-            z = (v - m) * inv if flat else (v - m) / den
-            return (z * scale + bias) * inv_temp
+            def score(v):
+                z = (v - m) * inv if flat else (v - m) / den
+                return (z * scale + bias) * inv_temp
 
-        # hard_mask's threshold is the k-th score of its stable descending
-        # order: the (k - #greater)-th, in position order, of its run of
-        # equal scores, which is contiguous in the sorted prefix.
-        k = int(math.ceil(ratio * n))
-        v = values[n - k if rising else k - 1]
-        s_theta = score(v)
-        lo, hi = bisect_left(values, v), bisect_right(values, v)
-        while lo > 0 and score(values[lo - 1]) == s_theta:
-            lo = bisect_left(values, values[lo - 1], 0, lo)
-        while hi < n and score(values[hi]) == s_theta:
-            hi = bisect_right(values, values[hi], hi)
-        rank = k - (n - hi if rising else lo) - 1
-        if values[lo] == values[hi - 1]:
-            j = index[lo + rank]
-        else:  # rounding merged distinct norms into one score
-            j = sorted(index[lo:hi])[rank]
+            # hard_mask's threshold is the k-th score of its stable
+            # descending order: the (k - #greater)-th, in position order,
+            # of its run of equal scores, which is contiguous in the
+            # sorted prefix.
+            k = int(math.ceil(ratio * n))
+            v = values[n - k if rising else k - 1]
+            s_theta = score(v)
+            lo, hi = bisect_left(values, v), bisect_right(values, v)
+            while lo > 0 and score(values[lo - 1]) == s_theta:
+                lo = bisect_left(values, values[lo - 1], 0, lo)
+            while hi < n and score(values[hi]) == s_theta:
+                hi = bisect_right(values, values[hi], hi)
+            rank = k - (n - hi if rising else lo) - 1
+            if values[lo] == values[hi - 1]:
+                j = index[lo + rank]
+            else:  # rounding merged distinct norms into one score
+                j = sorted(index[lo:hi])[rank]
 
-        s_own = score(x)
-        hard[r] = s_own > s_theta or j == t
-        diff[r] = s_own - s_theta
-        mu[r], theta[r] = m, j
-
+            s_own = score(x)
+            hards.append(s_own > s_theta or j == t)
+            diffs.append(s_own - s_theta)
+            mus.append(m)
+            thetas.append(j)
+    hard, diff = np.array([hards, diffs]).reshape((2,) + e.shape)
     soft_vals = expit(diff)
     def bw(g):
-        gs = g * soft_vals * (1.0 - soft_vals) * inv_temp  # d/d(s_t - s_theta)
-        dz = (e.data - norms[theta]) * slope               # z_t - z_theta
+        slope, mu, sd = np.array([slopes, mus, sds]).reshape(3, batch, span)
+        theta = np.array(thetas, dtype=np.int64).reshape(batch, span)
+        y = soft_vals.reshape(batch, span)
+        g = g.reshape(batch, span)
+        own = seqs[:, start:]
+        gs = g * y * (1.0 - y) * inv_temp  # d/d(s_t - s_theta)
+        # z_t - z_theta
+        dz = (own - np.take_along_axis(seqs, theta, axis=1)) * slope
         _accum(p.scale, np.sum(gs * dz))
         _accum(p.bias, np.zeros(()))  # cancels in s_t - s_theta
         w = gs * scale * slope          # d/de_t, and minus d/de_theta
-        full = np.zeros(norms.shape[0])
-        full[start:] += w
-        np.subtract.at(full, theta, w)
+        full = np.zeros(seqs.shape)
+        full[:, start:] += w
+        np.subtract.at(full, (np.arange(batch)[:, None], theta), w)
         # The std term: c_t * (e_i - mu_t) for every i <= t of a row
         # with var > 0, summed over t with two reverse cumsums; both
         # sides are taken about the last mean to keep the difference.
-        c = np.divide(-w * dz, (np.arange(start, norms.shape[0]) + 1.0) * sd,
-                      out=np.zeros(span), where=sd > 0.0)
-        tail = np.cumsum(c[::-1])[::-1]
-        tail_mu = np.cumsum((c * (mu - mu[-1]))[::-1])[::-1]
-        _accum(e, full[start:] + (e.data - mu[-1]) * tail - tail_mu)
+        c = np.divide(-w * dz, (np.arange(start, seqs.shape[1]) + 1.0) * sd,
+                      out=np.zeros((batch, span)), where=sd > 0.0)
+        last_mu = mu[:, -1:]
+        tail = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
+        tail_mu = np.cumsum((c * (mu - last_mu))[:, ::-1], axis=1)[:, ::-1]
+        _accum(e, (full[:, start:] + (own - last_mu) * tail - tail_mu)
+               .reshape(e.shape))
     soft = _op(soft_vals, (e, p.scale, p.bias), bw)
     return straight_through(hard, soft), soft

@@ -149,9 +149,11 @@ class ModelConfig:
 
 @dataclass
 class LayerAux:
+    """What a layer's span leaves for the losses. A batch has one row per
+    sequence in each tensor and one density per sequence."""
     error_norms: Tensor
     error_sq: Tensor | None
-    effective_ratio: float
+    effective_ratio: float | np.ndarray
     sparse_ratio_st: Tensor
     fast_final: Tensor
     slow_final: Tensor
@@ -241,8 +243,10 @@ def controller_params(params: ParameterStore, cfg: ModelConfig, prefix: str) -> 
 @dataclass
 class LayerCache:
     """What a layer's next span reads of the tokens before it. Teacher
-    forcing runs one span from a fresh cache; decode prefills the prompt
-    as one span, then runs one-token spans on the carried cache."""
+    forcing runs one span, or one batch of spans, from a fresh cache;
+    decode prefills the prompt as one span, then runs one-token spans on
+    the carried cache. A batch's cache has a leading batch axis on each
+    array and one sorted prefix list per sequence."""
     history: Tensor | None  # the last <= window post-norm rows, [<=window, d]
     fast: Tensor  # fast state after the last token
     slow: Tensor  # slow state after the last chunk boundary
@@ -258,16 +262,19 @@ class LayerCache:
     route_gain: Tensor | None = None
 
     @classmethod
-    def fresh(cls, cfg: ModelConfig) -> "LayerCache":
+    def fresh(cls, cfg: ModelConfig, batch: tuple = ()) -> "LayerCache":
+        """The cache of no tokens, for one sequence or, with `batch` =
+        (B,), for B sequences."""
+        state = batch + (cfg.width,)
         return cls(
             history=None,
-            fast=Tensor(np.zeros(cfg.width)),
-            slow=Tensor(np.zeros(cfg.width)),
-            chunk_sum=Tensor(np.zeros(cfg.width)),
+            fast=Tensor(np.zeros(state)),
+            slow=Tensor(np.zeros(state)),
+            chunk_sum=Tensor(np.zeros(state)),
             chunk_count=0,
-            error_norms=np.zeros(0),
-            sorted_norms=[],
-            sorted_index=[],
+            error_norms=np.zeros(batch + (0,)),
+            sorted_norms=np.zeros(batch + (0,)).tolist(),
+            sorted_index=np.zeros(batch + (0,)).tolist(),
         )
 
 
@@ -278,15 +285,18 @@ def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
     Position t takes the bit assigned to it by the hard mask computed over
     scores of tokens 1..t, where `past` holds the norms of the tokens
     before this span; this keeps teacher forcing and incremental decode
-    identical. `ranked` is past's sorted prefix, (values, index), advanced
-    in place past the span; without it, it is sorted from `past`. Returns
-    (hard bits, soft bits, clamped ratio).
+    identical. A [B, T] batch of norms has a [B, N] `past`. `ranked` is
+    past's sorted prefix, (values, index), advanced in place past the
+    span; without it, it is sorted from `past`. Returns (hard bits, soft
+    bits, clamped ratio).
     """
     ratio = clamp_ratio(cp)
     past = np.asarray(past, dtype=np.float64)
     if ranked is None:
-        order = np.argsort(past, kind="stable")
-        ranked = (past[order].tolist(), order.tolist())
+        past = past.reshape(error_norms.shape[:-1] + (-1,))
+        order = np.argsort(past, axis=-1, kind="stable")
+        ranked = (np.take_along_axis(past, order, axis=-1).tolist(),
+                  order.tolist())
     hard, soft = prefix_event_mask(error_norms, past, ranked, cp,
                                    float(ratio.data))
     return hard, soft, ratio
@@ -295,21 +305,23 @@ def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
 def block_forward(h: Tensor, layer: int, params: ParameterStore,
                   cfg: ModelConfig, soft_mask: bool = False,
                   cache: LayerCache | None = None) -> tuple[Tensor, LayerAux]:
-    """One LPC-SM block over a span of T rows; returns (hidden, aux).
+    """One LPC-SM block over a span of T rows, [T, d], or a batch of
+    spans, [B, T, d]; returns (hidden, aux).
 
     The span continues the tokens summarised in `cache`, which is advanced
     in place past the span; without one, the span starts the sequence.
     """
-    t_len, d = h.shape
+    batch, (t_len, d) = h.shape[:-2], h.shape[-2:]
     p = f"layers.{layer}."
-    cache = LayerCache.fresh(cfg) if cache is None else cache
+    cache = LayerCache.fresh(cfg, batch) if cache is None else cache
     try:
         n = rmsnorm(h, params[p + "norm1.gain"], cfg.rmsnorm_eps)
 
         attend = local_attention if cfg.latent_dim is None else latent_attention
         past = cache.history
         a = attend(n, cfg.window, cfg.heads, params, p + "attn.", past=past)
-        cache.history = (n if past is None else concat([past, n]))[-cfg.window:]
+        cache.history = (n if past is None
+                         else concat([past, n], axis=-2))[..., -cfg.window:, :]
 
         # Memory pathway over the whole span: one scan gives the fast
         # states, one node all slow writes. A write happens at a chunk
@@ -317,7 +329,7 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         # state of its chunk.
         mem = p + "mem."
         fast = fast_update(n, cache.fast, params, mem)
-        cache.fast = fast[t_len - 1]
+        cache.fast = fast[..., t_len - 1, :]
         slow, ends = cache.slow, []
         if cfg.slow_memory:
             ends = list(range(cfg.chunk_size - cache.chunk_count, t_len + 1,
@@ -328,13 +340,14 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
                                     params, mem)
                 chunk_of_row = np.searchsorted(ends, np.arange(t_len),
                                                side="right")
-                slow = take_rows(concat([cache.slow.reshape((1, d)), states]),
-                                 chunk_of_row)
-                cache.slow = states[len(ends) - 1]
+                first = cache.slow.reshape(cache.slow.shape[:-1] + (1, d))
+                slow = concat([first, states], axis=-2)[..., chunk_of_row, :]
+                cache.slow = states[..., len(ends) - 1, :]
                 cache.chunk_sum, cache.chunk_count = Tensor(np.zeros(d)), 0
             start = ends[-1] if ends else 0
             if start < t_len:
-                cache.chunk_sum = cache.chunk_sum + fast[start:].sum(axis=0)
+                cache.chunk_sum = (cache.chunk_sum
+                                   + fast[..., start:, :].sum(axis=-2))
                 cache.chunk_count += t_len - start
         r = memory_read(n, fast, slow, params, mem)
 
@@ -349,26 +362,27 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         else:
             est = None
             err_sq = None
-            error_norms = Tensor(np.zeros(t_len))
+            error_norms = Tensor(np.zeros(h.shape[:-1]))
 
         cp = controller_params(params, cfg, p)
         hard_bits, soft_bits, ratio_t = causal_mask_bits(
             error_norms, cp, cache.error_norms,
             (cache.sorted_norms, cache.sorted_index))
-        cache.error_norms = np.concatenate([cache.error_norms, error_norms.data])
+        cache.error_norms = np.concatenate([cache.error_norms, error_norms.data],
+                                           axis=-1)
         mask = soft_bits if soft_mask else hard_bits
-        density = float(hard_bits.data.mean())
+        density = hard_bits.data.mean(axis=-1)  # one per sequence
         if soft_mask:
             sparse_ratio_st = ratio_t
         else:
             # Straight-through ratio: forward value is the observed mask
             # density, backward flows into the bounded learnable ratio.
-            sparse_ratio_st = straight_through(np.array(density), ratio_t)
+            sparse_ratio_st = straight_through(density, ratio_t)
 
         if cfg.predictive_coding:
-            corrected = mask.reshape((t_len, 1)) * est
+            corrected = mask.reshape(mask.shape + (1,)) * est
         else:
-            corrected = Tensor(np.zeros((t_len, d)))
+            corrected = Tensor(np.zeros(h.shape))
 
         fused = linear(concat([a, r, corrected], axis=-1), params[p + "fuse.w"],
                        params[p + "fuse.b"])
@@ -402,17 +416,20 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
 
 
 def token_ids(tokens, cfg: ModelConfig) -> np.ndarray:
-    """`tokens` as a 1-D integer array. Raise ConfigError unless every id
-    is a Python or numpy int (not a bool) in [0, vocab_size): a float or
-    str is refused, not truncated or parsed."""
+    """`tokens` as a [T] or [B, T] integer array. Raise ConfigError unless
+    every id is a Python or numpy int (not a bool) in [0, vocab_size): a
+    float or str is refused, not truncated or parsed."""
     ids = np.asarray(tokens)
-    if ids.ndim != 1 or ids.size < 1:
-        raise NumericsError("tokens must be a nonempty 1-D sequence")
+    if ids.ndim not in (1, 2) or ids.size < 1:
+        raise NumericsError("tokens must be a nonempty 1-D sequence "
+                            "or 2-D batch")
     # asarray turns a bool among ints into an int, so a sequence is looked
     # through for one; an array's dtype already tells.
     if (ids.dtype.kind not in "iu"
             or (not isinstance(tokens, np.ndarray)
-                and any(isinstance(t, (bool, np.bool_)) for t in tokens))
+                and any(isinstance(t, (bool, np.bool_)) for t in
+                        (tokens if ids.ndim == 1 else
+                         [t for row in tokens for t in row])))
             or ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ConfigError(f"token ids must be integers in [0, {cfg.vocab_size})")
     return ids
@@ -421,10 +438,11 @@ def token_ids(tokens, cfg: ModelConfig) -> np.ndarray:
 def embed(tokens, params: ParameterStore, cfg: ModelConfig,
           position_offset: int = 0) -> Tensor:
     tokens = token_ids(tokens, cfg)
-    if position_offset + tokens.size > cfg.max_seq_len:
+    t_len = tokens.shape[-1]
+    if position_offset + t_len > cfg.max_seq_len:
         raise ConfigError("sequence exceeds max_seq_len")
     tok = take_rows(params["embed.tok"], tokens)
-    pos = params["embed.pos"][position_offset:position_offset + tokens.size]
+    pos = params["embed.pos"][position_offset:position_offset + t_len]
     return tok + pos
 
 
@@ -433,8 +451,10 @@ def model_forward(tokens, params: ParameterStore, cfg: ModelConfig,
                   position: int = 0) -> tuple[Logits, list[LayerAux]]:
     """Embedding, L blocks, final norm, two heads over a span of tokens.
 
-    Teacher forcing passes the whole sequence. Decode passes the prompt
-    as one span, then each new token, with `position` and the per-layer
+    A [T] span gives [T, V] LM logits and [T] stop logits; a [B, T] batch
+    of equal-length spans gives [B, T, V] and [B, T], in one forward.
+    Teacher forcing passes whole sequences. Decode passes the prompt as
+    one span, then each new token, with `position` and the per-layer
     `caches` of the tokens before it, which are advanced in place.
     `soft_mask` swaps the straight-through event mask for its soft
     surrogate; used by gradient checks, never by training or decode.

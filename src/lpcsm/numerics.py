@@ -102,7 +102,12 @@ class Tensor:
     # -- graph --------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar root, accumulating leaf grads."""
+        """Reverse-mode sweep from a scalar root, accumulating leaf grads.
+
+        The sweep frees the tape as it goes: once an interior node's
+        backward has run, its grad, inputs and closure are dropped, so
+        peak memory stays near one tape. A later sweep that reaches a
+        released node raises NumericsError."""
         if self.data.size != 1:
             raise NumericsError("backward() requires a scalar root")
         topo = []
@@ -121,9 +126,13 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:  # a leaf keeps its grad
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._prev, node._backward = None, (), _released
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -253,9 +262,19 @@ class Tensor:
         a = self
         def bw(g):
             full = np.zeros_like(a.data)
-            full[key] = g
+            # An integer-array key may repeat an index, whose shares add
+            # up; a basic key selects each entry at most once.
+            if any(isinstance(k, (list, np.ndarray))
+                   for k in (key if isinstance(key, tuple) else (key,))):
+                np.add.at(full, key, g)
+            else:
+                full[key] = g
             _accum(a, full)
         return _op(a.data[key], (a,), bw)
+
+
+def _released(g) -> None:
+    raise NumericsError("backward through a released graph")
 
 
 def _wrap(x) -> Tensor:
@@ -295,7 +314,10 @@ def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
     elif bd.ndim == 1:
         g2 = g[..., :, None]
     ga = g2 @ np.swapaxes(b2, -1, -2)
-    gb = np.swapaxes(a2, -1, -2) @ g2
+    if a2.ndim > 2 and b2.ndim == 2:  # a batch of spans times one matrix
+        gb = a2.reshape(-1, ad.shape[-1]).T @ g2.reshape(-1, g2.shape[-1])
+    else:
+        gb = np.swapaxes(a2, -1, -2) @ g2
     _accum(a, _unbroadcast(ga, a2.shape).reshape(ad.shape))
     _accum(b, _unbroadcast(gb, b2.shape).reshape(bd.shape))
 
@@ -319,11 +341,6 @@ def concat(tensors, axis=0) -> Tensor:
     return _op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bw)
 
 
-def stack(tensors) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    return concat([t.reshape((1,) + t.shape) for t in tensors], axis=0)
-
-
 def take_rows(t: Tensor, indices) -> Tensor:
     """Gather rows along the leading axis (integer fancy indexing)."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -337,48 +354,56 @@ def take_rows(t: Tensor, indices) -> Tensor:
 def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
     """States of f_t = decay_t * f_(t-1) + write_t from f_(-1) = init.
 
-    A [T, d] decay and write give the [T, d] rows f_0..f_(T-1); a [d] pair
-    gives the one-step state. One tape node: the forward runs the
-    recurrence in numpy and the backward runs its adjoint in reverse time.
+    A [T, d] or [B, T, d] decay and write give the rows f_0..f_(T-1) of
+    each sequence, from a [B, d] init or one [d] init shared by all; a [d]
+    pair gives the one-step state. One tape node: the forward runs the
+    recurrence in numpy over [B, d] rows and the backward runs its adjoint
+    in reverse time.
     """
     a, b, f0 = _wrap(decay), _wrap(write), _wrap(init)
-    if a.shape != b.shape or a.shape[-1:] != f0.shape or f0.ndim != 1:
+    shape = a.data.shape
+    if (not 1 <= len(shape) <= 3 or b.data.shape != shape
+            or f0.data.shape not in (shape[-1:], shape[:-2] + shape[-1:])):
         raise NumericsError(
             f"gated_scan shape mismatch: {a.shape}, {b.shape}, {f0.shape}")
-    dec = a.data.reshape(-1, f0.shape[0])
-    wr = b.data.reshape(dec.shape)
-    rows = np.empty_like(dec)
+    # Time-major views, [T, d] or [T, B, d]: step t is each sequence's row.
+    steps = shape if len(shape) > 1 else (1,) + shape
+    dec = a.data.reshape(steps).swapaxes(0, -2)
+    wr = b.data.reshape(steps).swapaxes(0, -2)
+    rows = np.empty_like(dec)  # laid out as the input is
     f = f0.data
-    for t in range(dec.shape[0]):
+    for t in range(len(rows)):
         f = dec[t] * f + wr[t]
         rows[t] = f
     def bw(g):
-        g = g.reshape(dec.shape)
+        g = g.reshape(steps).swapaxes(0, -2)
         g_dec = np.empty_like(dec)
         g_wr = np.empty_like(dec)
-        carry = np.zeros_like(f0.data)  # dL/df_t from later steps
-        for t in range(dec.shape[0] - 1, -1, -1):
+        carry = np.zeros(dec.shape[1:])  # dL/df_t from later steps
+        for t in range(len(rows) - 1, -1, -1):
             carry = carry + g[t]
             g_wr[t] = carry
             g_dec[t] = carry * (rows[t - 1] if t > 0 else f0.data)
             carry = carry * dec[t]
-        _accum(a, g_dec.reshape(a.shape))
-        _accum(b, g_wr.reshape(a.shape))
+        _accum(a, g_dec.swapaxes(0, -2).reshape(shape))
+        _accum(b, g_wr.swapaxes(0, -2).reshape(shape))
         _accum(f0, carry)
-    return _op(rows.reshape(a.shape), (a, b, f0), bw)
+    return _op(rows.swapaxes(0, -2).reshape(shape), (a, b, f0), bw)
 
 
 def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
-    """Forward the hard values, route the backward pass through `soft`."""
+    """Forward the hard values, route the backward pass through `soft`,
+    which has their shape or is one scalar for all of them."""
     hard = np.asarray(hard_values, dtype=np.float64)
-    if hard.shape != soft.shape:
+    if soft.shape != hard.shape and soft.ndim != 0:
         raise NumericsError("straight-through shape mismatch")
     return _op(hard, (soft,), lambda g: _accum(soft, g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one tape node. x is one row or a [T, d] span; a 1-D w
-    with a scalar b maps each row to a scalar."""
+    """x @ w + b as one tape node. x is one row, a [T, d] span or a
+    [B, T, d] batch of spans; a 1-D w with a scalar b maps each row to a
+    scalar."""
     try:
         data = x.data @ w.data + b.data
     except ValueError as e:
@@ -446,6 +471,28 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for t in self._entries.values():
             t.grad = None
+
+
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory() -> None:
+    """Ask the C allocator to keep freed memory for reuse in this process.
+
+    Each training step builds a tape and Tensor.backward frees it as it
+    goes. With glibc's defaults the freed top of the heap then goes back
+    to the OS and large arrays come from fresh mmaps, so the next step
+    faults those pages in again (about 1900 page faults per step on the
+    README model). A C library without mallopt is left as it is."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 def forward_backward(root: Tensor, params: ParameterStore) -> dict[str, Tensor]:

@@ -50,14 +50,16 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 
 def lm_loss(logits: Tensor, targets) -> Tensor:
-    """Mean next-token cross-entropy; alignment is the caller's job."""
+    """Mean next-token cross-entropy over [T, V] or [B, T, V] logits; for a
+    batch, the mean of the per-sequence means. Alignment is the caller's
+    job."""
     targets = np.asarray(targets, dtype=np.int64)
-    t_len, vocab = logits.shape
-    if targets.shape != (t_len,):
+    if targets.shape != logits.shape[:-1]:
         raise NumericsError("target length mismatch")
-    if targets.min() < 0 or targets.max() >= vocab:
+    if targets.min() < 0 or targets.max() >= logits.shape[-1]:
         raise NumericsError("target index out of range")
-    return -log_softmax(logits)[np.arange(t_len), targets].mean()
+    rows = np.indices(targets.shape, sparse=True)
+    return -log_softmax(logits)[(*rows, targets)].mean()
 
 
 def binary_cross_entropy_logits(scores: Tensor, targets) -> Tensor:
@@ -70,7 +72,8 @@ def binary_cross_entropy_logits(scores: Tensor, targets) -> Tensor:
 
 def aux_losses(aux: list[LayerAux], stop_scores: Tensor | None, eos_targets,
                cfg: ModelConfig) -> dict[str, Tensor]:
-    """The four auxiliary terms; toggled-off mechanisms contribute exact 0."""
+    """The four auxiliary terms; toggled-off mechanisms contribute exact 0.
+    For a batch, each term is the batch mean of its per-sequence value."""
     zero = Tensor(0.0)
     n_layers = max(1, len(aux))
 
@@ -79,10 +82,10 @@ def aux_losses(aux: list[LayerAux], stop_scores: Tensor | None, eos_targets,
     else:
         pred = zero
     sparse = sum((a.sparse_ratio_st * a.sparse_ratio_st for a in aux),
-                 zero) * (1.0 / n_layers)
+                 zero).mean() * (1.0 / n_layers)
     mem = sum(
         (((a.fast_final * a.fast_final).sum()
-          + (a.slow_final * a.slow_final).sum()) * (1.0 / cfg.width)
+          + (a.slow_final * a.slow_final).sum()) * (1.0 / a.fast_final.size)
          for a in aux),
         zero,
     ) * (1.0 / n_layers)

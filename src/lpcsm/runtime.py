@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .numerics import ParameterStore, ConfigError, no_grad
+from .numerics import ParameterStore, ConfigError, NumericsError, no_grad
 from .model import ModelConfig, Logits, LayerCache, model_forward, token_ids
 
 
@@ -46,7 +46,10 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
     prompt = list(prompt)
     if not prompt:
         raise ConfigError("generate requires a nonempty prompt")
-    prompt = token_ids(prompt, cfg).tolist()
+    prompt = token_ids(prompt, cfg)
+    if prompt.ndim != 1:
+        raise NumericsError("generate takes one 1-D prompt")
+    prompt = prompt.tolist()
     if max_new < 0:
         raise ConfigError(f"max_new must be >= 0, got {max_new}")
     if len(prompt) + max_new > cfg.max_seq_len:

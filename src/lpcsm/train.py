@@ -9,7 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError, forward_backward, no_grad
+from .numerics import (
+    ParameterStore, NumericsError, forward_backward, keep_freed_memory, no_grad,
+)
 from .model import ModelConfig, init_params, model_forward, ablation_variants
 from .objective import (
     LossWeights, SgdConfig, SgdState, LossBreakdown,
@@ -34,7 +36,9 @@ def sequence_loss(tokens: np.ndarray, targets: np.ndarray,
                   params: ParameterStore, cfg: ModelConfig,
                   weights: LossWeights,
                   soft_mask: bool = False) -> tuple[LossBreakdown, float]:
-    """Total objective for one teacher-forced sequence."""
+    """Total objective for one teacher-forced [T] sequence, or for a [B, T]
+    batch in one forward, where each term is the batch mean of its
+    per-sequence value; and the mean mask density."""
     logits, aux = model_forward(tokens, params, cfg, soft_mask=soft_mask)
     lm = lm_loss(logits.lm, targets)
     eos_targets = (targets == EOS).astype(np.float64)
@@ -59,6 +63,7 @@ def train(run: RunConfig, steps: int | None = None, seed: int | None = None,
     steps = run.train.steps if steps is None else steps
     seed = run.train.seed if seed is None else seed
     cfg = run.model
+    keep_freed_memory()
     params = init_params(cfg, seed=seed)
     opt = SgdState()
     if metrics_out is not None:
@@ -69,34 +74,23 @@ def train(run: RunConfig, steps: int | None = None, seed: int | None = None,
     for step in range(steps):
         t0 = time.perf_counter()
         inputs, targets = make_batch(run.task, run.train.batch_size, index=step)
-        params.zero_grad()
-        accum: dict[str, Tensor] = {}
-        vals = {"lm": 0.0, "pred": 0.0, "sparse": 0.0, "mem": 0.0,
-                "stop": 0.0, "total": 0.0}
-        ratios = []
-        b = inputs.shape[0]
-        for i in range(b):
-            try:
-                breakdown, ratio = sequence_loss(inputs[i], targets[i],
-                                                 params, cfg, run.loss)
-                grads = forward_backward(breakdown.total * (1.0 / b), params)
-            except NumericsError as e:
-                raise TrainingDivergedError(step, str(e)) from e
-            for k, v in breakdown.values().items():
-                if not np.isfinite(v):
-                    raise TrainingDivergedError(step, f"{k} is non-finite")
-                vals[k] += v / b
-            ratios.append(ratio)
-            for name, g in grads.items():
-                accum[name] = g if name not in accum else accum[name] + g
         try:
-            opt.step(params, accum, run.optimizer)
+            breakdown, final_ratio = sequence_loss(inputs, targets, params,
+                                                   cfg, run.loss)
+            grads = forward_backward(breakdown.total, params)
+        except NumericsError as e:
+            raise TrainingDivergedError(step, str(e)) from e
+        vals = breakdown.values()
+        for k, v in vals.items():
+            if not np.isfinite(v):
+                raise TrainingDivergedError(step, f"{k} is non-finite")
+        try:
+            opt.step(params, grads, run.optimizer)
         except NumericsError as e:
             raise TrainingDivergedError(step, str(e)) from e
         elapsed = time.perf_counter() - t0
-        tps = b * inputs.shape[1] / elapsed
+        tps = inputs.size / elapsed
         final_lm = vals["lm"]
-        final_ratio = float(np.mean(ratios))
         row = (step, vals["lm"], vals["pred"], vals["sparse"], vals["mem"],
                vals["stop"], vals["total"], final_ratio, tps)
         metrics.append(row)
@@ -116,14 +110,9 @@ def evaluate(params: ParameterStore, cfg: ModelConfig, task: SyntheticTask,
              index: int = 10_000) -> dict[str, float]:
     """Mean loss terms over a held-out batch (distinct stream index)."""
     inputs, targets = make_batch(task, batch, index=index)
-    out = {"lm": 0.0, "pred": 0.0, "sparse": 0.0, "mem": 0.0,
-           "stop": 0.0, "total": 0.0}
     with no_grad():
-        for i in range(inputs.shape[0]):
-            breakdown, _ = sequence_loss(inputs[i], targets[i], params, cfg, weights)
-            for k, v in breakdown.values().items():
-                out[k] += v / inputs.shape[0]
-    return out
+        breakdown, _ = sequence_loss(inputs, targets, params, cfg, weights)
+    return breakdown.values()
 
 
 @dataclass
@@ -161,14 +150,11 @@ def probe_delayed_identifier(params: ParameterStore, cfg: ModelConfig,
         key_len=spec.key_len, distractor_len=spec.distractor_len, seed=spec.seed,
     )
     inputs, targets = make_batch(task, spec.n_prompts, index=0)
-    key = recall_key_slice(task)
-    ce = 0.0
     with no_grad():
-        for i in range(spec.n_prompts):
-            logits, _ = model_forward(inputs[i], params, cfg)
-            lp = log_softmax(logits.lm).data
-            picked = lp[np.arange(task.seq_len), targets[i]]
-            ce += -float(picked[key].mean()) / spec.n_prompts
+        logits, _ = model_forward(inputs, params, cfg)
+    lp = log_softmax(logits.lm).data
+    picked = np.take_along_axis(lp, targets[..., None], axis=-1)[..., 0]
+    ce = -float(picked[:, recall_key_slice(task)].mean())
     return ProbeResult(key_cross_entropy=ce, prompt_length=spec.prompt_len)
 
 

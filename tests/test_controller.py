@@ -214,6 +214,53 @@ class TestCausalMaskBitsOracle:
             splits = sorted({1, t_len // 3, t_len - 1} - {0})
             self._check(errs, cp, splits=splits)
 
+    def test_batch_rows(self):
+        # Each row of a [B, T] batch is its own sequence, with ties, a flat
+        # row and a falling score map among them; split spans carry a
+        # [B, N] past and B sorted prefixes.
+        from lpcsm.model import causal_mask_bits
+
+        rng = np.random.default_rng(42)
+        errs = np.abs(rng.standard_normal((3, 40)))
+        errs[1, 5:12] = errs[1, 2]
+        errs[2] = 0.6
+        for cp in (make_cp(bias=0.2, scale=1.4, ratio_raw=0.7),
+                   make_cp(bias=-0.3, scale=-0.9, ratio_raw=-1.2)):
+            hard, soft, ratio = causal_mask_bits(Tensor(errs), cp)
+            refs = [per_prefix_bits(row, cp, float(ratio.data)) for row in errs]
+            assert np.array_equal(hard.data, [h for h, _ in refs])
+            assert np.array_equal(soft.data, [s for _, s in refs])
+            for p in (1, 17, 39):
+                ranked = ([[], [], []], [[], [], []])
+                causal_mask_bits(Tensor(errs[:, :p]), cp, np.zeros((3, 0)),
+                                 ranked)
+                h, s, _ = causal_mask_bits(Tensor(errs[:, p:]), cp,
+                                           errs[:, :p], ranked)
+                assert np.array_equal(h.data, [h[p:] for h, _ in refs]), p
+                assert np.array_equal(s.data, [s[p:] for _, s in refs]), p
+
+    def test_batch_backward_matches_rows(self):
+        from lpcsm.model import causal_mask_bits
+
+        rng = np.random.default_rng(43)
+        errs = np.abs(rng.standard_normal((3, 25)))
+        errs[0, :4] = 0.5  # flat rows first
+        past = np.abs(rng.standard_normal((3, 6)))
+        g = rng.standard_normal((3, 25))
+
+        def grads(e_data, past_rows, weights):
+            e = Tensor(e_data, requires_grad=True)
+            cp = make_cp(bias=0.1, scale=0.7, temperature=0.8, ratio_raw=0.3)
+            cp.scale.requires_grad = True
+            _, soft, _ = causal_mask_bits(e, cp, past_rows)
+            (soft * Tensor(weights)).sum().backward()
+            return e.grad, cp.scale.grad
+
+        e_batch, scale_batch = grads(errs, past, g)
+        rows = [grads(errs[b], past[b], g[b]) for b in range(3)]
+        assert np.max(np.abs(e_batch - [e for e, _ in rows])) < 1e-12
+        assert abs(scale_batch - sum(s for _, s in rows)) < 1e-12
+
     def test_soft_path_gradients(self):
         from lpcsm.model import causal_mask_bits
 

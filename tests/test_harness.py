@@ -4,6 +4,7 @@ training determinism, the recall probe, the ablation driver, and the CLI."""
 import ast
 import io
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -13,16 +14,16 @@ import numpy as np
 import pytest
 
 from lpcsm.data import EOS, DELIM, SyntheticTask, make_batch, recall_key_slice
-from lpcsm.model import ModelConfig, init_params
+from lpcsm.model import ModelConfig, init_params, model_forward
 from lpcsm.checkpoint import (
     save_checkpoint, load_checkpoint, CheckpointError, MAGIC,
 )
 from lpcsm.config import ConfigError, RunConfig, TrainSettings, load_run_config
-from lpcsm.objective import LossWeights, SgdConfig
+from lpcsm.objective import LossWeights, SgdConfig, log_softmax
 from lpcsm.numerics import NumericsError
 from lpcsm.train import (
     train, evaluate, probe_delayed_identifier, ProbeSpec, ablate,
-    METRICS_HEADER, TrainingDivergedError,
+    sequence_loss, METRICS_HEADER, TrainingDivergedError,
 )
 from lpcsm.cli import main
 import lpcsm
@@ -361,6 +362,94 @@ class TestTrainHarness:
         b = train(tiny_run(), seed=1)
         assert a.final_lm != b.final_lm
 
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = [0]
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_step_is_one_forward_and_one_backward(self, monkeypatch):
+        import lpcsm.train
+
+        forwards = self.count_calls(monkeypatch, lpcsm.train, "model_forward")
+        backwards = self.count_calls(monkeypatch, lpcsm.train, "forward_backward")
+        train(tiny_run(train=TrainSettings(steps=2, batch_size=4, seed=0)))
+        assert forwards[0] == backwards[0] == 2
+
+    def test_sinkhorn_once_per_layer_per_step(self, monkeypatch):
+        import lpcsm.mhc
+
+        calls = self.count_calls(monkeypatch, lpcsm.mhc, "sinkhorn_normalize")
+        run = tiny_run(model=tiny_cfg(layers=2),
+                       train=TrainSettings(steps=1, batch_size=4, seed=0))
+        train(run)
+        assert calls[0] == 2
+
+    def test_batch_step_matches_per_sequence_mean(self):
+        # The step's logged terms are the means of the per-sequence terms.
+        run = tiny_run(train=TrainSettings(steps=1, batch_size=3, seed=4))
+        row = train(run).metrics[0]
+        inputs, targets = make_batch(run.task, 3, index=0)
+        params = init_params(run.model, seed=4)
+        per_seq = [sequence_loss(inputs[i], targets[i], params, run.model,
+                                 run.loss) for i in range(3)]
+        for col, key in enumerate(("lm", "pred", "sparse", "mem", "stop",
+                                   "total"), start=1):
+            mean = np.mean([b.values()[key] for b, _ in per_seq])
+            assert abs(row[col] - mean) < 1e-12, key
+        assert abs(row[7] - np.mean([r for _, r in per_seq])) < 1e-12
+
+    def test_evaluate_is_one_forward_of_the_batch(self, monkeypatch):
+        import lpcsm.train
+
+        run = tiny_run()
+        params = init_params(run.model, seed=3)
+        inputs, targets = make_batch(run.task, 4, index=10_000)
+        per_seq = [sequence_loss(inputs[i], targets[i], params, run.model,
+                                 run.loss)[0].values() for i in range(4)]
+        forwards = self.count_calls(monkeypatch, lpcsm.train, "model_forward")
+        out = evaluate(params, run.model, run.task, run.loss, batch=4)
+        assert forwards[0] == 1
+        for key, value in out.items():
+            assert abs(value - np.mean([v[key] for v in per_seq])) < 1e-12, key
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts page faults under glibc's malloc")
+    def test_steps_reuse_freed_tape_memory(self):
+        # Tensor.backward frees the tape as it goes; the next step reuses
+        # that memory rather than faulting fresh pages in (about 1900 a
+        # step on this model when glibc hands the freed heap back).
+        code = (
+            "import resource, statistics\n"
+            "from lpcsm.config import RunConfig, TrainSettings\n"
+            "from lpcsm.data import SyntheticTask\n"
+            "from lpcsm.model import ModelConfig\n"
+            "from lpcsm.objective import LossWeights, SgdConfig\n"
+            "from lpcsm.train import train\n"
+            "class Faults:\n"
+            "    counts = []\n"
+            "    def write(self, line):\n"
+            "        self.counts.append(resource.getrusage("
+            "resource.RUSAGE_SELF).ru_minflt)\n"
+            "run = RunConfig(ModelConfig(vocab_size=32, width=32, layers=2,"
+            " chunk_size=16, max_seq_len=256), LossWeights(), SgdConfig(),"
+            " SyntheticTask('key-recall', 32, 256, 4, distractor_len=240),"
+            " TrainSettings(steps=8))\n"
+            "out = Faults()\n"
+            "train(run, metrics_out=out)\n"
+            "c = out.counts[3:]\n"
+            "print(statistics.median(b - a for a, b in zip(c, c[1:])))\n"
+        )
+        result = run_python(["-c", code])
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 200
+
     def test_evaluate_held_out(self):
         run = tiny_run()
         result = train(run)
@@ -386,6 +475,28 @@ class TestProbe:
         a = probe_delayed_identifier(params, cfg, spec)
         b = probe_delayed_identifier(params, cfg, spec)
         assert a == b
+
+    def test_probe_is_one_forward_of_the_prompts(self, monkeypatch):
+        import lpcsm.train
+
+        cfg = tiny_cfg(max_seq_len=64)
+        params = init_params(cfg, seed=8)
+        spec = ProbeSpec(n_prompts=3, prompt_len=24, distractor_len=8,
+                         key_len=3, seed=5)
+        task = SyntheticTask(kind="key-recall", vocab_size=cfg.vocab_size,
+                             seq_len=24, key_len=3, distractor_len=8, seed=5)
+        inputs, targets = make_batch(task, 3, index=0)
+        key = recall_key_slice(task)
+        per_prompt = []
+        for i in range(3):
+            logits, _ = model_forward(inputs[i], params, cfg)
+            lp = log_softmax(logits.lm).data[np.arange(24), targets[i]]
+            per_prompt.append(-lp[key].mean())
+        forwards = TestTrainHarness.count_calls(monkeypatch, lpcsm.train,
+                                                "model_forward")
+        result = probe_delayed_identifier(params, cfg, spec)
+        assert forwards[0] == 1
+        assert abs(result.key_cross_entropy - np.mean(per_prompt)) < 1e-12
 
     def test_probe_validation(self):
         cfg = tiny_cfg()

@@ -436,6 +436,81 @@ class TestCausalMaskBits:
             assert hard_bits.data[t] == em.hard.data[t]
 
 
+class TestBatchAxis:
+    """A [B, T] batch runs as one forward: each row is its own sequence."""
+
+    @staticmethod
+    def batch(cfg, b, t_len=11, seed=20):
+        tokens = np.random.default_rng(seed).integers(0, cfg.vocab_size,
+                                                      size=(b, t_len + 1))
+        return tokens[:, :-1], tokens[:, 1:]
+
+    @pytest.mark.parametrize("overrides", [{}, {"latent_dim": 3, "layers": 2},
+                                           {"slow_memory": False, "mhc": False,
+                                            "predictive_coding": False}])
+    def test_forward_matches_rows(self, overrides):
+        cfg = tiny_cfg(**overrides)
+        params = init_params(cfg, seed=21)
+        tokens, _ = self.batch(cfg, 3)
+        logits, aux = model_forward(tokens, params, cfg)
+        assert logits.lm.shape == (3, 11, cfg.vocab_size)
+        for b in range(3):
+            row, row_aux = model_forward(tokens[b], params, cfg)
+            assert np.max(np.abs(logits.lm.data[b] - row.lm.data)) < 1e-12
+            if cfg.stop_head:
+                assert np.max(np.abs(logits.stop.data[b] - row.stop.data)) < 1e-12
+            for a, r in zip(aux, row_aux):
+                assert a.write_count == r.write_count
+                assert a.effective_ratio[b] == r.effective_ratio
+                assert a.sparse_ratio_st.data[b] == r.sparse_ratio_st.data
+                for name in ("error_norms", "fast_final", "slow_final"):
+                    gap = getattr(a, name).data[b] - getattr(r, name).data
+                    assert np.max(np.abs(gap)) < 1e-12, name
+
+    def test_one_row_batch_is_bit_identical(self):
+        cfg = tiny_cfg(layers=2)
+        params = init_params(cfg, seed=22)
+        tokens, _ = self.batch(cfg, 1, t_len=13)
+        logits, aux = model_forward(tokens, params, cfg)
+        row, row_aux = model_forward(tokens[0], params, cfg)
+        assert np.array_equal(logits.lm.data[0], row.lm.data)
+        assert np.array_equal(logits.stop.data[0], row.stop.data)
+        for a, r in zip(aux, row_aux):
+            assert np.array_equal(a.error_norms.data[0], r.error_norms.data)
+            assert np.array_equal(a.slow_final.data[0], r.slow_final.data)
+
+    def test_gradients_are_mean_of_rows(self):
+        cfg = tiny_cfg(layers=2)
+        params = init_params(cfg, seed=23)
+        tokens, targets = self.batch(cfg, 3)
+        batch, _ = sequence_loss(tokens, targets, params, cfg, LossWeights())
+        grads = numerics.forward_backward(batch.total, params)
+        rows = []
+        for b in range(3):
+            row, _ = sequence_loss(tokens[b], targets[b], params, cfg,
+                                   LossWeights())
+            rows.append((row.values(), numerics.forward_backward(row.total, params)))
+        for key, value in batch.values().items():
+            assert abs(value - np.mean([v[key] for v, _ in rows])) < 1e-12, key
+        assert set(grads) == set(rows[0][1])
+        for name, g in grads.items():
+            mean = np.mean([r[name].data for _, r in rows], axis=0)
+            assert np.max(np.abs(g.data - mean)) < 1e-12, name
+
+    def test_grad_check(self):
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=24)
+        tokens, targets = self.batch(cfg, 2, t_len=6)
+
+        def loss(p):
+            b, _ = sequence_loss(tokens, targets, p, cfg, LossWeights(),
+                                 soft_mask=True)
+            return b.total
+
+        report = numerics.grad_check(loss, params, sample=2, seed=2)
+        assert report.passed, report.max_rel_error
+
+
 class TestTapeBudget:
     """Tape nodes built by the README model, counted as `_op` calls.
 
@@ -481,6 +556,15 @@ class TestTapeBudget:
         calls = self.count_ops(monkeypatch)
         sequence_loss(inputs[0], targets[0], params, cfg, LossWeights())
         assert 0 < calls[0] <= 220
+
+    def test_batch_train_step(self, monkeypatch):
+        # A B=4 batch costs about the nodes of one sequence, not four times.
+        cfg = self.readme_cfg(64)
+        inputs, targets = make_batch(SyntheticTask("copy", 32, 64, 2, seed=1), 4)
+        params = init_params(cfg, seed=1)
+        calls = self.count_ops(monkeypatch)
+        sequence_loss(inputs, targets, params, cfg, LossWeights())
+        assert 0 < calls[0] <= 260
 
     def decode_ops(self, monkeypatch, prompt_len):
         """`_op` calls of the token decoded after a `prompt_len` prompt,

@@ -12,7 +12,7 @@ from lpcsm.attention import local_attention
 from lpcsm.controller import ControllerParams
 from lpcsm.model import causal_mask_bits
 from lpcsm.numerics import (
-    Tensor, NumericsError, no_grad, concat, stack, take_rows,
+    Tensor, NumericsError, no_grad, concat, take_rows,
     straight_through, gated_scan, linear, rmsnorm, ParameterStore,
     forward_backward, grad_check, check_finite,
 )
@@ -110,12 +110,69 @@ class TestPrimitiveGradients:
 
         check_op(f, (3, 2), 0)
 
-    def test_stack_and_take_rows(self):
+    def test_concat_rows_and_take_rows(self):
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        stack([x[0], x[2]]).sum().backward()
+        concat([x[0].reshape((1, 2)), x[2].reshape((1, 2))]).sum().backward()
         assert np.array_equal(x.grad, np.array([[1.0, 1], [0, 0], [1, 1]]))
         picked = take_rows(Tensor(np.arange(8.0).reshape(4, 2)), [3, 0])
         assert np.array_equal(picked.data, np.array([[6.0, 7], [0, 1]]))
+
+
+    def test_getitem_repeated_indices_add_up(self):
+        # Each pick of a repeated index passes its gradient back, as in
+        # take_rows; along a later axis too, as a batched row gather does.
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        x[np.array([0, 0, 2])].sum().backward()
+        assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
+        y = Tensor(np.ones((2, 3, 2)), requires_grad=True)
+        (y[:, [0, 0, 2]] * 3.0).sum().backward()
+        assert np.array_equal(y.grad[1], [[6.0, 6.0], [0.0, 0.0], [3.0, 3.0]])
+
+    def test_getitem_basic_slice_grad(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        x[..., 1:].sum().backward()
+        assert np.array_equal(x.grad, [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+
+
+class TestTapeRelease:
+    """Tensor.backward frees the tape as it consumes it."""
+
+    @staticmethod
+    def graph():
+        params = ParameterStore()
+        params.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        params.add("b", np.array([0.5, -0.5]))
+        x = Tensor(np.array([[1.0, -1.0], [2.0, 0.5]]))
+        hidden = linear(x, params["w"], params["b"]).tanh()
+        return params, hidden, (hidden * hidden).sum()
+
+    def test_leaf_grads_survive_forward_backward(self):
+        params, hidden, loss = self.graph()
+        grads = forward_backward(loss, params)
+        for name in ("w", "b"):
+            assert params[name].grad is not None
+            assert np.array_equal(grads[name].data, params[name].grad)
+        y = np.tanh(np.array([[1.0, -1.0], [2.0, 0.5]]) @ params["w"].data
+                    + params["b"].data)
+        assert np.max(np.abs(params["b"].grad
+                             - (2 * y * (1 - y * y)).sum(axis=0))) < 1e-15
+
+    def test_interior_nodes_released(self):
+        _, hidden, loss = self.graph()
+        pre = hidden._prev[0]
+        loss.backward()
+        for node in (loss, hidden, pre):
+            assert node.grad is None
+            assert node._prev == ()
+
+    def test_second_backward_raises(self):
+        params, hidden, loss = self.graph()
+        forward_backward(loss, params)
+        with pytest.raises(NumericsError, match="released"):
+            forward_backward(loss, params)
+        # A new root over a released node reaches it and raises too.
+        with pytest.raises(NumericsError, match="released"):
+            (hidden * 2.0).sum().backward()
 
 
 class TestGatedScan:
@@ -136,10 +193,25 @@ class TestGatedScan:
         assert out.shape == (2,)
         assert np.array_equal(out, decay * init + write)
 
+    @pytest.mark.parametrize("shared_init", [False, True])
+    def test_batch_rows_are_row_scans(self, shared_init):
+        rng = np.random.default_rng(6)
+        decay = rng.uniform(0, 1, (3, 7, 4))
+        write = rng.standard_normal((3, 7, 4))
+        init = rng.standard_normal(4 if shared_init else (3, 4))
+        rows = gated_scan(Tensor(decay), Tensor(write), Tensor(init)).data
+        for b in range(3):
+            one = gated_scan(Tensor(decay[b]), Tensor(write[b]),
+                             Tensor(init if shared_init else init[b])).data
+            assert np.array_equal(rows[b], one)
+
     def test_shape_mismatch(self):
         with pytest.raises(NumericsError):
             gated_scan(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
                        Tensor(np.ones(3)))
+        with pytest.raises(NumericsError):  # a batch needs [B, d] or [d]
+            gated_scan(Tensor(np.ones((2, 3, 2))), Tensor(np.ones((2, 3, 2))),
+                       Tensor(np.ones((3, 2))))
         with pytest.raises(NumericsError):
             gated_scan(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))),
                        Tensor(np.ones(2)))
@@ -151,6 +223,22 @@ class TestGatedScan:
         params.add("write", rng.standard_normal((6, 3)))
         params.add("init", rng.standard_normal(3))
         weights = Tensor(rng.standard_normal((6, 3)))
+
+        def loss(p):
+            rows = gated_scan(p["decay"], p["write"], p["init"])
+            return (rows * rows * weights).sum()
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error
+
+    @pytest.mark.parametrize("init_shape", [(3,), (2, 3)])
+    def test_batch_grad_check(self, init_shape):
+        rng = np.random.default_rng(7)
+        params = ParameterStore()
+        params.add("decay", rng.uniform(0.1, 0.9, (2, 5, 3)))
+        params.add("write", rng.standard_normal((2, 5, 3)))
+        params.add("init", rng.standard_normal(init_shape))
+        weights = Tensor(rng.standard_normal((2, 5, 3)))
 
         def loss(p):
             rows = gated_scan(p["decay"], p["write"], p["init"])
@@ -284,7 +372,8 @@ class TestTensorBasics:
 
     def test_only_op_records_tape(self):
         # One protocol builds tape nodes: outside numerics._op, only the
-        # public constructor sets its own empty record.
+        # public constructor sets its own empty record, and
+        # Tensor.backward clears the record of each node it releases.
         offenders = []
         for path in sorted(SRC.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -292,7 +381,7 @@ class TestTensorBasics:
             if path.stem == "numerics":
                 tensor = next(n for n in tree.body if getattr(n, "name", "") == "Tensor")
                 for fn in [*tree.body, *tensor.body]:
-                    if getattr(fn, "name", "") in ("_op", "__init__"):
+                    if getattr(fn, "name", "") in ("_op", "__init__", "backward"):
                         allowed.update(range(fn.lineno, fn.end_lineno + 1))
             offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                           if isinstance(n, ast.Attribute)
