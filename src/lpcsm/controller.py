@@ -48,14 +48,51 @@ def clamp_ratio(p: ControllerParams) -> Tensor:
     return p.ratio_raw.sigmoid() * (p.ratio_max - p.ratio_min) + p.ratio_min
 
 
+def welford_step(total: float, mean: float, m2: float, x: float,
+                 n: int) -> tuple[float, float, float]:
+    """Welford's update of a sequence's running norm moments by its n-th
+    norm x: the sum, the mean total / n and m2, the sum of squared
+    deviations from the mean, so the population variance is m2 / n.
+    From (0.0, 0.0, 0.0) the first norm gives (x, x, 0.0) exactly."""
+    total = total + x
+    new = total / n
+    m2 = m2 + (x - mean) * (x - new)
+    if m2 < 0.0:  # a guard: rounding has not been seen to go below 0
+        m2 = 0.0
+    return total, new, m2
+
+
+def prefix_moments(past: np.ndarray) -> list:
+    """The welford_step state [total, mean, m2] after a [N] prefix of
+    norms, or one per row of a [B, N] batch of prefixes."""
+    rows = []
+    for row in np.atleast_2d(past).tolist():
+        state = 0.0, 0.0, 0.0
+        for n, x in enumerate(row, 1):
+            state = welford_step(*state, x, n)
+        rows.append(list(state))
+    return rows if past.ndim > 1 else rows[0]
+
+
 def event_scores(error_norms: Tensor, p: ControllerParams) -> Tensor:
-    """Normalize errors (population std), apply bias-scale and temperature."""
+    """Normalize errors (population std), apply bias-scale and temperature.
+
+    The mean and variance are welford_step's, in Tensor ops: each float
+    is the same, and the gradient is the tape's own."""
     e = _wrap(error_norms)
     if e.ndim != 1 or e.shape[0] < 1:
         raise NumericsError("event_scores expects a nonempty [T] vector")
-    mu = e.mean()
+    total = mu = m2 = Tensor(0.0)
+    for i in range(e.shape[0]):
+        x = e[i]
+        total = total + x
+        new = total / (i + 1)
+        m2 = m2 + (x - mu) * (x - new)
+        mu = new
+        if float(m2.data) < 0.0:
+            m2 = Tensor(0.0)
     centered = e - mu
-    var = (centered * centered).mean()
+    var = m2 / e.shape[0]
     if float(var.data) == 0.0:
         # Degenerate prefix (constant errors): sqrt has no gradient at 0,
         # and the eps-floored denominator is the correct limit anyway.
@@ -99,16 +136,17 @@ def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
     Position t gets the bit that hard_mask(event_scores(e[:t+1]), ratio)
     gives it, hard and soft. `error_norms` is a [T] span with a [N] `past`,
     or a [B, T] batch with a [B, N] one, each row its own sequence.
-    `ranked` is the pair (values, index) of lists holding a sequence's
-    prefix norms in ascending order, equal values in position order (for
-    a batch, a pair of B such lists); each position of the span is
-    inserted into it in place, so a carried pair makes a one-token span
+    `ranked` is the triple (values, index, moments) of a sequence's prefix:
+    lists of its norms in ascending order, equal values in position order,
+    and of their positions, and its welford_step state [total, mean, m2]
+    (for a batch, a triple of B such lists). Each position of the span is
+    advanced into it in place, so a carried triple makes a one-token span
     cost one position's work.
 
     The score map is weakly monotone in the norm (reversed when scale < 0),
     so hard_mask's threshold is the score of an order statistic of the
     sorted prefix, and only the scores it compares are computed: as
-    Python floats, from event_scores' exact prefix mean and variance, in
+    Python floats, from event_scores' running mean and variance, in
     event_scores' op order, so each is the same float. The soft bits are
     one tape node for any span length and batch, with an O(T) backward;
     the hard bits route their gradient to it straight through.
@@ -118,8 +156,8 @@ def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
     norms = np.concatenate([past, e.data], axis=-1)
     seqs = norms.reshape(-1, norms.shape[-1])  # one row per sequence
     batch, start = seqs.shape[0], seqs.shape[1] - span
-    all_values, all_index = (ranked if e.ndim > 1
-                             else ([ranked[0]], [ranked[1]]))
+    all_values, all_index, all_moments = (
+        ranked if e.ndim > 1 else ([ranked[0]], [ranked[1]], [ranked[2]]))
     scale, bias = float(p.scale.data), float(p.bias.data)
     inv_temp = 1.0 / p.temperature
     rising = scale >= 0.0           # scores weakly follow the norms' order
@@ -129,18 +167,17 @@ def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
     # sqrt(var) (0 on a flat row) and the threshold's position.
     hards, diffs, slopes, mus, sds, thetas = [], [], [], [], [], []
     for b in range(batch):
-        row, values, index = seqs[b], all_values[b], all_index[b]
-        for r, x in enumerate(row[start:].tolist()):
+        values, index, moments = all_values[b], all_index[b], all_moments[b]
+        total, m, m2 = moments
+        for r, x in enumerate(seqs[b, start:].tolist()):
             t = start + r
             n = t + 1
             pos = bisect_right(values, x)
             values.insert(pos, x)
             index.insert(pos, t)
 
-            prefix = row[:n]
-            m = float(np.add.reduce(prefix) / n)
-            c = prefix - m
-            var = float(np.add.reduce(c * c) / n)
+            total, m, m2 = welford_step(total, m, m2, x, n)
+            var = m2 / n
             flat = var == 0.0
             if flat:
                 inv = 1.0 / SCORE_STD_EPS
@@ -179,6 +216,7 @@ def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
             diffs.append(s_own - s_theta)
             mus.append(m)
             thetas.append(j)
+        moments[:] = total, m, m2
     hard, diff = np.array([hards, diffs]).reshape((2,) + e.shape)
     soft_vals = expit(diff)
     def bw(g):

@@ -17,7 +17,8 @@ from .numerics import (
 from .attention import local_attention, latent_attention
 from .memory import fast_update, memory_read, slow_write
 from .correction import predict_init, refine_step
-from .controller import ControllerParams, clamp_ratio, prefix_event_mask
+from .controller import (ControllerParams, clamp_ratio, prefix_event_mask,
+                         prefix_moments)
 from .mhc import mhc_route, route_gain
 
 
@@ -254,9 +255,11 @@ class LayerCache:
     chunk_count: int  # tokens in the open chunk, below chunk_size
     error_norms: np.ndarray  # per-position mismatch norms, full prefix
     # The same norms in ascending order, equal values in position order,
-    # and the position of each: the controller's sorted prefix.
+    # and the position of each: the controller's sorted prefix; and its
+    # running moments [total, mean, m2] of the norms (controller.welford_step).
     sorted_norms: list
     sorted_index: list
+    moments: list
     # mHC gain, set by the first span; parameters are frozen while a
     # cache is carried.
     route_gain: Tensor | None = None
@@ -275,6 +278,7 @@ class LayerCache:
             error_norms=np.zeros(batch + (0,)),
             sorted_norms=np.zeros(batch + (0,)).tolist(),
             sorted_index=np.zeros(batch + (0,)).tolist(),
+            moments=np.zeros(batch + (3,)).tolist(),
         )
 
 
@@ -286,17 +290,20 @@ def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
     scores of tokens 1..t, where `past` holds the norms of the tokens
     before this span; this keeps teacher forcing and incremental decode
     identical. A [B, T] batch of norms has a [B, N] `past`. `ranked` is
-    past's sorted prefix, (values, index), advanced in place past the
-    span; without it, it is sorted from `past`. Returns (hard bits, soft
-    bits, clamped ratio).
+    past's sorted prefix and running moments, (values, index, moments),
+    advanced in place past the span; without it, it is sorted from
+    `past`, and without the moments they are run over `past`. Returns
+    (hard bits, soft bits, clamped ratio).
     """
     ratio = clamp_ratio(cp)
-    past = np.asarray(past, dtype=np.float64)
+    past = np.asarray(past, dtype=np.float64).reshape(
+        error_norms.shape[:-1] + (-1,))
     if ranked is None:
-        past = past.reshape(error_norms.shape[:-1] + (-1,))
         order = np.argsort(past, axis=-1, kind="stable")
         ranked = (np.take_along_axis(past, order, axis=-1).tolist(),
                   order.tolist())
+    if len(ranked) == 2:
+        ranked = (*ranked, prefix_moments(past))
     hard, soft = prefix_event_mask(error_norms, past, ranked, cp,
                                    float(ratio.data))
     return hard, soft, ratio
@@ -367,7 +374,7 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         cp = controller_params(params, cfg, p)
         hard_bits, soft_bits, ratio_t = causal_mask_bits(
             error_norms, cp, cache.error_norms,
-            (cache.sorted_norms, cache.sorted_index))
+            (cache.sorted_norms, cache.sorted_index, cache.moments))
         cache.error_norms = np.concatenate([cache.error_norms, error_norms.data],
                                            axis=-1)
         mask = soft_bits if soft_mask else hard_bits

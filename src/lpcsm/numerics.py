@@ -498,7 +498,9 @@ def keep_freed_memory() -> None:
 def forward_backward(root: Tensor, params: ParameterStore) -> dict[str, Tensor]:
     """Gradients of a scalar root w.r.t. every trainable parameter reached.
 
-    Frozen and unreachable parameters are omitted, not zero-filled.
+    Frozen and unreachable parameters are omitted, not zero-filled. Each
+    holds its leaf's grad array itself: grads are rebound, never written
+    in place, so the next backward leaves these arrays as they are.
     """
     if root.data.size != 1:
         raise NumericsError("forward_backward requires a scalar root")
@@ -508,7 +510,7 @@ def forward_backward(root: Tensor, params: ParameterStore) -> dict[str, Tensor]:
     for name, t in params.trainable_items():
         if t.grad is not None:
             check_finite(t.grad, f"gradient of {name!r}")
-            grads[name] = _op(t.grad.copy(), (), None)
+            grads[name] = _op(t.grad, (), None)
     return grads
 
 

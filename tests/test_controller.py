@@ -11,6 +11,7 @@ from lpcsm.numerics import (
 )
 from lpcsm.controller import (
     ControllerParams, ratio_raw_init, clamp_ratio, event_scores, hard_mask,
+    welford_step, prefix_moments,
 )
 
 
@@ -66,6 +67,34 @@ class TestEventScores:
     def test_single_element_finite(self):
         s = event_scores(Tensor(np.array([1.3])), make_cp()).data
         assert np.all(np.isfinite(s))
+
+
+class TestWelfordStep:
+    def test_first_norm_exact(self):
+        for x in (0.1, 1.0 / 3.0, 2.0, 1e-3, 0.0, 7.25):
+            assert welford_step(0.0, 0.0, 0.0, x, 1) == (x, x, 0.0)
+
+    def test_moments_of_a_row(self):
+        row = np.abs(np.random.default_rng(44).standard_normal(300))
+        total, mean, m2 = prefix_moments(row)
+        assert abs(total - row.sum()) < 1e-12
+        assert abs(mean - row.mean()) < 1e-14
+        assert abs(m2 / row.size - row.var()) < 1e-14
+
+    def test_m2_never_negative(self):
+        # An ulp-level state whose next mean rounds past x: mean below 1.0,
+        # (total + 1.0) / 3 above it, so (x - mean) * (x - new) < 0. No
+        # such state has been seen from a real row; m2 is clamped anyway,
+        # so a flat row cannot turn into a negative variance.
+        total, mean = 2.0000000000000004, 0.9999999999999999
+        assert (1.0 - mean) * (1.0 - (total + 1.0) / 3) < 0.0
+        assert welford_step(total, mean, 0.0, 1.0, 3)[2] == 0.0
+
+    def test_prefix_moments_rows(self):
+        rows = np.abs(np.random.default_rng(45).standard_normal((3, 9)))
+        assert prefix_moments(rows) == [prefix_moments(r) for r in rows]
+        assert prefix_moments(np.zeros(0)) == [0.0, 0.0, 0.0]
+        assert prefix_moments(np.zeros((2, 0))) == [[0.0, 0.0, 0.0]] * 2
 
 
 class TestHardMask:
@@ -184,6 +213,30 @@ class TestCausalMaskBitsOracle:
                     splits=(3, 9))
         self._check(np.zeros(12), make_cp(), splits=(5,))
         self._check(np.r_[[0.4, 2.0], np.full(10, 1.0)], make_cp(ratio_raw=1.0))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 17, 64])
+    @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, 2.0, 1e-3])
+    def test_constant_rows(self, value, length):
+        # The running mean of a constant row can land an ulp off the
+        # value, so its variance is 0 or a few ulps squared by length:
+        # either branch, the scan and event_scores take the same one.
+        errs = np.full(length, value)
+        for cp in (make_cp(bias=0.3), make_cp(scale=-0.8, ratio_raw=1.0)):
+            splits = sorted({1, length // 2} - {0, length})
+            self._check(errs, cp, splits=splits)
+        if length <= 3:  # three 0.1s: mean 0.10000000000000002, var 0
+            assert prefix_moments(errs)[2] == 0.0
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3])
+    def test_rows_ulps_apart(self, ulps):
+        rng = np.random.default_rng(46 + ulps)
+        for value in (0.1, 1.0 / 3.0, 2.0, 1e-3):
+            for length in (2, 3, 17, 64):
+                steps = rng.integers(0, ulps + 1, size=length)
+                errs = value + steps * np.spacing(value)
+                cp = make_cp(bias=rng.uniform(-1, 1), scale=rng.uniform(-2, 2),
+                             ratio_raw=rng.uniform(-2, 2))
+                self._check(errs, cp, splits=(1, length // 2))
 
     @pytest.mark.parametrize("scale", [-1.3, 0.0])
     def test_nonpositive_scale(self, scale):
@@ -378,6 +431,37 @@ class TestPrefixEventNode:
         assert parts == whole
         order = np.argsort(errs, kind="stable")
         assert whole == (errs[order].tolist(), order.tolist())
+
+    @pytest.mark.parametrize("sizes",
+                             [(1, 2, 5, 40), (40, 5, 2, 1), (1,) * 48])
+    def test_carried_moments_match_one_span(self, sizes):
+        # Spans of a 48-norm row, one sequence or a batch of three, that
+        # carry (values, index, moments) leave the moments one span leaves,
+        # bit for bit, and give its hard and soft bits.
+        from lpcsm.model import causal_mask_bits
+
+        rng = np.random.default_rng(47)
+        errs = np.abs(rng.standard_normal((3, 48)))
+        errs[1, 10:30] = 0.1  # a flat stretch
+        cp = make_cp(bias=0.2, scale=1.1, ratio_raw=-0.4)
+        ends = np.cumsum((0,) + sizes)
+        for rows in (errs[0], errs):
+            fresh = lambda: tuple(np.zeros(rows.shape[:-1] + (k,)).tolist()
+                                  for k in (0, 0, 3))
+            whole = fresh()
+            hard, soft, _ = causal_mask_bits(Tensor(rows), cp, (), whole)
+            parts = fresh()
+            pieces = [causal_mask_bits(Tensor(rows[..., lo:hi]), cp,
+                                       rows[..., :lo], parts)
+                      for lo, hi in zip(ends[:-1], ends[1:])]
+            assert parts[2] == whole[2] == prefix_moments(rows)
+            assert parts == whole
+            assert np.array_equal(
+                np.concatenate([h.data for h, _, _ in pieces], axis=-1),
+                hard.data)
+            assert np.array_equal(
+                np.concatenate([s.data for _, s, _ in pieces], axis=-1),
+                soft.data)
 
     def test_tape_and_memory_flat_in_length(self):
         from lpcsm.model import causal_mask_bits

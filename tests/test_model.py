@@ -10,6 +10,7 @@ import pytest
 from scipy.special import expit
 
 from lpcsm import numerics
+from lpcsm.controller import prefix_moments
 from lpcsm.data import SyntheticTask, make_batch
 from lpcsm.numerics import Tensor, NumericsError, ConfigError, rmsnorm
 from lpcsm.objective import LossWeights
@@ -228,7 +229,7 @@ class TestSpanSplits:
     def test_split_spans_match_one_span(self, splits):
         # Partial chunks carried in the cache across a split write the
         # same slow state, at the same boundaries, as one span, and the
-        # controller carries the same norms and sorted prefix.
+        # controller carries the same norms, sorted prefix and moments.
         cfg = tiny_cfg(chunk_size=3)
         params = init_params(cfg, seed=12)
         h = np.random.default_rng(13).standard_normal((11, cfg.width))
@@ -254,6 +255,11 @@ class TestSpanSplits:
         assert np.max(np.abs(np.subtract(parts.sorted_norms,
                                          whole.sorted_norms))) < 1e-12
         assert parts.sorted_norms == sorted(parts.error_norms.tolist())
+        # The carried moments are the scan of the carried norms, bit for bit.
+        assert np.max(np.abs(np.subtract(parts.moments,
+                                         whole.moments))) < 1e-12
+        assert parts.moments == prefix_moments(parts.error_norms)
+        assert whole.moments == prefix_moments(whole.error_norms)
 
 
 class TestStraightLineOracle:

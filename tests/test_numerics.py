@@ -157,6 +157,24 @@ class TestTapeRelease:
         assert np.max(np.abs(params["b"].grad
                              - (2 * y * (1 - y * y)).sum(axis=0))) < 1e-15
 
+    def test_returned_grads_outlive_the_next_step(self):
+        # forward_backward hands out the leaf grads without copying them:
+        # a parameter update and the next step's backward rebind the
+        # leaves' grads and never write into the arrays already returned.
+        from lpcsm.objective import SgdConfig, SgdState
+
+        params, _, loss = self.graph()
+        first = forward_backward(loss, params)
+        kept = {name: g.data.copy() for name, g in first.items()}
+        SgdState().step(params, first, SgdConfig(lr=0.1, momentum=0.9))
+        hidden = linear(Tensor(np.array([[0.3, 0.2], [-1.0, 1.5]])),
+                        params["w"], params["b"]).tanh()
+        second = forward_backward((hidden * hidden).sum(), params)
+        for name, g in first.items():
+            assert np.array_equal(g.data, kept[name]), name
+            assert g.data is not second[name].data
+            assert not np.array_equal(second[name].data, kept[name])
+
     def test_interior_nodes_released(self):
         _, hidden, loss = self.graph()
         pre = hidden._prev[0]
