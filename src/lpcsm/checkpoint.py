@@ -10,7 +10,7 @@ import struct
 import numpy as np
 
 from .numerics import ParameterStore, ConfigError, check_finite
-from .model import ModelConfig, init_params
+from .model import ModelConfig, param_specs
 
 MAGIC = b"LPCM"
 VERSION = 1
@@ -62,30 +62,30 @@ def load_checkpoint(path: str,
         if expect_cfg is not None and cfg != expect_cfg:
             raise CheckpointError("checkpoint config does not match expected config")
 
+        # Each entry is checked against the config's table as it is read;
+        # trainable flags come from the table, values from the file.
+        specs = param_specs(cfg)
         (count,) = struct.unpack("<I", _read(f, 4))
-        loaded: dict[str, np.ndarray] = {}
-        for _ in range(count):
+        if count != len(specs):
+            raise CheckpointError(f"checkpoint entries do not match the "
+                                  f"config's {len(specs)} parameters")
+        params = ParameterStore()
+        for expect, expect_shape, _, trainable in specs:
             (name_len,) = struct.unpack("<I", _read(f, 4))
             try:
                 name = _read(f, name_len).decode("utf-8")
             except UnicodeDecodeError as e:
                 raise CheckpointError(f"tensor name is not UTF-8: {e}") from e
+            if name != expect:
+                raise CheckpointError(f"entry {name!r} where {expect!r} belongs")
             (rank,) = struct.unpack("<I", _read(f, 4))
             shape = tuple(struct.unpack("<I", _read(f, 4))[0] for _ in range(rank))
+            if shape != expect_shape:
+                raise CheckpointError(f"shape mismatch for {name!r}")
             data = np.frombuffer(_read(f, 8 * math.prod(shape)),
                                  dtype="<f8").reshape(shape)
             check_finite(data, f"checkpoint tensor {name!r}")
-            loaded[name] = data.astype(np.float64)
+            params.add(name, data, trainable)
         if f.read(1):
             raise CheckpointError("trailing bytes after the last tensor")
-
-    # Rebuild the store from the config so names, order, and trainable flags
-    # come from the architecture, then overwrite values from the file.
-    params = init_params(cfg, seed=0)
-    if set(params.names()) != set(loaded):
-        raise CheckpointError("checkpoint entries do not match the config's parameters")
-    for name, t in params.items():
-        if t.shape != loaded[name].shape:
-            raise CheckpointError(f"shape mismatch for {name!r}")
-        t.data = loaded[name]
     return params, cfg

@@ -18,7 +18,7 @@ from .attention import local_attention, latent_attention
 from .memory import fast_update, memory_read, slow_write
 from .correction import predict_init, refine_step
 from .controller import (ControllerParams, clamp_ratio, prefix_event_mask,
-                         prefix_moments)
+                         prefix_moments, ratio_raw_init)
 from .mhc import mhc_route, route_gain
 
 
@@ -121,21 +121,18 @@ class ModelConfig:
             raise ConfigError("mhc needs mhc_streams >= 2 and sinkhorn_iters >= 1")
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
-        if self.param_count() > MAX_PARAMS:
-            raise ConfigError(f"config asks for {self.param_count()} "
-                              f"parameters, more than {MAX_PARAMS}")
+        count = self.param_count()
+        if count > MAX_PARAMS:
+            raise ConfigError(f"config asks for {count} parameters, "
+                              f"more than {MAX_PARAMS}")
 
     def param_count(self) -> int:
-        """The number of float64 values that init_params allocates."""
-        d, v, s, k = self.width, self.vocab_size, self.mhc_streams, self.latent_dim
-        attn = 3 * d * d + 3 * d if k is None else d * d + 3 * d * k + k + 3 * d
-        layer = (attn + 18 * d * d + 14 * d + 3
-                 + self.slow_memory * (2 * d * d + 2 * d)
-                 + self.predictive_coding * (7 * d * d + 4 * d)
-                 + self.mhc * (s * s + 2 * s))
-        # Embeddings, the layers, the final norm, the LM and stop heads.
-        return ((v + self.max_seq_len) * d + self.layers * layer
-                + d + (d + 1) * v + self.stop_head * (d + 1))
+        """The number of float64 values that init_params allocates: the
+        table's entries outside the blocks plus `layers` times one
+        block's, so counting costs the same at any depth."""
+        outer, one = (sum(math.prod(shape) for _, shape, _, _ in
+                          param_specs(self, layers)) for layers in (0, 1))
+        return outer + self.layers * (one - outer)
 
     def to_canonical(self) -> str:
         lines = []
@@ -167,30 +164,33 @@ class Logits:
     stop: Tensor | None
 
 
-def init_params(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
-    """Fresh parameter store; only enabled mechanisms get parameters."""
-    from .controller import ratio_raw_init
+def param_specs(cfg: ModelConfig, layers: int | None = None) -> list[tuple]:
+    """The parameter table: (name, shape, init, trainable) per tensor, in
+    store order, for the enabled mechanisms. `init` is a constant, or
+    ("normal", c), a standard normal draw divided by c. `layers` stands in
+    for cfg.layers, so a count reads one block."""
+    d, v, s, k = cfg.width, cfg.vocab_size, cfg.mhc_streams, cfg.latent_dim
+    specs = []
 
-    rng = np.random.default_rng(seed)
-    params = ParameterStore()
-    d, v, s = cfg.width, cfg.vocab_size, cfg.mhc_streams
+    def add(name, shape, init=0.0, trainable=True):
+        specs.append((name, shape, init, trainable))
 
     def mat(name, fan_in, fan_out):
-        params.add(name, rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
+        add(name, (fan_in, fan_out), ("normal", np.sqrt(fan_in)))
 
     def vec(name, n, value=0.0):
-        params.add(name, np.full(n, value))
+        add(name, (n,), value)
 
-    params.add("embed.tok", rng.standard_normal((v, d)) * 0.5)
-    params.add("embed.pos", rng.standard_normal((cfg.max_seq_len, d)) * 0.5)
-    for l in range(cfg.layers):
+    add("embed.tok", (v, d), ("normal", 2.0))
+    add("embed.pos", (cfg.max_seq_len, d), ("normal", 2.0))
+    for l in range(cfg.layers if layers is None else layers):
         p = f"layers.{l}."
         vec(p + "norm1.gain", d, 1.0)
-        if cfg.latent_dim is not None:
+        if k is not None:
             mat(p + "attn.w_q", d, d); vec(p + "attn.b_q", d)
-            mat(p + "attn.w_z", d, cfg.latent_dim); vec(p + "attn.b_z", cfg.latent_dim)
-            mat(p + "attn.w_k_up", cfg.latent_dim, d); vec(p + "attn.b_k_up", d)
-            mat(p + "attn.w_v_up", cfg.latent_dim, d); vec(p + "attn.b_v_up", d)
+            mat(p + "attn.w_z", d, k); vec(p + "attn.b_z", k)
+            mat(p + "attn.w_k_up", k, d); vec(p + "attn.b_k_up", d)
+            mat(p + "attn.w_v_up", k, d); vec(p + "attn.b_v_up", d)
         else:
             mat(p + "attn.w_qkv", d, 3 * d); vec(p + "attn.b_qkv", 3 * d)
         mat(p + "attn.w_o", d, d); vec(p + "attn.b_o", d)
@@ -207,17 +207,15 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
             mat(p + "pred.w2", d, d); vec(p + "pred.b2", d)
             mat(p + "refine.w1", 3 * d, d); vec(p + "refine.b1", d)
             mat(p + "refine.w2", d, d); vec(p + "refine.b2", d)
-        params.add(p + "ctrl.bias", 0.0)
-        params.add(p + "ctrl.scale", 1.0)
-        params.add(
-            p + "ctrl.ratio_raw",
+        add(p + "ctrl.bias", ())
+        add(p + "ctrl.scale", (), 1.0)
+        add(p + "ctrl.ratio_raw", (),
             ratio_raw_init(cfg.ratio_init, cfg.ratio_min, cfg.ratio_max),
-            trainable=cfg.adaptive_ratio,
-        )
+            trainable=cfg.adaptive_ratio)
         if cfg.mhc:
             vec(p + "mhc.pre", s, 1.0)
             vec(p + "mhc.post", s, 1.0 / s)
-            params.add(p + "mhc.logits", np.zeros((s, s)))
+            add(p + "mhc.logits", (s, s))
         mat(p + "fuse.w", 3 * d, d); vec(p + "fuse.b", d)
         vec(p + "norm2.gain", d, 1.0)
         mat(p + "ffn.w1", d, 4 * d); vec(p + "ffn.b1", 4 * d)
@@ -225,8 +223,19 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
     vec("final_norm.gain", d, 1.0)
     mat("lm_head.w", d, v); vec("lm_head.b", v)
     if cfg.stop_head:
-        params.add("stop_head.w", rng.standard_normal(d) / np.sqrt(d))
-        params.add("stop_head.b", 0.0)
+        add("stop_head.w", (d,), ("normal", np.sqrt(d)))
+        add("stop_head.b", ())
+    return specs
+
+
+def init_params(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
+    """A fresh parameter store, drawn from the table in table order."""
+    rng = np.random.default_rng(seed)
+    params = ParameterStore()
+    for name, shape, init, trainable in param_specs(cfg):
+        value = (rng.standard_normal(shape) / init[1]
+                 if isinstance(init, tuple) else np.full(shape, init))
+        params.add(name, value, trainable)
     return params
 
 
@@ -301,8 +310,8 @@ def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
     if ranked is None:
         order = np.argsort(past, axis=-1, kind="stable")
         ranked = (np.take_along_axis(past, order, axis=-1).tolist(),
-                  order.tolist())
-    if len(ranked) == 2:
+                  order.tolist(), prefix_moments(past))
+    elif len(ranked) == 2:
         ranked = (*ranked, prefix_moments(past))
     hard, soft = prefix_event_mask(error_norms, past, ranked, cp,
                                    float(ratio.data))

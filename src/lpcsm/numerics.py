@@ -234,29 +234,12 @@ class Tensor:
         y = np.sqrt(a.data)
         return _op(y, (a,), lambda g: _accum(a, g * 0.5 / y))
 
-    def softmax(self):
-        """Softmax over the last axis; subtracts the row max before exp."""
-        a = self
-        shifted = a.data - a.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=-1, keepdims=True)
-        def bw(g):
-            _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-        return _op(y, (a,), bw)
-
     # -- structure ----------------------------------------------------------
 
     def reshape(self, shape):
         a = self
         return _op(a.data.reshape(shape), (a,),
                    lambda g: _accum(a, g.reshape(a.data.shape)))
-
-    def transpose(self, axes=None):
-        a = self
-        def bw(g):
-            inv = None if axes is None else np.argsort(axes)
-            _accum(a, np.transpose(g, inv))
-        return _op(np.transpose(a.data, axes), (a,), bw)
 
     def __getitem__(self, key):
         a = self

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
+from lpcsm.numerics import (Tensor, NumericsError, ParameterStore, concat,
+                            grad_check)
 from lpcsm.attention import MASK_VALUE, _attend, local_attention, latent_attention
 
 
@@ -183,19 +184,22 @@ class TestLatentAttention:
 
 
 def dense_attention(q, k, v, window, heads):
-    """The masked form the windowed node replaces: [H, T, past+T] scores
-    under a [T, past+T] additive window mask."""
+    """The masked form the windowed node replaces: per head, [T, past+T]
+    scores under an additive window mask, then a max-shifted softmax."""
     t_len, kv_len = q.shape[0], k.shape[0]
     hd = q.shape[1] // heads
     qpos = np.arange(kv_len - t_len, kv_len)[:, None]
     kpos = np.arange(kv_len)[None, :]
     mask = np.where((kpos <= qpos) & (kpos > qpos - window), 0.0, MASK_VALUE)
-    qh = q.reshape((t_len, heads, hd)).transpose((1, 0, 2))
-    kh = k.reshape((kv_len, heads, hd)).transpose((1, 0, 2))
-    vh = v.reshape((kv_len, heads, hd)).transpose((1, 0, 2))
-    scores = (qh @ kh.transpose((0, 2, 1))) * (1.0 / np.sqrt(hd)) + Tensor(mask)
-    mixed = scores.softmax() @ vh
-    return mixed.transpose((1, 0, 2)).reshape((t_len, heads * hd))
+    mixed = []
+    for head in range(heads):
+        cols = slice(head * hd, (head + 1) * hd)
+        scores = ((q[:, cols].reshape((t_len, 1, hd))
+                   * k[:, cols].reshape((1, kv_len, hd))).sum(-1)
+                  * (1.0 / np.sqrt(hd)) + mask)
+        e = (scores - scores.data.max(axis=-1, keepdims=True)).exp()
+        mixed.append(e / e.sum(axis=-1, keepdims=True) @ v[:, cols])
+    return concat(mixed, axis=-1)
 
 
 def tape_nodes(root):

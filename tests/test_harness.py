@@ -3,6 +3,7 @@ training determinism, the recall probe, the ablation driver, and the CLI."""
 
 import ast
 import io
+import math
 import os
 import platform
 import struct
@@ -222,6 +223,21 @@ class TestCheckpoint:
         with pytest.raises(NumericsError, match="'layers.0.mem.w_r'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("case, message", [
+        ("repeated", "entries do not match"),
+        ("missing", "entries do not match"),
+        ("extra", "entries do not match"),
+        ("swapped", "'embed.pos' where 'embed.tok' belongs"),
+        ("wrong shape", "shape mismatch for 'embed.tok'"),
+    ])
+    def test_entries_follow_the_table(self, tmp_path, case, message):
+        path = str(tmp_path / "m.ckpt")
+        cfg = tiny_cfg()
+        save_checkpoint(init_params(cfg), cfg, path)
+        ENTRY_EDITS[case](path)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
 
 def rewrite_config(path, old, new):
     """Replace `old` with `new` in a checkpoint's config text."""
@@ -240,6 +256,45 @@ def corrupt_first_name(path):
     (cfg_len,) = struct.unpack("<I", raw[8:12])
     raw[12 + cfg_len + 8] = 0xFF  # after the tensor count and name length
     open(path, "wb").write(bytes(raw))
+
+
+def entries_edited(edit):
+    """A setup that rewrites a checkpoint's tensor entries, each kept as
+    its raw bytes, as `edit` of their list; the count follows the list."""
+    def setup(path):
+        raw = open(path, "rb").read()
+        (cfg_len,) = struct.unpack("<I", raw[8:12])
+        pos, entries = 16 + cfg_len, []
+        while pos < len(raw):
+            (name_len,) = struct.unpack_from("<I", raw, pos)
+            (rank,) = struct.unpack_from("<I", raw, pos + 4 + name_len)
+            dims = struct.unpack_from(f"<{rank}I", raw, pos + 8 + name_len)
+            end = pos + 8 + name_len + 4 * rank + 8 * math.prod(dims)
+            entries.append(raw[pos:end])
+            pos = end
+        entries = edit(entries)
+        open(path, "wb").write(raw[:12 + cfg_len] + struct.pack("<I", len(entries))
+                               + b"".join(entries))
+    return setup
+
+
+def swap_first_dims(entries):
+    """The entries with the first one's two dims swapped; its size holds."""
+    first = bytearray(entries[0])
+    at = 8 + struct.unpack_from("<I", first)[0]  # after its name and rank
+    first[at:at + 8] = first[at + 4:at + 8] + first[at:at + 4]
+    return [bytes(first), *entries[1:]]
+
+
+# Checkpoints whose entries do not follow the config's parameter table.
+ENTRY_EDITS = {
+    "repeated": entries_edited(lambda e: e + e[:1]),
+    "missing": entries_edited(lambda e: e[:-1]),
+    "extra": entries_edited(
+        lambda e: e + [e[0].replace(b"embed.tok", b"embed.xyz")]),
+    "swapped": entries_edited(lambda e: [e[1], e[0], *e[2:]]),
+    "wrong shape": entries_edited(swap_first_dims),
+}
 
 
 class TestRunConfig:
@@ -776,10 +831,22 @@ class TestCli:
                              "distractor_len=2,key_len=2"], 2),
         "tensor dims past the end of the file": (
             huge_first_dims, ["generate", *PROMPT], 4),
+        "repeated checkpoint entry": (
+            ENTRY_EDITS["repeated"], ["generate", *PROMPT], 4),
+        "missing checkpoint entry": (
+            ENTRY_EDITS["missing"], ["generate", *PROMPT], 4),
+        "extra checkpoint entry": (
+            ENTRY_EDITS["extra"], ["generate", *PROMPT], 4),
+        "swapped checkpoint entries": (
+            ENTRY_EDITS["swapped"], ["generate", *PROMPT], 4),
+        "checkpoint entry of the wrong shape": (
+            ENTRY_EDITS["wrong shape"], ["generate", *PROMPT], 4),
         # Sizes the machine cannot allocate stop before init_params.
         "max_seq_len past the parameter bound": (
             run_yaml("max_seq_len: 32", "max_seq_len: 100000000000"),
             ["train"], 2),
+        "layers past the parameter bound": (
+            run_yaml("layers: 1", "layers: 1000000000000"), ["train"], 2),
         "checkpoint max_seq_len past the parameter bound": (
             lambda p: rewrite_config(p, "max_seq_len=32",
                                      "max_seq_len=100000000000"),

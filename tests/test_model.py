@@ -2,6 +2,7 @@
 writes, a straight-line re-implementation oracle, causality, and
 determinism."""
 
+import hashlib
 import itertools
 import sys
 
@@ -72,12 +73,25 @@ class TestInitParams:
 
     @pytest.mark.parametrize("latent_dim", [None, 3])
     def test_param_count_matches_init_params(self, latent_dim):
+        # param_count scales one block of the table; init_params builds all.
         toggles = ("slow_memory", "predictive_coding", "ont", "stop_head", "mhc")
         for combo in itertools.product([True, False], repeat=len(toggles)):
             cfg = tiny_cfg(layers=2, latent_dim=latent_dim,
                            **dict(zip(toggles, combo)))
             sizes = sum(t.size for _, t in init_params(cfg).items())
             assert cfg.param_count() == sizes, combo
+
+    def test_readme_model_initial_bytes(self):
+        # Pinned names and float64 bytes: a table edit that moves any
+        # initial value shows here.
+        cfg = ModelConfig(vocab_size=32, width=32, layers=2, heads=4, window=8,
+                          chunk_size=16, max_seq_len=64)
+        digest = hashlib.sha256()
+        for name, t in init_params(cfg, seed=0).items():
+            digest.update(name.encode())
+            digest.update(t.data.astype("<f8").tobytes())
+        assert digest.hexdigest() == ("fae198752fe2715f7cafbc792d4bb5a7"
+                                      "b6f057b0db77c6859e0ee407bdcfcdb3")
 
     def test_param_bound(self):
         # Position rows up to the bound are taken, one more is refused.

@@ -71,10 +71,12 @@ class TestPrimitiveGradients:
         lambda t: (t.exp() + 1.0).log().sum(),
         lambda t: t.tanh().mean(),
         lambda t: (t * t + t).sigmoid().sum(),
-        lambda t: (t.softmax() * t).sum(),
+        # Softmax as the attention reference builds it, and a column slice.
+        lambda t: ((e := (t - t.data.max(axis=-1, keepdims=True)).exp())
+                   / e.sum(axis=-1, keepdims=True) * t).sum(),
         lambda t: (t * t).sum(axis=-1).sqrt().sum(),
         lambda t: t.reshape((6,)).mean(),
-        lambda t: t.transpose().sum(axis=0).mean(),
+        lambda t: t[:, 1:].sum(axis=0).mean(),
         lambda t: (t.softplus() * t).sum(),
         lambda t: (t / (t * t + 2.0)).sum(),
         lambda t: (t - t.mean(axis=-1, keepdims=True)).sum(),
@@ -343,11 +345,6 @@ class TestTensorBasics:
         with pytest.raises(NumericsError):
             Tensor(y.data)
 
-    def test_softmax_rows_normalized(self):
-        rng = np.random.default_rng(3)
-        s = Tensor(rng.standard_normal((5, 7))).softmax().data
-        assert np.max(np.abs(s.sum(axis=-1) - 1.0)) < 1e-12
-
     def test_no_grad_blocks_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
@@ -373,8 +370,7 @@ class TestTensorBasics:
             lambda: x / 2.0, lambda: x @ m, lambda: x.sum(), lambda: x.mean(0),
             lambda: x.tanh(), lambda: x.sigmoid(), lambda: x.softplus(),
             lambda: x.exp(), lambda: x.log(), lambda: x.sqrt(),
-            lambda: x.softmax(), lambda: x.reshape((4, 2)),
-            lambda: x.transpose(), lambda: x[1],
+            lambda: x.reshape((4, 2)), lambda: x[1],
             lambda: concat([x, x]), lambda: take_rows(x, [1, 0, 1]),
             lambda: gated_scan(x, x, x[0]),
             lambda: straight_through(np.ones(4), x[0]),
