@@ -4,7 +4,9 @@ threshold at a learnable bounded density.
 
 `event_scores` and `hard_mask` define the mask of one sequence;
 `prefix_event_mask` gives every position the bit those two assign it
-within its own prefix, for all positions of a span at once."""
+within its own prefix, for all positions of a span at once. The prefix a
+sequence carries from span to span is this module's alone: `empty_prefix`
+creates it and `prefix_event_mask` reads and advances it."""
 
 from __future__ import annotations
 
@@ -62,16 +64,14 @@ def welford_step(total: float, mean: float, m2: float, x: float,
     return total, new, m2
 
 
-def prefix_moments(past: np.ndarray) -> list:
-    """The welford_step state [total, mean, m2] after a [N] prefix of
-    norms, or one per row of a [B, N] batch of prefixes."""
-    rows = []
-    for row in np.atleast_2d(past).tolist():
-        state = 0.0, 0.0, 0.0
-        for n, x in enumerate(row, 1):
-            state = welford_step(*state, x, n)
-        rows.append(list(state))
-    return rows if past.ndim > 1 else rows[0]
+def empty_prefix(batch: tuple = ()) -> tuple:
+    """The carried prefix of no norms, for one sequence or, with `batch` =
+    (B,), for B sequences: (values, index, moments), lists of its norms in
+    ascending order, equal values in position order, and of their
+    positions, and its welford_step state [total, mean, m2]; for a batch,
+    a triple of B such lists. prefix_event_mask advances it in place."""
+    return (np.zeros(batch + (0,)).tolist(), np.zeros(batch + (0,)).tolist(),
+            np.zeros(batch + (3,)).tolist())
 
 
 def event_scores(error_norms: Tensor, p: ControllerParams) -> Tensor:
@@ -129,47 +129,43 @@ def hard_mask(scores: Tensor, ratio: float) -> EventMask:
     )
 
 
-def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
-                      p: ControllerParams, ratio: float) -> tuple[Tensor, Tensor]:
-    """Causal event bits of a span whose prefix norms are `past`.
+def prefix_event_mask(error_norms: Tensor, prefix: tuple, p: ControllerParams,
+                      ratio: float) -> tuple[Tensor, Tensor]:
+    """Causal event bits of a span that continues a carried prefix.
 
     Position t gets the bit that hard_mask(event_scores(e[:t+1]), ratio)
-    gives it, hard and soft. `error_norms` is a [T] span with a [N] `past`,
-    or a [B, T] batch with a [B, N] one, each row its own sequence.
-    `ranked` is the triple (values, index, moments) of a sequence's prefix:
-    lists of its norms in ascending order, equal values in position order,
-    and of their positions, and its welford_step state [total, mean, m2]
-    (for a batch, a triple of B such lists). Each position of the span is
-    advanced into it in place, so a carried triple makes a one-token span
-    cost one position's work.
+    gives it, hard and soft. `error_norms` is a [T] span, or a [B, T]
+    batch, each row its own sequence. `prefix` (empty_prefix) holds the
+    norms before the span, sorted, and their moments; each position of the
+    span is advanced into it in place, so a one-token span costs one
+    position's work.
 
     The score map is weakly monotone in the norm (reversed when scale < 0),
     so hard_mask's threshold is the score of an order statistic of the
     sorted prefix, and only the scores it compares are computed: as
     Python floats, from event_scores' running mean and variance, in
     event_scores' op order, so each is the same float. The soft bits are
-    one tape node for any span length and batch, with an O(T) backward;
-    the hard bits route their gradient to it straight through.
+    one tape node for any span length and batch, with an O(T) backward
+    that reads each threshold's norm as the forward recorded it; the hard
+    bits route their gradient to it straight through.
     """
     e = _wrap(error_norms)
-    span = e.shape[-1]
-    norms = np.concatenate([past, e.data], axis=-1)
-    seqs = norms.reshape(-1, norms.shape[-1])  # one row per sequence
-    batch, start = seqs.shape[0], seqs.shape[1] - span
     all_values, all_index, all_moments = (
-        ranked if e.ndim > 1 else ([ranked[0]], [ranked[1]], [ranked[2]]))
+        prefix if e.ndim > 1 else ([prefix[0]], [prefix[1]], [prefix[2]]))
+    batch, span, start = len(all_values), e.shape[-1], len(all_values[0])
+    rows = e.data.reshape(batch, span)  # one row per sequence
     scale, bias = float(p.scale.data), float(p.bias.data)
     inv_temp = 1.0 / p.temperature
     rising = scale >= 0.0           # scores weakly follow the norms' order
 
     # Per position, sequence by sequence: the hard bit, s_t - s_theta
     # (exact), dz/de (1/den, or 1/eps on a flat row), the prefix mean,
-    # sqrt(var) (0 on a flat row) and the threshold's position.
-    hards, diffs, slopes, mus, sds, thetas = [], [], [], [], [], []
+    # sqrt(var) (0 on a flat row), and the threshold's position and norm.
+    hards, diffs, slopes, mus, sds, thetas, theta_norms = ([] for _ in range(7))
     for b in range(batch):
         values, index, moments = all_values[b], all_index[b], all_moments[b]
         total, m, m2 = moments
-        for r, x in enumerate(seqs[b, start:].tolist()):
+        for r, x in enumerate(rows[b].tolist()):
             t = start + r
             n = t + 1
             pos = bisect_right(values, x)
@@ -207,42 +203,43 @@ def prefix_event_mask(error_norms: Tensor, past: np.ndarray, ranked: tuple,
                 hi = bisect_right(values, values[hi], hi)
             rank = k - (n - hi if rising else lo) - 1
             if values[lo] == values[hi - 1]:
-                j = index[lo + rank]
+                j, v_j = index[lo + rank], v
             else:  # rounding merged distinct norms into one score
-                j = sorted(index[lo:hi])[rank]
+                j, v_j = sorted(zip(index[lo:hi], values[lo:hi]))[rank]
 
             s_own = score(x)
             hards.append(s_own > s_theta or j == t)
             diffs.append(s_own - s_theta)
             mus.append(m)
             thetas.append(j)
+            theta_norms.append(v_j)
         moments[:] = total, m, m2
     hard, diff = np.array([hards, diffs]).reshape((2,) + e.shape)
     soft_vals = expit(diff)
     def bw(g):
-        slope, mu, sd = np.array([slopes, mus, sds]).reshape(3, batch, span)
-        theta = np.array(thetas, dtype=np.int64).reshape(batch, span)
+        slope, mu, sd, norm_theta = np.array(
+            [slopes, mus, sds, theta_norms]).reshape(4, batch, span)
+        theta = np.array(thetas, dtype=np.int64).reshape(batch, span) - start
         y = soft_vals.reshape(batch, span)
         g = g.reshape(batch, span)
-        own = seqs[:, start:]
         gs = g * y * (1.0 - y) * inv_temp  # d/d(s_t - s_theta)
-        # z_t - z_theta
-        dz = (own - np.take_along_axis(seqs, theta, axis=1)) * slope
+        dz = (rows - norm_theta) * slope  # z_t - z_theta
         _accum(p.scale, np.sum(gs * dz))
         _accum(p.bias, np.zeros(()))  # cancels in s_t - s_theta
         w = gs * scale * slope          # d/de_t, and minus d/de_theta
-        full = np.zeros(seqs.shape)
-        full[:, start:] += w
-        np.subtract.at(full, (np.arange(batch)[:, None], theta), w)
+        full = 0.0 + w  # a copy, with no -0.0
+        # A threshold before the span is a norm of the past: a constant.
+        inside = theta >= 0
+        np.subtract.at(full, (np.nonzero(inside)[0], theta[inside]),
+                       w[inside])
         # The std term: c_t * (e_i - mu_t) for every i <= t of a row
         # with var > 0, summed over t with two reverse cumsums; both
         # sides are taken about the last mean to keep the difference.
-        c = np.divide(-w * dz, (np.arange(start, seqs.shape[1]) + 1.0) * sd,
+        c = np.divide(-w * dz, (np.arange(start, start + span) + 1.0) * sd,
                       out=np.zeros((batch, span)), where=sd > 0.0)
         last_mu = mu[:, -1:]
         tail = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
         tail_mu = np.cumsum((c * (mu - last_mu))[:, ::-1], axis=1)[:, ::-1]
-        _accum(e, (full[:, start:] + (own - last_mu) * tail - tail_mu)
-               .reshape(e.shape))
+        _accum(e, (full + (rows - last_mu) * tail - tail_mu).reshape(e.shape))
     soft = _op(soft_vals, (e, p.scale, p.bias), bw)
     return straight_through(hard, soft), soft

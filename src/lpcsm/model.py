@@ -12,14 +12,14 @@ import numpy as np
 
 from .numerics import (
     Tensor, ParameterStore, NumericsError, ConfigError, check_finite, rmsnorm,
-    concat, linear, take_rows, straight_through,
+    concat, linear, straight_through,
 )
 from .attention import local_attention, latent_attention
 from .memory import fast_update, memory_read, slow_write
 from .correction import predict_init, refine_step
-from .controller import (ControllerParams, clamp_ratio, prefix_event_mask,
-                         prefix_moments, ratio_raw_init)
-from .mhc import mhc_route, route_gain
+from .controller import (ControllerParams, clamp_ratio, empty_prefix,
+                         prefix_event_mask, ratio_raw_init)
+from .mhc import MAX_EXTRA_PASSES, mhc_route, route_gain
 
 
 # The most float64 parameter values a config may ask for (2 GiB): the
@@ -117,8 +117,10 @@ class ModelConfig:
             raise ConfigError("temperature must be finite and positive")
         if not 0.0 < self.rmsnorm_eps < math.inf:
             raise ConfigError("rmsnorm_eps must be finite and positive")
-        if self.mhc_streams < 2 or self.sinkhorn_iters < 1:
-            raise ConfigError("mhc needs mhc_streams >= 2 and sinkhorn_iters >= 1")
+        # Sinkhorn keeps each pass for its backward: the cap bounds memory.
+        if self.mhc_streams < 2 or not 1 <= self.sinkhorn_iters <= MAX_EXTRA_PASSES:
+            raise ConfigError("mhc needs mhc_streams >= 2 and sinkhorn_iters "
+                              f"in 1..{MAX_EXTRA_PASSES}")
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
         count = self.param_count()
@@ -256,19 +258,15 @@ class LayerCache:
     forcing runs one span, or one batch of spans, from a fresh cache;
     decode prefills the prompt as one span, then runs one-token spans on
     the carried cache. A batch's cache has a leading batch axis on each
-    array and one sorted prefix list per sequence."""
+    array."""
     history: Tensor | None  # the last <= window post-norm rows, [<=window, d]
     fast: Tensor  # fast state after the last token
     slow: Tensor  # slow state after the last chunk boundary
     chunk_sum: Tensor  # sum of the fast states of the open chunk
     chunk_count: int  # tokens in the open chunk, below chunk_size
-    error_norms: np.ndarray  # per-position mismatch norms, full prefix
-    # The same norms in ascending order, equal values in position order,
-    # and the position of each: the controller's sorted prefix; and its
-    # running moments [total, mean, m2] of the norms (controller.welford_step).
-    sorted_norms: list
-    sorted_index: list
-    moments: list
+    # The controller's carried prefix of the mismatch norms
+    # (controller.empty_prefix): only the controller reads and advances it.
+    prefix: tuple
     # mHC gain, set by the first span; parameters are frozen while a
     # cache is carried.
     route_gain: Tensor | None = None
@@ -284,37 +282,25 @@ class LayerCache:
             slow=Tensor(np.zeros(state)),
             chunk_sum=Tensor(np.zeros(state)),
             chunk_count=0,
-            error_norms=np.zeros(batch + (0,)),
-            sorted_norms=np.zeros(batch + (0,)).tolist(),
-            sorted_index=np.zeros(batch + (0,)).tolist(),
-            moments=np.zeros(batch + (3,)).tolist(),
+            prefix=empty_prefix(batch),
         )
 
 
 def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
-                     past=(), ranked=None) -> tuple[Tensor, Tensor, Tensor]:
+                     prefix: tuple | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Per-position event bits using only each position's prefix statistics.
 
     Position t takes the bit assigned to it by the hard mask computed over
-    scores of tokens 1..t, where `past` holds the norms of the tokens
-    before this span; this keeps teacher forcing and incremental decode
-    identical. A [B, T] batch of norms has a [B, N] `past`. `ranked` is
-    past's sorted prefix and running moments, (values, index, moments),
-    advanced in place past the span; without it, it is sorted from
-    `past`, and without the moments they are run over `past`. Returns
-    (hard bits, soft bits, clamped ratio).
+    scores of tokens 1..t; this keeps teacher forcing and incremental
+    decode identical. `prefix` is the controller's carried prefix of the
+    tokens before this span, advanced in place past the span; None starts
+    a fresh sequence, of one row or of a [B, T] batch. Returns (hard bits,
+    soft bits, clamped ratio).
     """
     ratio = clamp_ratio(cp)
-    past = np.asarray(past, dtype=np.float64).reshape(
-        error_norms.shape[:-1] + (-1,))
-    if ranked is None:
-        order = np.argsort(past, axis=-1, kind="stable")
-        ranked = (np.take_along_axis(past, order, axis=-1).tolist(),
-                  order.tolist(), prefix_moments(past))
-    elif len(ranked) == 2:
-        ranked = (*ranked, prefix_moments(past))
-    hard, soft = prefix_event_mask(error_norms, past, ranked, cp,
-                                   float(ratio.data))
+    if prefix is None:
+        prefix = empty_prefix(error_norms.shape[:-1])
+    hard, soft = prefix_event_mask(error_norms, prefix, cp, float(ratio.data))
     return hard, soft, ratio
 
 
@@ -381,11 +367,8 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             error_norms = Tensor(np.zeros(h.shape[:-1]))
 
         cp = controller_params(params, cfg, p)
-        hard_bits, soft_bits, ratio_t = causal_mask_bits(
-            error_norms, cp, cache.error_norms,
-            (cache.sorted_norms, cache.sorted_index, cache.moments))
-        cache.error_norms = np.concatenate([cache.error_norms, error_norms.data],
-                                           axis=-1)
+        hard_bits, soft_bits, ratio_t = causal_mask_bits(error_norms, cp,
+                                                         cache.prefix)
         mask = soft_bits if soft_mask else hard_bits
         density = hard_bits.data.mean(axis=-1)  # one per sequence
         if soft_mask:
@@ -457,7 +440,7 @@ def embed(tokens, params: ParameterStore, cfg: ModelConfig,
     t_len = tokens.shape[-1]
     if position_offset + t_len > cfg.max_seq_len:
         raise ConfigError("sequence exceeds max_seq_len")
-    tok = take_rows(params["embed.tok"], tokens)
+    tok = params["embed.tok"][tokens]
     pos = params["embed.pos"][position_offset:position_offset + t_len]
     return tok + pos
 

@@ -324,16 +324,6 @@ def concat(tensors, axis=0) -> Tensor:
     return _op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bw)
 
 
-def take_rows(t: Tensor, indices) -> Tensor:
-    """Gather rows along the leading axis (integer fancy indexing)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    def bw(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, idx, g)
-        _accum(t, full)
-    return _op(t.data[idx], (t,), bw)
-
-
 def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
     """States of f_t = decay_t * f_(t-1) + write_t from f_(-1) = init.
 

@@ -8,10 +8,11 @@ import pytest
 
 from lpcsm.numerics import (
     Tensor, NumericsError, ParameterStore, forward_backward, grad_check,
+    no_grad,
 )
 from lpcsm.controller import (
     ControllerParams, ratio_raw_init, clamp_ratio, event_scores, hard_mask,
-    welford_step, prefix_moments,
+    welford_step, empty_prefix,
 )
 
 
@@ -21,6 +22,27 @@ def make_cp(bias=0.0, scale=1.0, temperature=1.0, ratio_raw=0.0,
         bias=Tensor(bias), scale=Tensor(scale), temperature=temperature,
         ratio_raw=Tensor(ratio_raw), ratio_min=ratio_min, ratio_max=ratio_max,
     )
+
+
+def carried(past, cp):
+    """The controller's carried prefix after `past`, a [N] or [B, N] array
+    of norms, run as a first span on a fresh prefix, as decode does."""
+    from lpcsm.model import causal_mask_bits
+
+    past = np.asarray(past, dtype=np.float64)
+    prefix = empty_prefix(past.shape[:-1])
+    if past.shape[-1]:
+        with no_grad():
+            causal_mask_bits(Tensor(past), cp, prefix)
+    return prefix
+
+
+def welford_moments(row):
+    """welford_step's state [total, mean, m2] after the norms of a row."""
+    state = 0.0, 0.0, 0.0
+    for n, x in enumerate(row.tolist(), 1):
+        state = welford_step(*state, x, n)
+    return list(state)
 
 
 class TestClampRatio:
@@ -76,7 +98,8 @@ class TestWelfordStep:
 
     def test_moments_of_a_row(self):
         row = np.abs(np.random.default_rng(44).standard_normal(300))
-        total, mean, m2 = prefix_moments(row)
+        total, mean, m2 = carried(row, make_cp())[2]
+        assert [total, mean, m2] == welford_moments(row)
         assert abs(total - row.sum()) < 1e-12
         assert abs(mean - row.mean()) < 1e-14
         assert abs(m2 / row.size - row.var()) < 1e-14
@@ -89,12 +112,6 @@ class TestWelfordStep:
         total, mean = 2.0000000000000004, 0.9999999999999999
         assert (1.0 - mean) * (1.0 - (total + 1.0) / 3) < 0.0
         assert welford_step(total, mean, 0.0, 1.0, 3)[2] == 0.0
-
-    def test_prefix_moments_rows(self):
-        rows = np.abs(np.random.default_rng(45).standard_normal((3, 9)))
-        assert prefix_moments(rows) == [prefix_moments(r) for r in rows]
-        assert prefix_moments(np.zeros(0)) == [0.0, 0.0, 0.0]
-        assert prefix_moments(np.zeros((2, 0))) == [[0.0, 0.0, 0.0]] * 2
 
 
 class TestHardMask:
@@ -196,7 +213,8 @@ class TestCausalMaskBitsOracle:
         assert np.array_equal(hard.data, ref_hard)
         assert np.array_equal(soft.data, ref_soft)
         for p in splits:
-            h, s, _ = causal_mask_bits(Tensor(errs[p:]), cp, list(errs[:p]))
+            h, s, _ = causal_mask_bits(Tensor(errs[p:]), cp,
+                                       carried(errs[:p], cp))
             assert np.array_equal(h.data, ref_hard[p:]), p
             assert np.array_equal(s.data, ref_soft[p:]), p
 
@@ -225,7 +243,7 @@ class TestCausalMaskBitsOracle:
             splits = sorted({1, length // 2} - {0, length})
             self._check(errs, cp, splits=splits)
         if length <= 3:  # three 0.1s: mean 0.10000000000000002, var 0
-            assert prefix_moments(errs)[2] == 0.0
+            assert carried(errs, make_cp())[2][2] == 0.0
 
     @pytest.mark.parametrize("ulps", [1, 2, 3])
     def test_rows_ulps_apart(self, ulps):
@@ -269,8 +287,8 @@ class TestCausalMaskBitsOracle:
 
     def test_batch_rows(self):
         # Each row of a [B, T] batch is its own sequence, with ties, a flat
-        # row and a falling score map among them; split spans carry a
-        # [B, N] past and B sorted prefixes.
+        # row and a falling score map among them; split spans carry the
+        # prefix of a [B, N] past, B sorted rows.
         from lpcsm.model import causal_mask_bits
 
         rng = np.random.default_rng(42)
@@ -284,11 +302,8 @@ class TestCausalMaskBitsOracle:
             assert np.array_equal(hard.data, [h for h, _ in refs])
             assert np.array_equal(soft.data, [s for _, s in refs])
             for p in (1, 17, 39):
-                ranked = ([[], [], []], [[], [], []])
-                causal_mask_bits(Tensor(errs[:, :p]), cp, np.zeros((3, 0)),
-                                 ranked)
                 h, s, _ = causal_mask_bits(Tensor(errs[:, p:]), cp,
-                                           errs[:, :p], ranked)
+                                           carried(errs[:, :p], cp))
                 assert np.array_equal(h.data, [h[p:] for h, _ in refs]), p
                 assert np.array_equal(s.data, [s[p:] for _, s in refs]), p
 
@@ -305,7 +320,7 @@ class TestCausalMaskBitsOracle:
             e = Tensor(e_data, requires_grad=True)
             cp = make_cp(bias=0.1, scale=0.7, temperature=0.8, ratio_raw=0.3)
             cp.scale.requires_grad = True
-            _, soft, _ = causal_mask_bits(e, cp, past_rows)
+            _, soft, _ = causal_mask_bits(e, cp, carried(past_rows, cp))
             (soft * Tensor(weights)).sum().backward()
             return e.grad, cp.scale.grad
 
@@ -329,7 +344,7 @@ class TestCausalMaskBitsOracle:
             cp = ControllerParams(bias=p["bias"], scale=p["scale"],
                                   temperature=1.3, ratio_raw=Tensor(0.0),
                                   ratio_min=0.05, ratio_max=0.95)
-            _, soft, _ = causal_mask_bits(p["errs"], cp, past)
+            _, soft, _ = causal_mask_bits(p["errs"], cp, carried(past, cp))
             return (soft * weights).sum()
 
         report = grad_check(loss, params)
@@ -370,7 +385,7 @@ class TestPrefixEventNode:
                                   temperature=1.7, ratio_raw=Tensor(0.4),
                                   ratio_min=0.05, ratio_max=0.95)
             span = concat([Tensor(np.full(2, 0.7)), p["errs"]])
-            return causal_mask_bits(span, cp, [0.7] * past)
+            return causal_mask_bits(span, cp, carried([0.7] * past, cp))
 
         hard, _, _ = run(params)
         report = grad_check(lambda p: (run(p)[1] * weights).sum(), params)
@@ -380,16 +395,27 @@ class TestPrefixEventNode:
             assert np.array_equal(run(params)[0].data, hard.data)
             params[name].data -= 1e-5
 
-    @pytest.mark.parametrize("past", [0, 5])
+    @pytest.mark.parametrize("past", [0, 5, "above"])
     @pytest.mark.parametrize("scale", [1.2, -0.7])
     def test_backward_matches_per_prefix_tape(self, past, scale):
         # Against the tape of per-prefix event_scores + hard_mask, which
         # also covers the flat (var == 0) rows a finite difference cannot.
+        # "above" carries 16 norms that score above every span norm (larger
+        # norms for scale > 0, smaller for scale < 0), so each threshold
+        # lies before the span, where it is a constant.
         from lpcsm.model import causal_mask_bits
         from lpcsm.numerics import concat
 
-        rng = np.random.default_rng(41 + past)
+        rng = np.random.default_rng(41 + (past if past != "above" else 6))
         errs = np.r_[np.full(7, 0.7), np.abs(rng.standard_normal(13))]
+        if past == "above":
+            past = 16
+            outside = (errs.max() + rng.uniform(0.1, 1.0, past) if scale > 0
+                       else errs.min() * rng.uniform(0.1, 0.9, past))
+            errs = np.r_[outside, errs]
+            cp = make_cp(bias=0.3, scale=scale, temperature=0.6, ratio_raw=-0.5)
+            ref_hard, _ = per_prefix_bits(errs, cp, float(clamp_ratio(cp).data))
+            assert not ref_hard[past:].any()
         g = Tensor(rng.standard_normal(errs.size - past))
         grads = []
         for node in (True, False):
@@ -397,7 +423,7 @@ class TestPrefixEventNode:
             cp = make_cp(bias=0.3, scale=scale, temperature=0.6, ratio_raw=-0.5)
             cp.scale.requires_grad = cp.bias.requires_grad = True
             if node:
-                _, soft, _ = causal_mask_bits(e, cp, errs[:past])
+                _, soft, _ = causal_mask_bits(e, cp, carried(errs[:past], cp))
             else:
                 ratio = float(clamp_ratio(cp).data)
                 full = concat([Tensor(errs[:past]), e])
@@ -419,10 +445,10 @@ class TestPrefixEventNode:
 
         errs = np.random.default_rng(40).choice([0.2, 0.5, 0.9, 1.4], size=12)
         cp = make_cp(bias=0.1, scale=-0.6)
-        whole = ([], [])
-        hard, soft, _ = causal_mask_bits(Tensor(errs), cp, (), whole)
-        parts = ([], [])
-        pieces = [causal_mask_bits(Tensor(errs[lo:hi]), cp, errs[:lo], parts)
+        whole = empty_prefix()
+        hard, soft, _ = causal_mask_bits(Tensor(errs), cp, whole)
+        parts = empty_prefix()
+        pieces = [causal_mask_bits(Tensor(errs[lo:hi]), cp, parts)
                   for lo, hi in zip((0,) + splits, splits + (12,))]
         assert np.array_equal(np.concatenate([h.data for h, _, _ in pieces]),
                               hard.data)
@@ -430,14 +456,14 @@ class TestPrefixEventNode:
                               soft.data)
         assert parts == whole
         order = np.argsort(errs, kind="stable")
-        assert whole == (errs[order].tolist(), order.tolist())
+        assert whole[:2] == (errs[order].tolist(), order.tolist())
 
     @pytest.mark.parametrize("sizes",
                              [(1, 2, 5, 40), (40, 5, 2, 1), (1,) * 48])
     def test_carried_moments_match_one_span(self, sizes):
         # Spans of a 48-norm row, one sequence or a batch of three, that
-        # carry (values, index, moments) leave the moments one span leaves,
-        # bit for bit, and give its hard and soft bits.
+        # carry the prefix leave the moments one span leaves, bit for bit,
+        # and give its hard and soft bits.
         from lpcsm.model import causal_mask_bits
 
         rng = np.random.default_rng(47)
@@ -446,15 +472,14 @@ class TestPrefixEventNode:
         cp = make_cp(bias=0.2, scale=1.1, ratio_raw=-0.4)
         ends = np.cumsum((0,) + sizes)
         for rows in (errs[0], errs):
-            fresh = lambda: tuple(np.zeros(rows.shape[:-1] + (k,)).tolist()
-                                  for k in (0, 0, 3))
-            whole = fresh()
-            hard, soft, _ = causal_mask_bits(Tensor(rows), cp, (), whole)
-            parts = fresh()
-            pieces = [causal_mask_bits(Tensor(rows[..., lo:hi]), cp,
-                                       rows[..., :lo], parts)
+            whole = empty_prefix(rows.shape[:-1])
+            hard, soft, _ = causal_mask_bits(Tensor(rows), cp, whole)
+            parts = empty_prefix(rows.shape[:-1])
+            pieces = [causal_mask_bits(Tensor(rows[..., lo:hi]), cp, parts)
                       for lo, hi in zip(ends[:-1], ends[1:])]
-            assert parts[2] == whole[2] == prefix_moments(rows)
+            assert parts[2] == whole[2] == (
+                welford_moments(rows) if rows.ndim == 1
+                else [welford_moments(r) for r in rows])
             assert parts == whole
             assert np.array_equal(
                 np.concatenate([h.data for h, _, _ in pieces], axis=-1),

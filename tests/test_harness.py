@@ -596,6 +596,12 @@ class TestAblate:
         assert all(np.isfinite(r.final_lm) for r in rows)
 
 
+def cut_last_data(path):
+    """Cut a checkpoint's last 4 bytes, inside the last tensor's data."""
+    raw = open(path, "rb").read()
+    open(path, "wb").write(raw[:-4])
+
+
 def nan_last_value(path):
     """Overwrite the last stored float64 of a checkpoint with NaN."""
     raw = open(path, "rb").read()
@@ -716,9 +722,10 @@ class TestCli:
     PROBE_SPEC = "n_prompts=2,prompt_len=24,distractor_len=8,key_len=3,seed=1"
     TASK = "kind=copy,vocab_size=11,seq_len=12,key_len=3"
     PROMPT = ["--prompt", "2,3", "--max-new", "2"]
-    # case -> (setup, command and its arguments, exit code). The setup is
-    # the text of a run config for --config, or else a corruption applied
-    # to a saved checkpoint (None for none) for --ckpt.
+    # case -> (setup, command and its arguments, exit code[, text the
+    # error must contain]). The setup is the text of a run config for
+    # --config, or else a corruption applied to a saved checkpoint (None
+    # for none) for --ckpt.
     MALFORMED = {
         "corrupt config text": (
             lambda p: rewrite_config(p, "window=3", "window=(3"),
@@ -768,6 +775,14 @@ class TestCli:
             ["generate", *PROMPT], 4),
         "one mhc stream": (model_yaml("mhc_streams: 1"), ["train"], 2),
         "zero sinkhorn iters": (model_yaml("sinkhorn_iters: 0"), ["train"], 2),
+        # Sinkhorn keeps every pass for the backward: a pass count past
+        # mhc.MAX_EXTRA_PASSES is refused before any is run.
+        "sinkhorn iters past the pass cap": (
+            model_yaml("sinkhorn_iters: 100000000"), ["train"], 2),
+        "checkpoint sinkhorn iters past the pass cap": (
+            lambda p: rewrite_config(p, "sinkhorn_iters=20",
+                                     "sinkhorn_iters=100000000"),
+            ["generate", *PROMPT], 4),
         "zero latent_dim": (model_yaml("latent_dim: 0"), ["train"], 2),
         "zero batch_size": (
             run_yaml("steps: 2", "steps: 2\n  batch_size: 0"), ["train"], 2),
@@ -831,6 +846,8 @@ class TestCli:
                              "distractor_len=2,key_len=2"], 2),
         "tensor dims past the end of the file": (
             huge_first_dims, ["generate", *PROMPT], 4),
+        "last tensor's data cut short": (
+            cut_last_data, ["generate", *PROMPT], 4, "truncated"),
         "repeated checkpoint entry": (
             ENTRY_EDITS["repeated"], ["generate", *PROMPT], 4),
         "missing checkpoint entry": (
@@ -872,7 +889,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_exit_code(self, tmp_path, case):
-        setup, (command, *args), code = self.MALFORMED[case]
+        setup, (command, *args), code, *texts = self.MALFORMED[case]
         if isinstance(setup, str):
             path = tmp_path / "run.yaml"
             path.write_text(setup)
@@ -887,6 +904,7 @@ class TestCli:
         proc = run_python(["-m", "lpcsm.cli", command, *source, *args])
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert all(text in proc.stderr for text in texts), proc.stderr
 
     def test_non_utf8_run_config(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"

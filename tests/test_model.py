@@ -11,7 +11,7 @@ import pytest
 from scipy.special import expit
 
 from lpcsm import numerics
-from lpcsm.controller import prefix_moments
+from lpcsm.controller import welford_step
 from lpcsm.data import SyntheticTask, make_batch
 from lpcsm.numerics import Tensor, NumericsError, ConfigError, rmsnorm
 from lpcsm.objective import LossWeights
@@ -243,7 +243,7 @@ class TestSpanSplits:
     def test_split_spans_match_one_span(self, splits):
         # Partial chunks carried in the cache across a split write the
         # same slow state, at the same boundaries, as one span, and the
-        # controller carries the same norms, sorted prefix and moments.
+        # controller carries the same sorted prefix and moments.
         cfg = tiny_cfg(chunk_size=3)
         params = init_params(cfg, seed=12)
         h = np.random.default_rng(13).standard_normal((11, cfg.width))
@@ -262,18 +262,23 @@ class TestSpanSplits:
         assert np.max(np.abs(parts.chunk_sum.data - whole.chunk_sum.data)) < 1e-12
         assert np.max(np.abs(parts.fast.data - whole.fast.data)) < 1e-12
         assert np.array_equal(parts.history.data, whole.history.data)
-        # The controller's carried norms and sorted prefix; the norms of a
-        # split differ from one span's only in the last bits.
-        assert np.max(np.abs(parts.error_norms - whole.error_norms)) < 1e-12
-        assert parts.sorted_index == whole.sorted_index
-        assert np.max(np.abs(np.subtract(parts.sorted_norms,
-                                         whole.sorted_norms))) < 1e-12
-        assert parts.sorted_norms == sorted(parts.error_norms.tolist())
-        # The carried moments are the scan of the carried norms, bit for bit.
-        assert np.max(np.abs(np.subtract(parts.moments,
-                                         whole.moments))) < 1e-12
-        assert parts.moments == prefix_moments(parts.error_norms)
-        assert whole.moments == prefix_moments(whole.error_norms)
+        # The controller's carried prefix: the same positions in the same
+        # order, and norms that differ from one span's only in the last
+        # bits.
+        (values, index, moments), (w_values, w_index, w_moments) = (
+            parts.prefix, whole.prefix)
+        assert index == w_index and sorted(index) == list(range(11))
+        assert values == sorted(values)
+        assert np.max(np.abs(np.subtract(values, w_values))) < 1e-12
+        assert np.max(np.abs(np.subtract(moments, w_moments))) < 1e-12
+        # The carried moments are the scan of the carried norms in
+        # position order, bit for bit.
+        for c in (parts, whole):
+            values, index, moments = c.prefix
+            state = 0.0, 0.0, 0.0
+            for n, x in enumerate(np.array(values)[np.argsort(index)], 1):
+                state = welford_step(*state, float(x), n)
+            assert moments == list(state)
 
 
 class TestStraightLineOracle:

@@ -12,7 +12,7 @@ from lpcsm.attention import local_attention
 from lpcsm.controller import ControllerParams
 from lpcsm.model import causal_mask_bits
 from lpcsm.numerics import (
-    Tensor, NumericsError, no_grad, concat, take_rows,
+    Tensor, NumericsError, no_grad, concat,
     straight_through, gated_scan, linear, rmsnorm, ParameterStore,
     forward_backward, grad_check, check_finite,
 )
@@ -112,17 +112,16 @@ class TestPrimitiveGradients:
 
         check_op(f, (3, 2), 0)
 
-    def test_concat_rows_and_take_rows(self):
+    def test_concat_rows(self):
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         concat([x[0].reshape((1, 2)), x[2].reshape((1, 2))]).sum().backward()
         assert np.array_equal(x.grad, np.array([[1.0, 1], [0, 0], [1, 1]]))
-        picked = take_rows(Tensor(np.arange(8.0).reshape(4, 2)), [3, 0])
-        assert np.array_equal(picked.data, np.array([[6.0, 7], [0, 1]]))
 
 
     def test_getitem_repeated_indices_add_up(self):
-        # Each pick of a repeated index passes its gradient back, as in
-        # take_rows; along a later axis too, as a batched row gather does.
+        # Each pick of a repeated index passes its gradient back, as the
+        # token embedding's row gather needs; along a later axis too, as a
+        # batched row gather does.
         x = Tensor(np.arange(3.0), requires_grad=True)
         x[np.array([0, 0, 2])].sum().backward()
         assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
@@ -371,7 +370,7 @@ class TestTensorBasics:
             lambda: x.tanh(), lambda: x.sigmoid(), lambda: x.softplus(),
             lambda: x.exp(), lambda: x.log(), lambda: x.sqrt(),
             lambda: x.reshape((4, 2)), lambda: x[1],
-            lambda: concat([x, x]), lambda: take_rows(x, [1, 0, 1]),
+            lambda: concat([x, x]), lambda: x[[1, 0, 1]],
             lambda: gated_scan(x, x, x[0]),
             lambda: straight_through(np.ones(4), x[0]),
             lambda: local_attention(x, 2, 2, params),

@@ -41,14 +41,19 @@ def random_params(cfg, rng, seed):
 
 
 def assert_caches_match(a, b, tol=1e-12):
-    """Equal positions, counts, sorted positions and history shapes, and
-    every float field within `tol`."""
+    """Equal positions, counts, controller prefix positions and history
+    shapes, and every float field within `tol`."""
     assert a.position == b.position
     for la, lb in zip(a.layers, b.layers, strict=True):
         for f in fields(la):
             x, y = getattr(la, f.name), getattr(lb, f.name)
-            if f.name in ("chunk_count", "sorted_index"):
+            if f.name == "chunk_count":
                 assert x == y, f.name
+            elif f.name == "prefix":  # (values, index, moments)
+                assert x[1] == y[1], f.name
+                for u, v in (x[0], y[0]), (x[2], y[2]):
+                    assert np.max(np.abs(np.subtract(u, v)),
+                                  initial=0.0) <= tol, f.name
             elif x is None or y is None:
                 assert x is None and y is None, f.name
             else:
@@ -128,7 +133,7 @@ class TestCache:
         for t in range(6):
             _, cache = step_decode(2 + (t % 5), cache, params, cfg)
         assert cache.layers[0].history.shape == (cfg.window, cfg.width)
-        assert len(cache.layers[0].error_norms) == 6
+        assert len(cache.layers[0].prefix[0]) == 6  # the controller's norms
 
 
 class TestParity:
