@@ -1,7 +1,9 @@
 """Windowed causal multi-head attention, shared-projection and latent-KV.
 
-Each query scores only the keys in its own trailing window, so attention
-costs O(T·window) in time and memory."""
+Each query scores only the keys in its own trailing window. The queries
+go in blocks of up to `window` rows, and each block scores one contiguous
+run of keys with a dense matmul, as Longformer's chunked form does, so
+attention costs O(T·window) in time and memory."""
 
 from __future__ import annotations
 
@@ -25,58 +27,84 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
     last T of which sit at the queries' positions. q is [T, d] or a batch
     [B, T, d], with k and v alike. One tape node.
 
-    Slot j of query t holds key row past+t-w+1+j, w = min(window, past+T).
-    Keys and values are gathered per sequence and head from rows padded
-    with w-1 zero rows in front; the padded slots are masked out. The
-    backward works one slot at a time on the padded rows.
+    Query t sees key rows past+t-w+1 .. past+t, w = min(window, past+T).
+    The queries go in nb blocks of bs = min(window, T) rows, and block b
+    sees one run of bs+w-1 key rows, from row past+b*bs of the rows padded
+    with w-1 zero rows in front. So the scores, the mix and each gradient
+    are one batched matmul over the blocks; slots outside a query's window
+    or in the padding are masked out. The backward adds the blocks' key
+    and value gradients back into the padded rows with one slice-add per
+    bs slots of a block.
     """
     if window < 1:
         raise NumericsError("attention window must be >= 1")
     (t_len, d), kv_len = q.shape[-2:], k.shape[-2]
-    if (d % heads or k.shape != q.shape[:-2] + (kv_len, d) or v.shape != k.shape
-            or kv_len < t_len):
+    if (heads < 1 or d % heads or k.shape != q.shape[:-2] + (kv_len, d)
+            or v.shape != k.shape or kv_len < t_len):
         raise NumericsError(f"attention shape mismatch: q {q.shape}, "
                             f"k {k.shape}, v {v.shape}, {heads} heads")
     w, hd, past = min(window, kv_len), d // heads, kv_len - t_len
     lead = q.shape[:-2]  # the batch axis, if any
-    rows = past + np.arange(t_len)[:, None] + np.arange(w)  # padded row ids
+    bs = min(w, t_len)
+    nb, span = -(-t_len // bs), bs + w - 1
+    block_shape = lead + (heads, nb, bs, hd)
+    # Padded rows: room for the last block's run and for every slice-add.
+    n_rows = past + (nb - 1 - (-span // bs)) * bs
 
-    def padded(x):  # [..., past+T, d] -> [..., H, w-1+past+T, hd]
-        out = np.zeros(lead + (heads, w - 1 + kv_len, hd))
-        out[..., w - 1:, :] = x.reshape(lead + (kv_len, heads, hd)).swapaxes(-3, -2)
+    def by_head(x, front, rows):  # [..., n, d] -> [..., H, rows, hd]
+        out = np.zeros(lead + (heads, rows, hd))
+        n = x.shape[-2]
+        out[..., front:front + n, :] = (
+            x.reshape(lead + (n, heads, hd)).swapaxes(-3, -2))
         return out
 
-    def by_head(x):  # [..., T, d] -> [..., H, T, 1, hd]
-        return x.reshape(lead + (t_len, heads, 1, hd)).swapaxes(-4, -3)
+    def by_row(x, n):  # [..., H, rows, hd] or its blocks -> first n [..., n, d]
+        x = x.reshape(lead + (heads, -1, hd))[..., :n, :]
+        return x.swapaxes(-3, -2).reshape(lead + (n, d))
 
-    def by_row(x, shape):  # [..., H, n, hd] -> [..., n, d]
-        return x.swapaxes(-3, -2).reshape(shape)
+    def blocks(x):  # padded [..., H, n_rows, hd] -> [..., H, nb, span, hd]
+        if nb == 1:
+            return x[..., None, past:past + span, :]
+        s = x.strides
+        return np.lib.stride_tricks.as_strided(
+            x[..., past:, :], block_shape[:-2] + (span, hd),
+            s[:-2] + (bs * s[-2],) + s[-2:], writeable=False)
 
-    kp, vp = padded(k.data), padded(v.data)
-    qh = by_head(q.data)
+    def padded():  # q in blocks; k and v with w-1 zero rows in front
+        return (by_head(q.data, 0, nb * bs).reshape(block_shape),
+                by_head(k.data, w - 1, n_rows), by_head(v.data, w - 1, n_rows))
+
+    qb, kp, vp = padded()
     scale = 1.0 / np.sqrt(hd)
-    scores = (qh @ kp[..., rows, :].swapaxes(-1, -2)) * scale  # [..., H, T, 1, w]
-    if w - 1 > past:  # the first queries' windows reach into the padding
-        scores[..., rows[:, None] < w - 1] = MASK_VALUE
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    def bw(g):  # slot by slot, so no [T, w] window is kept or rebuilt
-        # Slot j of every query is one shifted slice of the padded rows.
-        slots = [slice(past + j, past + j + t_len) for j in range(w)]
-        gh, q1, p1 = by_head(g)[..., 0, :], qh[..., 0, :], p[..., 0, :]
-        gp = np.stack([(gh * vp[..., s, :]).sum(axis=-1) for s in slots],
-                      axis=-1)
-        gs = p1 * (gp - (gp * p1).sum(axis=-1, keepdims=True)) * scale
-        gq, gk, gv = np.zeros(gh.shape), np.zeros(kp.shape), np.zeros(vp.shape)
-        for j, s in enumerate(slots):
-            gq += gs[..., j, None] * kp[..., s, :]
-            gk[..., s, :] += gs[..., j, None] * q1
-            gv[..., s, :] += p1[..., j, None] * gh
-        _accum(q, by_row(gq, q.shape))
-        _accum(k, by_row(gk[..., w - 1:, :], k.shape))
-        _accum(v, by_row(gv[..., w - 1:, :], v.shape))
-    out = (p @ vp[..., rows, :]).swapaxes(-4, -3).reshape(q.shape)
-    return _op(out, (q, k, v), bw)
+    scores = (qb @ blocks(kp).swapaxes(-1, -2)) * scale  # [..., nb, bs, span]
+    slot = np.arange(span)
+    if bs > 1:  # slot j of block row i is in that query's window iff
+        off = slot - np.arange(bs)[:, None]  # i <= j < i + w
+        np.copyto(scores, MASK_VALUE, where=(off < 0) | (off >= w))
+    if w - 1 > past:  # the first blocks reach into the padding
+        np.copyto(scores, MASK_VALUE, where=(
+            past + bs * np.arange(nb)[:, None, None] + slot < w - 1))
+    scores -= scores.max(axis=-1, keepdims=True)
+    p = np.exp(scores, out=scores)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def bw(g):  # rebuilds the padded copies, so the tape keeps only p
+        qb, kp, vp = padded()
+        gb = by_head(g, 0, nb * bs).reshape(block_shape)
+        gs = gb @ blocks(vp).swapaxes(-1, -2)  # d/dp, then d/dscores
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        _accum(q, by_row(gs @ blocks(kp), t_len))
+        for x, a, b in ((k, gs, qb), (v, p, gb)):
+            g_blocks = a.swapaxes(-1, -2) @ b  # [..., nb, span, hd]
+            gx = np.zeros(kp.shape)
+            for c in range(0, span, bs):  # slot c+i of block b: past+b*bs+c+i
+                n = min(bs, span - c)
+                gx[..., past + c:past + c + nb * bs, :].reshape(
+                    block_shape)[..., :n, :] += g_blocks[..., c:c + n, :]
+            _accum(x, by_row(gx[..., w - 1:, :], kv_len))
+    return _op(by_row(p @ blocks(vp), t_len), (q, k, v), bw)
 
 
 def _with_past(hidden: Tensor, past: Tensor | None) -> Tensor:

@@ -345,7 +345,8 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
                 first = cache.slow.reshape(cache.slow.shape[:-1] + (1, d))
                 slow = concat([first, states], axis=-2)[..., chunk_of_row, :]
                 cache.slow = states[..., len(ends) - 1, :]
-                cache.chunk_sum, cache.chunk_count = Tensor(np.zeros(d)), 0
+                cache.chunk_sum = Tensor(np.zeros(batch + (d,)))
+                cache.chunk_count = 0
             start = ends[-1] if ends else 0
             if start < t_len:
                 cache.chunk_sum = (cache.chunk_sum

@@ -196,7 +196,8 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         a = self
         def bw(g):
-            n = a.data.size if axis is None else a.data.shape[axis]
+            n = (a.data.size if axis is None
+                 else np.prod(np.take(a.data.shape, axis)))
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g, a.data.shape) / n)

@@ -51,6 +51,11 @@ class TestLocalAttention:
         with pytest.raises(NumericsError):
             local_attention(Tensor(np.zeros((2, 4))), 0, 1, make_params(4))
 
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_invalid_heads(self, heads):
+        with pytest.raises(NumericsError):
+            local_attention(Tensor(np.zeros((2, 4))), 2, heads, make_params(4))
+
     def test_single_token_is_value_projection(self):
         d = 8
         params = make_params(d, seed=1)
@@ -213,9 +218,12 @@ def tape_nodes(root):
 
 
 # (T, past rows, window): a window wider than the sequence, window 1,
-# one-token spans after 0 to 8 past rows, and longer spans with a past.
+# one-token spans after 0 to 8 past rows, longer spans with a past, spans
+# of several query blocks, a whole number of them or not, and spans
+# shorter than the window after a past that leaves padding in view.
 WINDOW_CASES = ([(3, 0, 6), (5, 0, 1), (4, 3, 2), (9, 5, 4)]
-                + [(1, past, 4) for past in range(9)])
+                + [(1, past, 4) for past in range(9)]
+                + [(20, 0, 8), (37, 5, 8), (64, 0, 8), (3, 2, 6), (5, 3, 8)])
 
 
 class TestWindowedNode:
@@ -234,6 +242,26 @@ class TestWindowedNode:
             results.append([out.data] + [t.grad for t in leaves])
         for a, b in zip(*results):
             assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize("t_len,past,window", [(20, 3, 8), (4, 2, 6)])
+    def test_batch_rows_match_dense_masked_form(self, t_len, past, window):
+        # Each row of a [B, T] batch is its own sequence.
+        d, heads, b = 8, 2, 3
+        rng = np.random.default_rng(47 + t_len)
+        q, k, v = (rng.standard_normal((b, n, d)) for n in (t_len, past + t_len,
+                                                            past + t_len))
+        g = rng.standard_normal((b, t_len, d))
+        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+        out = _attend(*leaves, window, heads)
+        (out * Tensor(g)).sum().backward()
+        for row in range(b):
+            rows = [Tensor(x[row], requires_grad=True) for x in (q, k, v)]
+            dense = dense_attention(*rows, window, heads)
+            (dense * Tensor(g[row])).sum().backward()
+            expect = [dense.data] + [t.grad for t in rows]
+            got = [out.data[row]] + [t.grad[row] for t in leaves]
+            for a, e in zip(got, expect):
+                assert np.max(np.abs(a - e)) < 1e-12
 
     @pytest.mark.parametrize("latent_dim", [None, 3])
     @pytest.mark.parametrize("t_len,past,window", WINDOW_CASES)

@@ -522,6 +522,21 @@ class TestBatchAxis:
             mean = np.mean([r[name].data for _, r in rows], axis=0)
             assert np.max(np.abs(g.data - mean)) < 1e-12, name
 
+    def test_cache_keeps_batch_axis_after_chunk_end(self):
+        # A span that closes a chunk leaves each cache array with the
+        # batch axis, and the next span continues every row.
+        cfg = tiny_cfg(chunk_size=4)
+        params = init_params(cfg, seed=25)
+        h = np.random.default_rng(26).standard_normal((3, 12, cfg.width))
+        whole, _ = block_forward(Tensor(h), 0, params, cfg)
+        cache = LayerCache.fresh(cfg, (3,))
+        first, _ = block_forward(Tensor(h[:, :4]), 0, params, cfg, cache=cache)
+        for name in ("history", "fast", "slow", "chunk_sum"):
+            assert getattr(cache, name).shape[0] == 3, name
+        rest, _ = block_forward(Tensor(h[:, 4:]), 0, params, cfg, cache=cache)
+        gap = np.concatenate([first.data, rest.data], axis=1) - whole.data
+        assert np.max(np.abs(gap)) < 1e-12
+
     def test_grad_check(self):
         cfg = tiny_cfg()
         params = init_params(cfg, seed=24)

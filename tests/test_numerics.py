@@ -84,6 +84,33 @@ class TestPrimitiveGradients:
     def test_elementwise_and_reductions(self, op, seed):
         check_op(op, (2, 3), seed)
 
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", [(0, 1), (-1, 0)])
+    def test_mean_over_axis_tuple(self, axis, keepdims):
+        # A mean over several axes is their sum over the count of entries
+        # reduced, in value and in gradient.
+        x = np.random.default_rng(5).standard_normal((2, 3, 4))
+        n = np.prod([x.shape[a] for a in axis])
+        results = []
+        for reduce in (lambda t: t.mean(axis=axis, keepdims=keepdims),
+                       lambda t: t.sum(axis=axis, keepdims=keepdims) / n):
+            t = Tensor(x, requires_grad=True)
+            out = reduce(t)
+            (out * out).sum().backward()
+            results.append((out.data, t.grad))
+        (mean, g_mean), (ref, g_ref) = results
+        assert mean.shape == ref.shape
+        assert np.max(np.abs(mean - ref)) < 1e-15
+        assert np.max(np.abs(g_mean - g_ref)) < 1e-15
+        params = ParameterStore()
+        params.add("x", x)
+
+        def loss(p):
+            m = p["x"].mean(axis=axis, keepdims=keepdims)
+            return (m * m).sum()
+
+        assert grad_check(loss, params).passed
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matmul_grad(self, seed):
         def f(t):
