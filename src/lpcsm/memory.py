@@ -55,8 +55,8 @@ def slow_write(fast: Tensor, n: Tensor, ends, chunk_sum: Tensor,
     is the mean fast state of the chunk, transported against the slow
     state when ONT is on. The write is g*slow + (1-g)*tanh(c @ w_c + b_c)
     with the gate g = sigmoid(n[end-1] @ w_g + b_g). One tape node: the
-    forward runs the writes in numpy over [B, d] rows, transporting each
-    row, and the backward runs their adjoint in reverse order.
+    forward runs the writes in numpy over [B, d] rows, with one transport
+    call per chunk, and the backward runs their adjoint in reverse order.
     """
     w_g, b_g = params[prefix + "w_g"], params[prefix + "b_g"]
     w_c, b_c = params[prefix + "w_c"], params[prefix + "b_c"]
@@ -76,8 +76,7 @@ def slow_write(fast: Tensor, n: Tensor, ends, chunk_sum: Tensor,
     for k, (start, end) in enumerate(zip(starts, ends)):
         prev[k] = state
         summary[k] = (carry + fast_rows[:, start:end].sum(axis=1)) * scale
-        c_star[k] = ([transport_array(alpha_n, c, m)
-                      for c, m in zip(summary[k], prev[k])]
+        c_star[k] = (transport_array(alpha_n, summary[k], prev[k])
                      if transported else summary[k])
         gate[k] = expit(n_rows[:, end - 1] @ w_g.data + b_g.data)
         write[k] = np.tanh(c_star[k] @ w_c.data + b_c.data)
@@ -103,10 +102,8 @@ def slow_write(fast: Tensor, n: Tensor, ends, chunk_sum: Tensor,
             g_c = g_write[k] @ w_c.data.T
             g_carry = g_state * gate[k]
             if transported:
-                for i in range(batch):
-                    g_c[i], g_m = transport_vjp(alpha_n, summary[k, i],
-                                                prev[k, i], g_c[i])
-                    g_carry[i] += g_m
+                g_c, g_m = transport_vjp(alpha_n, summary[k], prev[k], g_c)
+                g_carry += g_m
             g_summary[k] = g_c * scale
             g_fast[:, starts[k]:ends[k]] = g_summary[k][:, None]
         g_n = np.zeros_like(n_rows)

@@ -328,8 +328,8 @@ def concat(tensors, axis=0) -> Tensor:
 def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
     """States of f_t = decay_t * f_(t-1) + write_t from f_(-1) = init.
 
-    A [T, d] or [B, T, d] decay and write give the rows f_0..f_(T-1) of
-    each sequence, from a [B, d] init or one [d] init shared by all; a [d]
+    A [T, d] decay and write give the rows f_0..f_(T-1) from a [d] init,
+    and a [B, T, d] pair those of each sequence from a [B, d] init; a [d]
     pair gives the one-step state. One tape node: the forward runs the
     recurrence in numpy over [B, d] rows and the backward runs its adjoint
     in reverse time.
@@ -337,7 +337,7 @@ def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
     a, b, f0 = _wrap(decay), _wrap(write), _wrap(init)
     shape = a.data.shape
     if (not 1 <= len(shape) <= 3 or b.data.shape != shape
-            or f0.data.shape not in (shape[-1:], shape[:-2] + shape[-1:])):
+            or f0.data.shape != shape[:-2] + shape[-1:]):
         raise NumericsError(
             f"gated_scan shape mismatch: {a.shape}, {b.shape}, {f0.shape}")
     # Time-major views, [T, d] or [T, B, d]: step t is each sequence's row.

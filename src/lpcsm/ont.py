@@ -5,9 +5,10 @@ slow state and the orthogonal novelty remainder, amplifies only the
 novelty, and certifies the result against a closed-form affine-projection
 oracle plus the variational write objective.
 
-The transport is defined once, on numpy vectors: `transport_array` and
-its VJP `transport_vjp`. `ont_transport` is one tape node over that pair,
-and the slow-write scan of `memory.slow_write` calls the same pair.
+Every function works on numpy rows: c and m are [d] vectors or [..., d]
+batches of them, one reference per row. The transport is defined once,
+as `transport_array` and its VJP `transport_vjp`; the slow-write scan of
+`memory.slow_write` calls that pair once per chunk over its [B, d] rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, NumericsError, ConfigError, _wrap, _op, _accum
+from .numerics import NumericsError, ConfigError
 
 # Below this norm the reference state is treated as zero; the exact-zero
 # dichotomy is an exact-arithmetic statement and 1/||m||^2 would overflow
@@ -25,38 +26,47 @@ from .numerics import Tensor, NumericsError, ConfigError, _wrap, _op, _accum
 ZERO_NORM_FLOOR = 1e-30
 
 
-def _check_lengths(c: Tensor, m: Tensor) -> None:
-    if c.shape != m.shape or c.ndim != 1:
+def _check_lengths(c: np.ndarray, m: np.ndarray) -> None:
+    if c.shape != m.shape or c.ndim == 0:
         raise NumericsError(f"vector length mismatch: {c.shape} vs {m.shape}")
 
 
-def _reference_is_zero(m: np.ndarray) -> bool:
-    return float(np.linalg.norm(m)) < ZERO_NORM_FLOOR
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    return x.sum(axis=-1, keepdims=True)
 
 
-def ont_proj(c: Tensor, m: Tensor) -> Tensor:
+def _reference_is_zero(m: np.ndarray) -> np.ndarray:
+    """Per row, [..., 1]: whether m lies below the zero floor. The norm is
+    np.linalg.norm(m, axis=-1)'s, without its dispatch."""
+    return np.sqrt(_row_sum(m * m)) < ZERO_NORM_FLOOR
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> per row, [..., 1], as a batched matmul: the same floats as
+    the 1-D `a @ b` of each row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def ont_proj(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Component of c aligned with m; the zero vector when m = 0."""
-    c, m = _wrap(c), _wrap(m)
     _check_lengths(c, m)
-    if _reference_is_zero(m.data):
-        return c * 0.0
-    return m * ((c * m).sum() / (m * m).sum())
+    zero = _reference_is_zero(m)
+    # Zero rows divide by 1 in place of <m, m>; np.where drops them.
+    ratio = _row_sum(c * m) / np.where(zero, 1.0, _row_sum(m * m))
+    return np.where(zero, 0.0, m * ratio)
 
 
-def ont_novelty(c: Tensor, m: Tensor) -> Tensor:
+def ont_novelty(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Component of c orthogonal to m."""
-    c, m = _wrap(c), _wrap(m)
     return c - ont_proj(c, m)
 
 
 def transport_array(alpha: float, c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """c + alpha * novelty of c against m, on numpy vectors; keeps
-    <x, m> = <c, m>."""
-    if _reference_is_zero(m):
-        # Zero reference: the whole summary is novelty, so the transport is
-        # exactly the unconstrained amplification.
-        return c * (1.0 + alpha)
-    return c + (c - m * ((c * m).sum() / (m * m).sum())) * alpha
+    """c + alpha * novelty of c against m; keeps <x, m> = <c, m>. With a
+    zero reference the whole summary is novelty, so the transport is
+    exactly the unconstrained amplification (1 + alpha) c."""
+    return np.where(_reference_is_zero(m), c * (1.0 + alpha),
+                    c + ont_novelty(c, m) * alpha)
 
 
 def transport_vjp(alpha: float, c: np.ndarray, m: np.ndarray,
@@ -67,55 +77,40 @@ def transport_vjp(alpha: float, c: np.ndarray, m: np.ndarray,
     g_c = (1+alpha) g - alpha (<g,m>/<m,m>) m and
     g_m = -alpha (s g + (<g,m>/<m,m>) (c - 2 s m)); below the zero floor
     x = (1+alpha) c does not depend on m."""
-    if _reference_is_zero(m):
-        return g * (1.0 + alpha), np.zeros_like(m)
-    mm = m @ m
-    s = (c @ m) / mm
-    gm_ratio = (g @ m) / mm
-    return ((1.0 + alpha) * g - (alpha * gm_ratio) * m,
-            -alpha * (s * g + gm_ratio * (c - (2.0 * s) * m)))
+    zero = _reference_is_zero(m)
+    mm = np.where(zero, 1.0, _row_dot(m, m))
+    s = _row_dot(c, m) / mm
+    gm_ratio = _row_dot(g, m) / mm
+    g_c = np.where(zero, g * (1.0 + alpha),
+                   (1.0 + alpha) * g - (alpha * gm_ratio) * m)
+    g_m = np.where(zero, 0.0,
+                   -alpha * (s * g + gm_ratio * (c - (2.0 * s) * m)))
+    return g_c, g_m
 
 
-def ont_transport(alpha: float, c: Tensor, m: Tensor) -> Tensor:
-    """Transported summary c + alpha * novelty as one tape node; keeps
-    <x, m> = <c, m>."""
-    c, m = _wrap(c), _wrap(m)
-    _check_lengths(c, m)
-    def bw(g):
-        g_c, g_m = transport_vjp(alpha, c.data, m.data, g)
-        _accum(c, g_c)
-        _accum(m, g_m)
-    return _op(transport_array(alpha, c.data, m.data), (c, m), bw)
-
-
-def ont_target(alpha: float, c: Tensor) -> Tensor:
-    """Unconstrained amplification (1 + alpha) * c."""
-    return _wrap(c) * (1.0 + alpha)
-
-
-def ont_oracle_min(alpha: float, c: Tensor, m: Tensor) -> Tensor:
-    """Projection of the target onto the feasible set {x : <x,m> = <c,m>}.
+def ont_oracle_min(alpha: float, c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Projection of the target (1 + alpha) c onto the feasible set
+    {x : <x,m> = <c,m>}.
 
     Independent of the transport path: computed directly as
     Y + ((<c,m> - <Y,m>) / ||m||^2) * m, with Y itself when m = 0.
     """
-    c, m = _wrap(c), _wrap(m)
     _check_lengths(c, m)
-    y = ont_target(alpha, c)
-    if _reference_is_zero(m.data):
-        return y
-    gap = (c * m).sum() - (y * m).sum()
-    return y + m * (gap / (m * m).sum())
+    y = c * (1.0 + alpha)
+    zero = _reference_is_zero(m)
+    gap = _row_sum(c * m) - _row_sum(y * m)
+    mm = np.where(zero, 1.0, _row_sum(m * m))
+    return np.where(zero, y, y + m * (gap / mm))
 
 
-def ont_write_objective(alpha: float, c: Tensor, m: Tensor, x: Tensor) -> float:
-    """Write cost: proximity to c minus alpha times motion along the novelty."""
-    c, m, x = _wrap(c), _wrap(m), _wrap(x)
-    _check_lengths(c, m)
+def ont_write_objective(alpha: float, c: np.ndarray, m: np.ndarray,
+                        x: np.ndarray) -> float:
+    """Write cost: proximity to c minus alpha times motion along the
+    novelty, summed over rows."""
     _check_lengths(c, x)
-    n = ont_novelty(c, m)
     diff = x - c
-    return 0.5 * float((diff * diff).sum().item()) - alpha * float((diff * n).sum().item())
+    return (0.5 * float((diff * diff).sum())
+            - alpha * float((diff * ont_novelty(c, m)).sum()))
 
 
 # -- standalone property suite ---------------------------------------------
@@ -133,7 +128,8 @@ class PropertyCheck:
 
 
 def verify_properties(trials: int = 1000, seed: int = 0) -> tuple[list[PropertyCheck], float]:
-    """Randomized check of the transport's formal properties.
+    """Randomized check of the formal properties of `transport_array`,
+    the transport the slow write runs.
 
     Draws random (alpha, c, m) in dims 1..64 with alpha in [-2, 4]
     including 0, and m = 0 cases mixed in. Returns the per-property
@@ -160,13 +156,11 @@ def verify_properties(trials: int = 1000, seed: int = 0) -> tuple[list[PropertyC
             alpha = float(rng.uniform(-2.0, 4.0))
         c = rng.standard_normal(dim)
         m = np.zeros(dim) if trial % 7 == 0 else rng.standard_normal(dim)
-        ct, mt = Tensor(c), Tensor(m)
 
-        transported = ont_transport(alpha, ct, mt)
-        t = transported.data
-        p = ont_proj(ct, mt).data
-        n = ont_novelty(ct, mt).data
-        y = ont_target(alpha, ct).data
+        t = transport_array(alpha, c, m)
+        p = ont_proj(c, m)
+        n = ont_novelty(c, m)
+        y = c * (1.0 + alpha)
 
         scale = max(1.0, float(np.linalg.norm(c) * np.linalg.norm(m)))
         errs["feasibility"] = max(
@@ -190,15 +184,15 @@ def verify_properties(trials: int = 1000, seed: int = 0) -> tuple[list[PropertyC
             errs["pythagorean"], abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
         )
 
-        oracle = ont_oracle_min(alpha, ct, mt).data
+        oracle = ont_oracle_min(alpha, c, m)
         errs["oracle_equivalence"] = max(
             errs["oracle_equivalence"], float(np.max(np.abs(oracle - t), initial=0.0))
         )
 
         # Variational identity holds for arbitrary x, feasible or not.
         x_any = x if trial % 2 == 0 else c + rng.standard_normal(dim)
-        jx = ont_write_objective(alpha, ct, mt, Tensor(x_any))
-        jt = ont_write_objective(alpha, ct, mt, transported)
+        jx = ont_write_objective(alpha, c, m, x_any)
+        jt = ont_write_objective(alpha, c, m, t)
         half_sq = 0.5 * float(((x_any - t) ** 2).sum())
         errs["variational"] = max(
             errs["variational"],

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from lpcsm.numerics import Tensor, ParameterStore, concat, grad_check, linear
 from lpcsm.memory import fast_update, memory_read, slow_write
-from lpcsm.ont import ont_transport
+from lpcsm.ont import ZERO_NORM_FLOOR, transport_array
 
 
 def zeros(d):
@@ -23,6 +23,14 @@ def write_once(h, c, slow, alpha_n, ont_enabled, params):
     return states.reshape((d,))
 
 
+def reference_transport(alpha_n, c, m):
+    """c + alpha * novelty of c against m, from Tensor ops, so that its
+    gradient is the tape's own; (1 + alpha) c below the zero floor."""
+    if np.linalg.norm(m.data) < ZERO_NORM_FLOOR:
+        return c * (1.0 + alpha_n)
+    return c + (c - m * ((c * m).sum() / (m * m).sum())) * alpha_n
+
+
 def reference_writes(fast, n, ends, chunk_sum, slow, chunk_size, alpha_n,
                      ont_enabled, p):
     """The writes of a span one chunk at a time, from Tensor ops: the mean
@@ -30,7 +38,7 @@ def reference_writes(fast, n, ends, chunk_sum, slow, chunk_size, alpha_n,
     states, start = [], 0
     for end in ends:
         mean = (chunk_sum + fast[start:end].sum(axis=0)) * (1.0 / chunk_size)
-        c = (ont_transport(alpha_n, mean, slow)
+        c = (reference_transport(alpha_n, mean, slow)
              if ont_enabled and alpha_n != 0.0 else mean)
         g = linear(n[end - 1], p["mem.w_g"], p["mem.b_g"]).sigmoid()
         u = linear(c, p["mem.w_c"], p["mem.b_c"]).tanh()
@@ -199,7 +207,7 @@ class TestSlowWrite:
         rng = np.random.default_rng(18)
         for _ in range(20):
             c, m = rng.standard_normal(5), rng.standard_normal(5)
-            t = ont_transport(0.5, Tensor(c), Tensor(m)).data
+            t = transport_array(0.5, c, m)
             assert abs(t @ m - c @ m) < 1e-10 * max(1.0, abs(c @ m))
 
     def test_grad_through_chain(self):
@@ -288,3 +296,43 @@ class TestSlowWriteSpan:
             return (states * states * weights).sum()
 
         assert grad_check(loss, params).passed
+
+    def test_batch_matches_rows(self):
+        # Row 1 carries a zero slow state, so the first write of the batch
+        # mixes the transport's zero-reference and normal branches. The
+        # gate and write matmuls over [B, d] rows may round an ulp apart
+        # from one row's (BLAS picks its kernel by shape), so the states
+        # agree to 1e-15 rather than bit for bit.
+        d, t_len, chunk_size, batch = 5, 13, 4, 3
+        params = make_params(d, seed=60)
+        rng = np.random.default_rng(61)
+        fast = rng.uniform(-1, 1, (batch, t_len, d))
+        n = rng.standard_normal((batch, t_len, d))
+        chunk_sum = rng.uniform(-1, 1, (batch, d)) * 2
+        slow = rng.uniform(-1, 1, (batch, d))
+        slow[1] = 0.0
+        ends = list(range(2, t_len + 1, chunk_size))
+        weights = rng.standard_normal((batch, len(ends), d))
+        names = ("mem.w_g", "mem.b_g", "mem.w_c", "mem.b_c")
+
+        def run(rows):
+            params.zero_grad()
+            inputs = [Tensor(x[rows], requires_grad=True)
+                      for x in (fast, n, chunk_sum, slow)]
+            states = slow_write(*inputs[:2], ends, *inputs[2:], chunk_size,
+                                0.5, True, params)
+            (states * weights[rows]).sum().backward()
+            return states.data, ([x.grad for x in inputs],
+                                 [params[k].grad.copy() for k in names])
+
+        states, (grads, weight_grads) = run(slice(None))
+        row_sums = [np.zeros_like(g) for g in weight_grads]
+        for i in range(batch):
+            row_states, (row_grads, row_weight_grads) = run(i)
+            assert np.max(np.abs(states[i] - row_states)) < 1e-15
+            for g, row_g in zip(grads, row_grads):
+                assert np.max(np.abs(g[i] - row_g)) < 1e-12
+            for total, row_g in zip(row_sums, row_weight_grads):
+                total += row_g
+        for name, g, total in zip(names, weight_grads, row_sums):
+            assert np.max(np.abs(g - total)) < 1e-12, name
