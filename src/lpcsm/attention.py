@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError, concat, linear, _op, _accum
+from .numerics import Tensor, ParameterStore, NumericsError, linear, _op, _accum
 
 # Additive mask value; exp(x - 1e30) underflows to exactly 0, so masked
 # positions carry exactly zero weight.
@@ -107,40 +107,32 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
     return _op(by_row(p @ blocks(vp), t_len), (q, k, v), bw)
 
 
-def _with_past(hidden: Tensor, past: Tensor | None) -> Tensor:
-    return hidden if past is None else concat([past, hidden], axis=-2)
-
-
-def local_attention(hidden: Tensor, window: int, heads: int,
-                    params: ParameterStore, prefix: str = "attn.",
-                    past: Tensor | None = None) -> Tensor:
+def local_attention(hidden: Tensor, rows: Tensor, window: int, heads: int,
+                    params: ParameterStore, prefix: str = "attn.") -> Tensor:
     """Default path: q, k, v sliced from one shared linear projection.
 
-    `hidden` is a [T, d] span or a [B, T, d] batch; `past` holds earlier
-    normed rows, shaped alike, that its T rows may also attend to, within
-    the window.
+    `hidden` is a [T, d] span or a [B, T, d] batch, and `rows` the normed
+    rows it may attend to, within the window: earlier rows, if any, then
+    the span's own T rows, shaped alike.
     """
     _require(params, [prefix + n for n in ("w_qkv", "b_qkv", "w_o", "b_o")])
     d = hidden.shape[-1]
-    qkv = linear(_with_past(hidden, past), params[prefix + "w_qkv"],
-                 params[prefix + "b_qkv"])
+    qkv = linear(rows, params[prefix + "w_qkv"], params[prefix + "b_qkv"])
     q = qkv[..., -hidden.shape[-2]:, 0:d]
     k, v = qkv[..., d:2 * d], qkv[..., 2 * d:3 * d]
     return linear(_attend(q, k, v, window, heads), params[prefix + "w_o"],
                   params[prefix + "b_o"])
 
 
-def latent_attention(hidden: Tensor, window: int, heads: int,
-                     params: ParameterStore, prefix: str = "attn.",
-                     past: Tensor | None = None) -> Tensor:
+def latent_attention(hidden: Tensor, rows: Tensor, window: int, heads: int,
+                     params: ParameterStore, prefix: str = "attn.") -> Tensor:
     """Latent-KV variant: keys/values lifted from a compressed bottleneck.
-    `past` is as in `local_attention`."""
+    `rows` is as in `local_attention`."""
     _require(params, [prefix + n for n in
                       ("w_q", "b_q", "w_z", "b_z", "w_k_up", "b_k_up",
                        "w_v_up", "b_v_up", "w_o", "b_o")])
     q = linear(hidden, params[prefix + "w_q"], params[prefix + "b_q"])
-    z = linear(_with_past(hidden, past), params[prefix + "w_z"],
-               params[prefix + "b_z"])
+    z = linear(rows, params[prefix + "w_z"], params[prefix + "b_z"])
     k = linear(z, params[prefix + "w_k_up"], params[prefix + "b_k_up"])
     v = linear(z, params[prefix + "w_v_up"], params[prefix + "b_v_up"])
     return linear(_attend(q, k, v, window, heads), params[prefix + "w_o"],

@@ -10,6 +10,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 
+import numpy as np
+
 from .numerics import NumericsError
 from .config import ConfigError, RunConfig, check_task_fits, load_run_config
 from .model import parse_fields
@@ -156,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # A non-finite value raises at the model's boundaries, so numpy's
+        # warning would only come before the same failure.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

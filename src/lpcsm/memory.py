@@ -4,9 +4,11 @@ chunk-boundary slow writes transported through the novelty geometry.
 The fast and read functions take one token's row, a [T, d] span of
 them or a [B, T, d] batch of spans; a span's fast states come from one
 `gated_scan`, and all of its slow writes, one per chunk boundary, from
-one `slow_write` node."""
+one `slow_write` node. A span leaves a `MemoryState` for the next one."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -15,6 +17,20 @@ from .numerics import (
     Tensor, ParameterStore, _accum, _op, concat, gated_scan, linear,
 )
 from .ont import transport_array, transport_vjp
+
+
+@dataclass
+class MemoryState:
+    """The memory after the tokens so far: [d] tensors for one sequence,
+    [B, d] for a batch."""
+    fast: Tensor  # fast state after the last token
+    slow: Tensor  # slow state after the last chunk boundary
+    chunk_sum: Tensor  # sum of the fast states of the open chunk
+    chunk_count: int = 0  # tokens in the open chunk, below chunk_size
+
+    @classmethod
+    def fresh(cls, shape: tuple) -> "MemoryState":
+        return cls(*(Tensor(np.zeros(shape)) for _ in range(3)))
 
 
 def fast_update(h: Tensor, prev: Tensor, params: ParameterStore,
@@ -40,47 +56,55 @@ def memory_read(h: Tensor, fast: Tensor, slow: Tensor,
     return linear(gated, params[prefix + "w_r"], params[prefix + "b_r"])
 
 
-def slow_write(fast: Tensor, n: Tensor, ends, chunk_sum: Tensor,
-               slow: Tensor, chunk_size: int, alpha_n: float,
-               ont_enabled: bool, params: ParameterStore,
-               prefix: str = "mem.") -> Tensor:
-    """The slow states after each chunk boundary of a span, [K, d], or
-    [B, K, d] for a batch of spans.
+def slow_write(fast: Tensor, n: Tensor, state: MemoryState, chunk_size: int,
+               alpha_n: float, ont_enabled: bool, params: ParameterStore,
+               prefix: str = "mem.") -> tuple[Tensor, int]:
+    """The slow state each row of a span reads, and the number K of
+    writes the span makes; `state` is advanced in place past the span.
 
     `fast` and `n` are the span's [T, d] (or [B, T, d]) fast states and
-    normed rows, and `ends` the K row counts at which a chunk closes, the
-    same for every sequence. `chunk_sum` and `slow` are [d], or [B, d] for
-    a batch. Chunk k covers rows ends[k-1]:ends[k] (from 0 for the first,
-    which also adds the open chunk's carried `chunk_sum`); its summary c
-    is the mean fast state of the chunk, transported against the slow
-    state when ONT is on. The write is g*slow + (1-g)*tanh(c @ w_c + b_c)
-    with the gate g = sigmoid(n[end-1] @ w_g + b_g). One tape node: the
-    forward runs the writes in numpy over [B, d] rows, with one transport
-    call per chunk, and the backward runs their adjoint in reverse order.
+    normed rows. A chunk closes every `chunk_size` tokens of the sequence,
+    at the row counts `ends`, the same for every sequence. Chunk k covers
+    rows ends[k-1]:ends[k] (from 0 for the first, which also adds the
+    carried `state.chunk_sum`); its summary c is the mean fast state of
+    the chunk, transported against the slow state when ONT is on. The
+    write is g*slow + (1-g)*tanh(c @ w_c + b_c) with the gate
+    g = sigmoid(n[end-1] @ w_g + b_g), after that row's read, so each row
+    reads the state of its chunk; a span that closes no chunk reads
+    `state.slow` itself. One tape node gives the K+1 states, before the
+    span and after each write: the forward runs the writes in numpy over
+    [B, d] rows, with one transport call per chunk, and the backward runs
+    their adjoint in reverse order.
     """
+    t_len, d = fast.shape[-2:]
+    ends = list(range(chunk_size - state.chunk_count, t_len + 1, chunk_size))
+    if not ends:
+        state.chunk_sum = state.chunk_sum + fast.sum(axis=-2)
+        state.chunk_count += t_len
+        return state.slow, 0
     w_g, b_g = params[prefix + "w_g"], params[prefix + "b_g"]
     w_c, b_c = params[prefix + "w_c"], params[prefix + "b_c"]
+    slow, chunk_sum = state.slow, state.chunk_sum
     # alpha = 0 transport is the identity for any reference; skipping it
     # keeps the backward identical to the disabled path.
     transported = ont_enabled and alpha_n != 0.0
     scale = 1.0 / chunk_size
-    t_len, d = fast.shape[-2:]
     fast_rows, n_rows = (x.data.reshape(-1, t_len, d) for x in (fast, n))
     k_count, batch = len(ends), fast_rows.shape[0]
-    starts = [0] + list(ends[:-1])
-    # Per write, [K, B, d]: the slow state before it, the chunk mean, its
-    # transport, the gate, the tanh write and the state after it.
-    prev, summary, c_star, gate, write, states = np.empty(
-        (6, k_count, batch, d))
-    carry, state = chunk_sum.data.reshape(-1, d), slow.data.reshape(-1, d)
+    starts = [0] + ends[:-1]
+    # Per write, [K, B, d]: the chunk mean, its transport, the gate and the
+    # tanh write; states[k] is the slow state before write k.
+    summary, c_star, gate, write = np.empty((4, k_count, batch, d))
+    states = np.empty((k_count + 1, batch, d))
+    states[0] = slow.data.reshape(-1, d)
+    carry = chunk_sum.data.reshape(-1, d)
     for k, (start, end) in enumerate(zip(starts, ends)):
-        prev[k] = state
         summary[k] = (carry + fast_rows[:, start:end].sum(axis=1)) * scale
-        c_star[k] = (transport_array(alpha_n, summary[k], prev[k])
+        c_star[k] = (transport_array(alpha_n, summary[k], states[k])
                      if transported else summary[k])
         gate[k] = expit(n_rows[:, end - 1] @ w_g.data + b_g.data)
         write[k] = np.tanh(c_star[k] @ w_c.data + b_c.data)
-        state = states[k] = gate[k] * state + (1.0 - gate[k]) * write[k]
+        states[k + 1] = gate[k] * states[k] + (1.0 - gate[k]) * write[k]
         carry = np.zeros(d)
     rows = np.asarray(ends) - 1
 
@@ -88,21 +112,21 @@ def slow_write(fast: Tensor, n: Tensor, ends, chunk_sum: Tensor,
         return np.swapaxes(x, 0, 1)
 
     def bw(g):
-        g = batch_major(g.reshape(batch, k_count, d))
+        g = batch_major(g.reshape(batch, k_count + 1, d))
         # dL/d of the gate's and the write's pre-activations and of the mean
         g_gate, g_write, g_summary = np.empty((3, k_count, batch, d))
         g_fast = np.zeros_like(fast_rows)
         g_carry = np.zeros((batch, d))  # dL/dslow from later writes
         for k in range(k_count - 1, -1, -1):
-            g_state = g_carry + g[k]
-            g_gate[k] = (g_state * (prev[k] - write[k])
+            g_state = g_carry + g[k + 1]
+            g_gate[k] = (g_state * (states[k] - write[k])
                          * gate[k] * (1.0 - gate[k]))
             g_write[k] = (g_state * (1.0 - gate[k])
                           * (1.0 - write[k] * write[k]))
             g_c = g_write[k] @ w_c.data.T
             g_carry = g_state * gate[k]
             if transported:
-                g_c, g_m = transport_vjp(alpha_n, summary[k], prev[k], g_c)
+                g_c, g_m = transport_vjp(alpha_n, summary[k], states[k], g_c)
                 g_carry += g_m
             g_summary[k] = g_c * scale
             g_fast[:, starts[k]:ends[k]] = g_summary[k][:, None]
@@ -111,11 +135,16 @@ def slow_write(fast: Tensor, n: Tensor, ends, chunk_sum: Tensor,
         _accum(fast, g_fast.reshape(fast.shape))
         _accum(n, g_n.reshape(n.shape))
         _accum(chunk_sum, g_summary[0])
-        _accum(slow, g_carry)
+        _accum(slow, g_carry + g[0])
         _accum(w_g, n_rows[:, rows].reshape(-1, d).T
                @ batch_major(g_gate).reshape(-1, d))
         _accum(b_g, g_gate.sum(axis=(0, 1)))
         _accum(w_c, c_star.reshape(-1, d).T @ g_write.reshape(-1, d))
         _accum(b_c, g_write.sum(axis=(0, 1)))
-    out = batch_major(states).reshape(fast.shape[:-2] + (k_count, d))
-    return _op(out, (fast, n, chunk_sum, slow, w_g, b_g, w_c, b_c), bw)
+    out = _op(batch_major(states).reshape(fast.shape[:-2] + (k_count + 1, d)),
+              (fast, n, chunk_sum, slow, w_g, b_g, w_c, b_c), bw)
+    state.slow = out[..., k_count, :]
+    state.chunk_sum = fast[..., ends[-1]:, :].sum(axis=-2)
+    state.chunk_count = t_len - ends[-1]
+    reads = out[..., np.searchsorted(ends, np.arange(t_len), side="right"), :]
+    return reads, k_count

@@ -73,10 +73,21 @@ def route_gain(pre: Tensor, post: Tensor, logits: Tensor, iters: int) -> Tensor:
     M = sinkhorn(logits) mixes the stream axis, and the post-mix
     coefficients collapse it back. Every stream is a multiple of h_in, so
     the collapsed residual is exactly this gain times h_in. It depends on
-    the parameters alone; mismatched [S] and [S, S] shapes raise in the
-    matmuls.
+    the parameters alone. One tape node over M, pre and post; [S] and
+    [S, S] shapes that do not match raise NumericsError.
     """
-    return (sinkhorn_normalize(logits, iters) @ pre) @ post
+    m = sinkhorn_normalize(logits, iters)
+    if pre.shape != (m.shape[0],) or post.shape != pre.shape:
+        raise NumericsError(f"mhc stream mismatch: pre {pre.shape}, "
+                            f"post {post.shape}, transport {m.shape}")
+    mixed = m.data @ pre.data
+
+    def bw(g):
+        g_mixed = g * post.data
+        _accum(m, np.outer(g_mixed, pre.data))
+        _accum(pre, m.data.T @ g_mixed)
+        _accum(post, mixed * g)
+    return _op(mixed @ post.data, (m, pre, post), bw)
 
 
 def mhc_route(h_in: Tensor, block_update: Tensor, gain: Tensor) -> Tensor:

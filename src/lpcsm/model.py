@@ -15,7 +15,7 @@ from .numerics import (
     concat, linear, straight_through,
 )
 from .attention import local_attention, latent_attention
-from .memory import fast_update, memory_read, slow_write
+from .memory import MemoryState, fast_update, memory_read, slow_write
 from .correction import predict_init, refine_step
 from .controller import (ControllerParams, clamp_ratio, empty_prefix,
                          prefix_event_mask, ratio_raw_init)
@@ -260,10 +260,7 @@ class LayerCache:
     the carried cache. A batch's cache has a leading batch axis on each
     array."""
     history: Tensor | None  # the last <= window post-norm rows, [<=window, d]
-    fast: Tensor  # fast state after the last token
-    slow: Tensor  # slow state after the last chunk boundary
-    chunk_sum: Tensor  # sum of the fast states of the open chunk
-    chunk_count: int  # tokens in the open chunk, below chunk_size
+    memory: MemoryState  # only the memory functions read and advance it
     # The controller's carried prefix of the mismatch norms
     # (controller.empty_prefix): only the controller reads and advances it.
     prefix: tuple
@@ -275,15 +272,8 @@ class LayerCache:
     def fresh(cls, cfg: ModelConfig, batch: tuple = ()) -> "LayerCache":
         """The cache of no tokens, for one sequence or, with `batch` =
         (B,), for B sequences."""
-        state = batch + (cfg.width,)
-        return cls(
-            history=None,
-            fast=Tensor(np.zeros(state)),
-            slow=Tensor(np.zeros(state)),
-            chunk_sum=Tensor(np.zeros(state)),
-            chunk_count=0,
-            prefix=empty_prefix(batch),
-        )
+        return cls(history=None, memory=MemoryState.fresh(batch + (cfg.width,)),
+                   prefix=empty_prefix(batch))
 
 
 def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
@@ -313,45 +303,26 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
     The span continues the tokens summarised in `cache`, which is advanced
     in place past the span; without one, the span starts the sequence.
     """
-    batch, (t_len, d) = h.shape[:-2], h.shape[-2:]
     p = f"layers.{layer}."
-    cache = LayerCache.fresh(cfg, batch) if cache is None else cache
+    cache = LayerCache.fresh(cfg, h.shape[:-2]) if cache is None else cache
     try:
         n = rmsnorm(h, params[p + "norm1.gain"], cfg.rmsnorm_eps)
 
+        # The span's queries attend over the history and the span.
         attend = local_attention if cfg.latent_dim is None else latent_attention
-        past = cache.history
-        a = attend(n, cfg.window, cfg.heads, params, p + "attn.", past=past)
-        cache.history = (n if past is None
-                         else concat([past, n], axis=-2))[..., -cfg.window:, :]
+        rows = n if cache.history is None else concat([cache.history, n], axis=-2)
+        a = attend(n, rows, cfg.window, cfg.heads, params, p + "attn.")
+        cache.history = rows[..., -cfg.window:, :]
 
         # Memory pathway over the whole span: one scan gives the fast
-        # states, one node all slow writes. A write happens at a chunk
-        # boundary after that token's read, so each row reads the slow
-        # state of its chunk.
-        mem = p + "mem."
-        fast = fast_update(n, cache.fast, params, mem)
-        cache.fast = fast[..., t_len - 1, :]
-        slow, ends = cache.slow, []
+        # states, one node all slow writes, then each row reads both.
+        mem, memory = p + "mem.", cache.memory
+        fast = fast_update(n, memory.fast, params, mem)
+        memory.fast = fast[..., -1, :]
+        slow, writes = memory.slow, 0
         if cfg.slow_memory:
-            ends = list(range(cfg.chunk_size - cache.chunk_count, t_len + 1,
-                              cfg.chunk_size))
-            if ends:
-                states = slow_write(fast, n, ends, cache.chunk_sum, cache.slow,
-                                    cfg.chunk_size, cfg.alpha_n, cfg.ont,
-                                    params, mem)
-                chunk_of_row = np.searchsorted(ends, np.arange(t_len),
-                                               side="right")
-                first = cache.slow.reshape(cache.slow.shape[:-1] + (1, d))
-                slow = concat([first, states], axis=-2)[..., chunk_of_row, :]
-                cache.slow = states[..., len(ends) - 1, :]
-                cache.chunk_sum = Tensor(np.zeros(batch + (d,)))
-                cache.chunk_count = 0
-            start = ends[-1] if ends else 0
-            if start < t_len:
-                cache.chunk_sum = (cache.chunk_sum
-                                   + fast[..., start:, :].sum(axis=-2))
-                cache.chunk_count += t_len - start
+            slow, writes = slow_write(fast, n, memory, cfg.chunk_size,
+                                      cfg.alpha_n, cfg.ont, params, mem)
         r = memory_read(n, fast, slow, params, mem)
 
         # Predictive correction over the whole batch of positions.
@@ -408,9 +379,9 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         error_sq=err_sq,
         effective_ratio=density,
         sparse_ratio_st=sparse_ratio_st,
-        fast_final=cache.fast,
-        slow_final=cache.slow,
-        write_count=len(ends),
+        fast_final=cache.memory.fast,
+        slow_final=cache.memory.slow,
+        write_count=writes,
     )
     return out, aux
 

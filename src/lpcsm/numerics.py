@@ -175,14 +175,6 @@ class Tensor:
             _accum(b, -g * a.data / (b.data * b.data))
         return _op(a.data / b.data, (a, b), bw)
 
-    def __matmul__(self, other):
-        a, b = self, _wrap(other)
-        try:
-            data = a.data @ b.data
-        except ValueError as e:
-            raise NumericsError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from e
-        return _op(data, (a, b), lambda g: _matmul_backward(a, b, g))
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -285,27 +277,6 @@ def _op(data, inputs: tuple, backward) -> Tensor:
     return out
 
 
-def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
-    """Accumulate the shares of g = d(a @ b) into a and b; either may be 1-D."""
-    ad, bd = a.data, b.data
-    a2 = ad if ad.ndim > 1 else ad[None, :]
-    b2 = bd if bd.ndim > 1 else bd[:, None]
-    g2 = g
-    if ad.ndim == 1 and bd.ndim == 1:
-        g2 = g.reshape(1, 1)
-    elif ad.ndim == 1:
-        g2 = g[..., None, :]
-    elif bd.ndim == 1:
-        g2 = g[..., :, None]
-    ga = g2 @ np.swapaxes(b2, -1, -2)
-    if a2.ndim > 2 and b2.ndim == 2:  # a batch of spans times one matrix
-        gb = a2.reshape(-1, ad.shape[-1]).T @ g2.reshape(-1, g2.shape[-1])
-    else:
-        gb = np.swapaxes(a2, -1, -2) @ g2
-    _accum(a, _unbroadcast(ga, a2.shape).reshape(ad.shape))
-    _accum(b, _unbroadcast(gb, b2.shape).reshape(bd.shape))
-
-
 def _accum(t: Tensor, g) -> None:
     if not t.requires_grad:
         return
@@ -377,14 +348,21 @@ def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one tape node. x is one row, a [T, d] span or a
     [B, T, d] batch of spans; a 1-D w with a scalar b maps each row to a
-    scalar."""
+    scalar. The backward takes a 1-D w as [d, 1], and its gradient from
+    the rows as one [N, d] matrix. The input's gradient keeps g's leading
+    axes, one row as [1, k], since BLAS picks a kernel, and so its
+    rounding, by shape."""
     try:
         data = x.data @ w.data + b.data
     except ValueError as e:
         raise NumericsError(
             f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}") from e
     def bw(g):
-        _matmul_backward(x, w, g)
+        w2 = w.data.reshape(len(w.data), -1)
+        g2 = g.reshape((x.shape[:-1] or (1,)) + w2.shape[1:])
+        rows = x.data.reshape(-1, len(w2))
+        _accum(x, (g2 @ w2.T).reshape(x.shape))
+        _accum(w, (rows.T @ g2.reshape(len(rows), -1)).reshape(w.shape))
         _accum(b, g)
     return _op(data, (x, w, b), bw)
 

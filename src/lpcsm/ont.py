@@ -35,25 +35,27 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=-1, keepdims=True)
 
 
-def _reference_is_zero(m: np.ndarray) -> np.ndarray:
-    """Per row, [..., 1]: whether m lies below the zero floor. The norm is
-    np.linalg.norm(m, axis=-1)'s, without its dispatch."""
-    return np.sqrt(_row_sum(m * m)) < ZERO_NORM_FLOOR
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a, b> per row, [..., 1], as a batched matmul: the same floats as
     the 1-D `a @ b` of each row."""
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
+def _split(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(zero, p): per row, whether m lies below the zero floor, [..., 1],
+    and the component p of c aligned with m, 0 on those rows. The norm is
+    np.linalg.norm(m, axis=-1)'s, without its dispatch."""
+    _check_lengths(c, m)
+    mm = _row_sum(m * m)
+    zero = np.sqrt(mm) < ZERO_NORM_FLOOR
+    # Zero rows divide by 1 in place of <m, m>; np.where drops them.
+    ratio = _row_sum(c * m) / np.where(zero, 1.0, mm)
+    return zero, np.where(zero, 0.0, m * ratio)
+
+
 def ont_proj(c: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Component of c aligned with m; the zero vector when m = 0."""
-    _check_lengths(c, m)
-    zero = _reference_is_zero(m)
-    # Zero rows divide by 1 in place of <m, m>; np.where drops them.
-    ratio = _row_sum(c * m) / np.where(zero, 1.0, _row_sum(m * m))
-    return np.where(zero, 0.0, m * ratio)
+    return _split(c, m)[1]
 
 
 def ont_novelty(c: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -65,8 +67,8 @@ def transport_array(alpha: float, c: np.ndarray, m: np.ndarray) -> np.ndarray:
     """c + alpha * novelty of c against m; keeps <x, m> = <c, m>. With a
     zero reference the whole summary is novelty, so the transport is
     exactly the unconstrained amplification (1 + alpha) c."""
-    return np.where(_reference_is_zero(m), c * (1.0 + alpha),
-                    c + ont_novelty(c, m) * alpha)
+    zero, p = _split(c, m)
+    return np.where(zero, c * (1.0 + alpha), c + (c - p) * alpha)
 
 
 def transport_vjp(alpha: float, c: np.ndarray, m: np.ndarray,
@@ -77,8 +79,9 @@ def transport_vjp(alpha: float, c: np.ndarray, m: np.ndarray,
     g_c = (1+alpha) g - alpha (<g,m>/<m,m>) m and
     g_m = -alpha (s g + (<g,m>/<m,m>) (c - 2 s m)); below the zero floor
     x = (1+alpha) c does not depend on m."""
-    zero = _reference_is_zero(m)
-    mm = np.where(zero, 1.0, _row_dot(m, m))
+    mm = _row_dot(m, m)
+    zero = np.sqrt(mm) < ZERO_NORM_FLOOR
+    mm = np.where(zero, 1.0, mm)
     s = _row_dot(c, m) / mm
     gm_ratio = _row_dot(g, m) / mm
     g_c = np.where(zero, g * (1.0 + alpha),
@@ -97,9 +100,10 @@ def ont_oracle_min(alpha: float, c: np.ndarray, m: np.ndarray) -> np.ndarray:
     """
     _check_lengths(c, m)
     y = c * (1.0 + alpha)
-    zero = _reference_is_zero(m)
+    mm = _row_sum(m * m)
+    zero = np.sqrt(mm) < ZERO_NORM_FLOOR
     gap = _row_sum(c * m) - _row_sum(y * m)
-    mm = np.where(zero, 1.0, _row_sum(m * m))
+    mm = np.where(zero, 1.0, mm)
     return np.where(zero, y, y + m * (gap / mm))
 
 

@@ -41,26 +41,28 @@ def test_span_with_past_continues_sequence(latent_dim, past):
     params = make_params(d, seed=30, latent_dim=latent_dim)
     attend = local_attention if latent_dim is None else latent_attention
     h = np.random.default_rng(31).standard_normal((7, d))
-    whole = attend(Tensor(h), 3, 2, params).data
-    span = attend(Tensor(h[past:]), 3, 2, params, past=Tensor(h[:past])).data
+    whole = attend(Tensor(h), Tensor(h), 3, 2, params).data
+    span = attend(Tensor(h[past:]), Tensor(h), 3, 2, params).data
     assert np.max(np.abs(span - whole[past:])) < 1e-12
 
 
 class TestLocalAttention:
     def test_invalid_window(self):
         with pytest.raises(NumericsError):
-            local_attention(Tensor(np.zeros((2, 4))), 0, 1, make_params(4))
+            x = Tensor(np.zeros((2, 4)))
+            local_attention(x, x, 0, 1, make_params(4))
 
     @pytest.mark.parametrize("heads", [0, -2])
     def test_invalid_heads(self, heads):
         with pytest.raises(NumericsError):
-            local_attention(Tensor(np.zeros((2, 4))), 2, heads, make_params(4))
+            x = Tensor(np.zeros((2, 4)))
+            local_attention(x, x, 2, heads, make_params(4))
 
     def test_single_token_is_value_projection(self):
         d = 8
         params = make_params(d, seed=1)
         h = Tensor(np.random.default_rng(2).standard_normal((1, d)))
-        out = local_attention(h, 4, 2, params)
+        out = local_attention(h, h, 4, 2, params)
         qkv = h.data @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
         v = qkv[:, 2 * d:3 * d]
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -70,7 +72,7 @@ class TestLocalAttention:
         d = 8
         params = make_params(d, seed=3)
         h = Tensor(np.random.default_rng(4).standard_normal((5, d)))
-        out = local_attention(h, 1, 2, params)
+        out = local_attention(h, h, 1, 2, params)
         qkv = h.data @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
         v = qkv[:, 2 * d:3 * d]
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -83,7 +85,7 @@ class TestLocalAttention:
         # reads the plain mean of the value rows in its window.
         params["attn.w_qkv"].data[:, d:2 * d] = 0.0
         h = np.random.default_rng(6).standard_normal((3, d))
-        out = local_attention(Tensor(h), 2, 1, params).data
+        out = local_attention(Tensor(h), Tensor(h), 2, 1, params).data
         qkv = h @ params["attn.w_qkv"].data + params["attn.b_qkv"].data
         v = qkv[:, 2 * d:]
         for t in range(3):
@@ -96,10 +98,10 @@ class TestLocalAttention:
         params = make_params(d, seed=7)
         rng = np.random.default_rng(8)
         h = rng.standard_normal((6, d))
-        base = local_attention(Tensor(h.copy()), 3, 2, params).data
+        base = local_attention(Tensor(h), Tensor(h), 3, 2, params).data
         h2 = h.copy()
         h2[4] += rng.standard_normal(d)
-        pert = local_attention(Tensor(h2), 3, 2, params).data
+        pert = local_attention(Tensor(h2), Tensor(h2), 3, 2, params).data
         assert np.array_equal(base[:4], pert[:4])
         assert np.max(np.abs(base[4] - pert[4])) > 0.0
 
@@ -108,10 +110,10 @@ class TestLocalAttention:
         params = make_params(d, seed=9)
         rng = np.random.default_rng(10)
         h = rng.standard_normal((6, d))
-        base = local_attention(Tensor(h.copy()), 2, 2, params).data
+        base = local_attention(Tensor(h), Tensor(h), 2, 2, params).data
         h2 = h.copy()
         h2[0] += rng.standard_normal(d)
-        pert = local_attention(Tensor(h2), 2, 2, params).data
+        pert = local_attention(Tensor(h2), Tensor(h2), 2, 2, params).data
         # Position 0 is outside the window of every t >= 2.
         assert np.array_equal(base[2:], pert[2:])
 
@@ -121,7 +123,7 @@ class TestLocalAttention:
         h = np.random.default_rng(12).standard_normal((4, d))
 
         def loss(p):
-            r = local_attention(Tensor(h), 3, 2, p)
+            r = local_attention(Tensor(h), Tensor(h), 3, 2, p)
             return (r * r).sum()
 
         assert grad_check(loss, params, sample=8).passed
@@ -130,7 +132,8 @@ class TestLocalAttention:
 class TestLatentAttention:
     def test_requires_latent_dim(self):
         with pytest.raises(NumericsError):
-            latent_attention(Tensor(np.zeros((2, 4))), 2, 1, make_params(4))
+            x = Tensor(np.zeros((2, 4)))
+            latent_attention(x, x, 2, 1, make_params(4))
 
     def test_passthrough_matches_local(self):
         d = 8
@@ -149,8 +152,8 @@ class TestLatentAttention:
         latent.add("attn.w_o", base["attn.w_o"].data.copy())
         latent.add("attn.b_o", base["attn.b_o"].data.copy())
         h = Tensor(np.random.default_rng(14).standard_normal((5, d)))
-        a = local_attention(h, 3, 2, base).data
-        b = latent_attention(h, 3, 2, latent).data
+        a = local_attention(h, h, 3, 2, base).data
+        b = latent_attention(h, h, 3, 2, latent).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_rank_one_keys(self):
@@ -170,7 +173,7 @@ class TestLatentAttention:
         d = 8
         params = make_params(d, seed=17, latent_dim=3)
         h = Tensor(np.random.default_rng(18).standard_normal((1, d)))
-        out = latent_attention(h, 4, 2, params)
+        out = latent_attention(h, h, 4, 2, params)
         z = h.data @ params["attn.w_z"].data + params["attn.b_z"].data
         v = z @ params["attn.w_v_up"].data + params["attn.b_v_up"].data
         expect = v @ params["attn.w_o"].data + params["attn.b_o"].data
@@ -182,7 +185,7 @@ class TestLatentAttention:
         h = np.random.default_rng(20).standard_normal((4, d))
 
         def loss(p):
-            r = latent_attention(Tensor(h), 3, 2, p)
+            r = latent_attention(Tensor(h), Tensor(h), 3, 2, p)
             return (r * r).sum()
 
         assert grad_check(loss, params, sample=8).passed
@@ -203,7 +206,8 @@ def dense_attention(q, k, v, window, heads):
                    * k[:, cols].reshape((1, kv_len, hd))).sum(-1)
                   * (1.0 / np.sqrt(hd)) + mask)
         e = (scores - scores.data.max(axis=-1, keepdims=True)).exp()
-        mixed.append(e / e.sum(axis=-1, keepdims=True) @ v[:, cols])
+        weights = (e / e.sum(axis=-1, keepdims=True)).reshape((t_len, kv_len, 1))
+        mixed.append((weights * v[:, cols].reshape((1, kv_len, hd))).sum(1))
     return concat(mixed, axis=-1)
 
 
@@ -272,8 +276,7 @@ class TestWindowedNode:
         h = np.random.default_rng(42 + t_len).standard_normal((past + t_len, d))
 
         def loss(p):
-            past_rows = Tensor(h[:past]) if past else None
-            r = attend(Tensor(h[past:]), window, 2, p, past=past_rows)
+            r = attend(Tensor(h[past:]), Tensor(h), window, 2, p)
             return (r * r).sum()
 
         assert grad_check(loss, params, sample=6).passed
@@ -284,7 +287,7 @@ class TestWindowedNode:
         for t_len in (64, 256):
             h = Tensor(np.random.default_rng(44).standard_normal((t_len, 32)),
                        requires_grad=True)
-            counts.append(tape_nodes(local_attention(h, 8, 4, params)))
+            counts.append(tape_nodes(local_attention(h, h, 8, 4, params)))
         assert counts[0] == counts[1]
 
     def test_memory_linear_in_length(self):
@@ -296,7 +299,7 @@ class TestWindowedNode:
                        requires_grad=True)
             tracemalloc.start()
             try:
-                out = local_attention(h, 8, 4, params)
+                out = local_attention(h, h, 8, 4, params)
                 (out * out).sum().backward()
                 return tracemalloc.get_traced_memory()[1]
             finally:

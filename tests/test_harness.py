@@ -9,6 +9,7 @@ import platform
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -944,6 +945,20 @@ class TestCli:
         assert proc.returncode == 3, proc.stderr
         assert "after the update" in proc.stderr
         assert not ckpt.exists()
+
+    def test_overflowing_update_prints_only_the_failure(self, tmp_path,
+                                                         capsys):
+        # The update overflows the weights; the block output check raises
+        # and the user sees the documented line, with no numpy warning
+        # from the ops that overflowed on the way.
+        path = tmp_path / "run.yaml"
+        path.write_text(optimizer_yaml("lr: !!float 1e300"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(path)]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
 
     def test_ablate_command(self, tmp_path, capsys):
         cfg_path = self._config(tmp_path)

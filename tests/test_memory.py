@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from lpcsm.numerics import Tensor, ParameterStore, concat, grad_check, linear
-from lpcsm.memory import fast_update, memory_read, slow_write
+from lpcsm.memory import MemoryState, fast_update, memory_read, slow_write
 from lpcsm.ont import ZERO_NORM_FLOOR, transport_array
 
 
@@ -18,9 +18,10 @@ def write_once(h, c, slow, alpha_n, ont_enabled, params):
     """One slow write of summary c gated by row h: a one-row chunk of
     size 1, whose mean is c."""
     d = slow.shape[0]
-    states = slow_write(c.reshape((1, d)), h.reshape((1, d)), [1], zeros(d),
-                        slow, 1, alpha_n, ont_enabled, params)
-    return states.reshape((d,))
+    state = MemoryState(zeros(d), slow, zeros(d))
+    slow_write(c.reshape((1, d)), h.reshape((1, d)), state, 1, alpha_n,
+               ont_enabled, params)
+    return state.slow
 
 
 def reference_transport(alpha_n, c, m):
@@ -46,6 +47,23 @@ def reference_writes(fast, n, ends, chunk_sum, slow, chunk_size, alpha_n,
         states.append(slow.reshape((1, -1)))
         chunk_sum, start = zeros(slow.shape[0]), end
     return concat(states)
+
+
+def reference_reads(fast, n, chunk_count, chunk_sum, slow, chunk_size,
+                    alpha_n, ont_enabled, p):
+    """The slow state each row of a span reads, and the one after the
+    span, from `reference_writes`: row t reads the state of its chunk,
+    the one before the span until the first boundary closes, then the
+    one after each write."""
+    t_len, d = fast.shape
+    ends = list(range(chunk_size - chunk_count, t_len + 1, chunk_size))
+    if not ends:
+        return slow, slow
+    states = concat([slow.reshape((1, d)),
+                     reference_writes(fast, n, ends, chunk_sum, slow,
+                                      chunk_size, alpha_n, ont_enabled, p)])
+    return (states[[sum(end <= t for end in ends) for t in range(t_len)]],
+            states[len(ends)])
 
 
 def make_params(d, seed=0, zero=False):
@@ -239,46 +257,70 @@ SPANS = {
     "starts mid-chunk": (2, True, 0.5, True),
     "ont off": (2, True, 0.5, False),
     "alpha zero": (2, True, 0.0, True),
+    "closes no chunk": (2, True, 0.5, True, 1),
 }
 
 
 def span_inputs(case, seed=30, d=5, t_len=13, chunk_size=4):
     """A span store: the memory parameters plus its fast rows, normed rows,
-    carried chunk sum and slow state, and the chunk ends of the span."""
-    chunk_count, carried, alpha_n, ont = SPANS[case]
+    carried chunk sum and slow state; and the span's settings."""
+    chunk_count, carried, alpha_n, ont, *short = SPANS[case]
+    t_len = short[0] if short else t_len
     params = make_params(d, seed=seed)
     rng = np.random.default_rng(seed + 1)
     params.add("fast", rng.uniform(-1, 1, (t_len, d)))
     params.add("n", rng.standard_normal((t_len, d)))
     params.add("chunk_sum", rng.uniform(-1, 1, d) * carried * chunk_count)
     params.add("slow", rng.uniform(-1, 1, d) * carried)
-    ends = list(range(chunk_size - chunk_count, t_len + 1, chunk_size))
-    return params, (ends, chunk_size, alpha_n, ont)
+    return params, (chunk_count, chunk_size, alpha_n, ont)
 
 
-def span_args(p, spec):
-    ends, chunk_size, alpha_n, ont = spec
-    return (p["fast"], p["n"], ends, p["chunk_sum"], p["slow"], chunk_size,
-            alpha_n, ont, p)
+def span_reads(p, spec):
+    """slow_write's reads and the state it leaves, from a MemoryState
+    that holds the store's carried sum and slow state."""
+    chunk_count, chunk_size, alpha_n, ont = spec
+    state = MemoryState(zeros(p["slow"].shape), p["slow"], p["chunk_sum"],
+                        chunk_count)
+    rows, writes = slow_write(p["fast"], p["n"], state, chunk_size, alpha_n,
+                              ont, p)
+    return rows, state, writes
 
 
 class TestSlowWriteSpan:
     @pytest.mark.parametrize("case", sorted(SPANS))
     def test_matches_per_chunk_reference(self, case):
         params, spec = span_inputs(case)
-        weights = np.random.default_rng(40).standard_normal((len(spec[0]), 5))
+        chunk_count, chunk_size, alpha_n, ont = spec
+        t_len = params["fast"].shape[0]
+        rng = np.random.default_rng(40)
+        weights, last_weights = rng.standard_normal((t_len, 5)), rng.standard_normal(5)
 
         def run(fn):
             params.zero_grad()
-            states = fn(*span_args(params, spec))
-            one_node = states._prev[0] is params["fast"]
-            (states * weights).sum().backward()
-            return states, one_node, {name: t.grad for name, t in params.items()}
+            rows, final = fn(params)
+            ((rows * weights).sum() + (final * last_weights).sum()).backward()
+            return rows, final, {name: t.grad for name, t in params.items()}
 
-        fused, one_node, grads = run(slow_write)
-        ref, _, ref_grads = run(reference_writes)
-        assert one_node  # the whole span is one node
-        assert np.array_equal(fused.data, ref.data)
+        def fused(p):
+            rows, state, writes = span_reads(p, spec)
+            ends = range(chunk_size - chunk_count, t_len + 1, chunk_size)
+            assert writes == len(ends)
+            # The open chunk after the span: its length and fast-state sum.
+            open_rows = (chunk_count + t_len) % chunk_size
+            carried = p["chunk_sum"].data if not writes else 0.0
+            assert state.chunk_count == open_rows
+            assert np.max(np.abs(state.chunk_sum.data - carried - p["fast"].data[
+                t_len - open_rows:].sum(axis=0))) < 1e-12
+            if writes:  # the whole span is one write node and one gather
+                assert rows._prev[0]._prev[0] is p["fast"]
+            return rows, state.slow
+
+        rows, final, grads = run(fused)
+        ref_rows, ref_final, ref_grads = run(
+            lambda p: reference_reads(p["fast"], p["n"], chunk_count,
+                                      p["chunk_sum"], p["slow"], *spec[1:], p))
+        assert np.array_equal(rows.data, ref_rows.data)
+        assert np.array_equal(final.data, ref_final.data)
         for name, g in grads.items():
             assert (g is None) == (ref_grads[name] is None), name
             if g is not None:
@@ -289,11 +331,12 @@ class TestSlowWriteSpan:
     @pytest.mark.parametrize("case", sorted(set(SPANS) - {"fresh cache"}))
     def test_grad_check(self, case):
         params, spec = span_inputs(case, seed=50)
-        weights = np.random.default_rng(51).standard_normal((len(spec[0]), 5))
+        weights = np.random.default_rng(51).standard_normal(
+            params["fast"].shape)
 
         def loss(p):
-            states = slow_write(*span_args(p, spec))
-            return (states * states * weights).sum()
+            rows, state, _ = span_reads(p, spec)
+            return (rows * rows * weights).sum() + (state.slow * state.slow).sum()
 
         assert grad_check(loss, params).passed
 
@@ -311,25 +354,25 @@ class TestSlowWriteSpan:
         chunk_sum = rng.uniform(-1, 1, (batch, d)) * 2
         slow = rng.uniform(-1, 1, (batch, d))
         slow[1] = 0.0
-        ends = list(range(2, t_len + 1, chunk_size))
-        weights = rng.standard_normal((batch, len(ends), d))
+        weights = rng.standard_normal((batch, t_len, d))
         names = ("mem.w_g", "mem.b_g", "mem.w_c", "mem.b_c")
 
         def run(rows):
             params.zero_grad()
             inputs = [Tensor(x[rows], requires_grad=True)
                       for x in (fast, n, chunk_sum, slow)]
-            states = slow_write(*inputs[:2], ends, *inputs[2:], chunk_size,
-                                0.5, True, params)
-            (states * weights[rows]).sum().backward()
-            return states.data, ([x.grad for x in inputs],
-                                 [params[k].grad.copy() for k in names])
+            state = MemoryState(zeros(d), inputs[3], inputs[2], 2)
+            reads, _ = slow_write(*inputs[:2], state, chunk_size, 0.5, True,
+                                  params)
+            (reads * weights[rows]).sum().backward()
+            return reads.data, ([x.grad for x in inputs],
+                                [params[k].grad.copy() for k in names])
 
-        states, (grads, weight_grads) = run(slice(None))
+        reads, (grads, weight_grads) = run(slice(None))
         row_sums = [np.zeros_like(g) for g in weight_grads]
         for i in range(batch):
-            row_states, (row_grads, row_weight_grads) = run(i)
-            assert np.max(np.abs(states[i] - row_states)) < 1e-15
+            row_reads, (row_grads, row_weight_grads) = run(i)
+            assert np.max(np.abs(reads[i] - row_reads)) < 1e-15
             for g, row_g in zip(grads, row_grads):
                 assert np.max(np.abs(g[i] - row_g)) < 1e-12
             for total, row_g in zip(row_sums, row_weight_grads):

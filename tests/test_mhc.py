@@ -175,6 +175,26 @@ class TestRoute:
         with pytest.raises(NumericsError):
             route_gain(two, three, logits, iters=1)
 
+    def test_gain_is_one_node(self):
+        # One node over Sinkhorn's M, pre and post, checked against
+        # central differences in all three parameters.
+        rng = np.random.default_rng(7)
+        params = ParameterStore()
+        params.add("pre", rng.standard_normal(3))
+        params.add("post", rng.standard_normal(3))
+        params.add("logits", rng.uniform(-1, 1, (3, 3)))
+        gain = route_gain(params["pre"], params["post"], params["logits"], 4)
+        m, pre, post = gain._prev
+        assert (pre, post) == (params["pre"], params["post"])
+        assert m._prev == (params["logits"],)
+
+        def loss(p):
+            gain = route_gain(p["pre"], p["post"], p["logits"], 4)
+            return gain * gain + gain
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error
+
     def test_grad_check(self):
         rng = np.random.default_rng(6)
         h = rng.standard_normal((3, 4))

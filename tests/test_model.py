@@ -257,10 +257,12 @@ class TestSpanSplits:
         assert np.max(np.abs(np.concatenate([o.data for o, _ in pieces])
                              - out.data)) < 1e-12
         assert sum(a.write_count for _, a in pieces) == aux.write_count == 3
-        assert np.max(np.abs(parts.slow.data - whole.slow.data)) < 1e-12
-        assert parts.chunk_count == whole.chunk_count == 2
-        assert np.max(np.abs(parts.chunk_sum.data - whole.chunk_sum.data)) < 1e-12
-        assert np.max(np.abs(parts.fast.data - whole.fast.data)) < 1e-12
+        memory, w_memory = parts.memory, whole.memory
+        assert np.max(np.abs(memory.slow.data - w_memory.slow.data)) < 1e-12
+        assert memory.chunk_count == w_memory.chunk_count == 2
+        assert np.max(np.abs(memory.chunk_sum.data
+                             - w_memory.chunk_sum.data)) < 1e-12
+        assert np.max(np.abs(memory.fast.data - w_memory.fast.data)) < 1e-12
         assert np.array_equal(parts.history.data, whole.history.data)
         # The controller's carried prefix: the same positions in the same
         # order, and norms that differ from one span's only in the last
@@ -531,8 +533,9 @@ class TestBatchAxis:
         whole, _ = block_forward(Tensor(h), 0, params, cfg)
         cache = LayerCache.fresh(cfg, (3,))
         first, _ = block_forward(Tensor(h[:, :4]), 0, params, cfg, cache=cache)
-        for name in ("history", "fast", "slow", "chunk_sum"):
-            assert getattr(cache, name).shape[0] == 3, name
+        assert cache.history.shape[0] == 3
+        for name in ("fast", "slow", "chunk_sum"):
+            assert getattr(cache.memory, name).shape[0] == 3, name
         rest, _ = block_forward(Tensor(h[:, 4:]), 0, params, cfg, cache=cache)
         gap = np.concatenate([first.data, rest.data], axis=1) - whole.data
         assert np.max(np.abs(gap)) < 1e-12
@@ -614,7 +617,7 @@ class TestTapeBudget:
         prompt = make_batch(task, 1)[0][0][:prompt_len]
         params = init_params(cfg, seed=1)
         logits, cache = step_decode(prompt, init_cache(cfg), params, cfg)
-        closes = cache.layers[0].chunk_count == cfg.chunk_size - 1
+        closes = cache.layers[0].memory.chunk_count == cfg.chunk_size - 1
         calls = self.count_ops(monkeypatch)
         step_decode(int(np.argmax(logits.lm.data)), cache, params, cfg)
         return calls[0], closes

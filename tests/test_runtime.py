@@ -42,11 +42,10 @@ def random_params(cfg, rng, seed):
 
 def assert_caches_match(a, b, tol=1e-12):
     """Equal positions, counts, controller prefix positions and history
-    shapes, and every float field within `tol`."""
+    shapes, and every float field within `tol`, the memory's included."""
     assert a.position == b.position
     for la, lb in zip(a.layers, b.layers, strict=True):
-        for f in fields(la):
-            x, y = getattr(la, f.name), getattr(lb, f.name)
+        for f, x, y in cache_fields(la, lb):
             if f.name == "chunk_count":
                 assert x == y, f.name
             elif f.name == "prefix":  # (values, index, moments)
@@ -61,6 +60,16 @@ def assert_caches_match(a, b, tol=1e-12):
                 y = np.asarray(getattr(y, "data", y))
                 assert x.shape == y.shape, f.name
                 assert np.max(np.abs(x - y), initial=0.0) <= tol, f.name
+
+
+def cache_fields(*caches):
+    """(field, one value per cache) for each field of a LayerCache, with
+    its MemoryState's fields in place of `memory`."""
+    for f in fields(caches[0]):
+        if f.name == "memory":
+            yield from cache_fields(*(c.memory for c in caches))
+        else:
+            yield (f, *(getattr(c, f.name) for c in caches))
 
 
 def decode_all(tokens, params, cfg):
@@ -79,16 +88,16 @@ class TestCache:
         assert cache.position == 0
         assert len(cache.layers) == cfg.layers
         for lc in cache.layers:
-            assert lc.chunk_count == 0
+            assert lc.memory.chunk_count == 0
             assert lc.history is None
-            assert np.array_equal(lc.fast.data, np.zeros(cfg.width))
+            assert np.array_equal(lc.memory.fast.data, np.zeros(cfg.width))
 
     def test_two_fresh_caches_identical(self):
         cfg = tiny_cfg()
         a, b = init_cache(cfg), init_cache(cfg)
         assert a.position == b.position
         for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.slow.data, lb.slow.data)
+            assert np.array_equal(la.memory.slow.data, lb.memory.slow.data)
 
     def test_first_token_matches_forward(self):
         cfg = tiny_cfg()
@@ -110,7 +119,7 @@ class TestCache:
             _, cache = step_decode(tok, cache, params, cfg)
         _, span = step_decode(prompt, init_cache(cfg), params, cfg)
         for c in (cache, span):
-            held = [getattr(lc, f.name) for lc in c.layers for f in fields(lc)]
+            held = [x for lc in c.layers for _, x in cache_fields(lc)]
             tensors = [t for t in held if isinstance(t, Tensor)]
             assert len(tensors) == 5 * cfg.layers
             for t in tensors:
@@ -153,7 +162,7 @@ class TestParity:
         inc, cache = decode_all(tokens, params, cfg)
         full, aux = model_forward(tokens, params, cfg)
         assert np.max(np.abs(inc - full.lm.data)) < 1e-9
-        assert cache.layers[0].chunk_count == 7 % 4
+        assert cache.layers[0].memory.chunk_count == 7 % 4
 
     def test_write_boundaries(self):
         cfg = tiny_cfg(layers=1, chunk_size=4)
