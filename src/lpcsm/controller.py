@@ -3,10 +3,11 @@ bias-scale transform with temperature, and a straight-through hard
 threshold at a learnable bounded density.
 
 `event_scores` and `hard_mask` define the mask of one sequence;
-`prefix_event_mask` gives every position the bit those two assign it
-within its own prefix, for all positions of a span at once. The prefix a
-sequence carries from span to span is this module's alone: `empty_prefix`
-creates it and `prefix_event_mask` reads and advances it."""
+`causal_mask_bits`, a span's mask, gives every position the bit those two
+assign it within its own prefix, for all positions of a span at once, at
+the ratio it clamps. The prefix a sequence carries from span to span is
+this module's alone: `empty_prefix` creates it and `causal_mask_bits`
+reads and advances it."""
 
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ def empty_prefix(batch: tuple = ()) -> tuple:
     (B,), for B sequences: (values, index, moments), lists of its norms in
     ascending order, equal values in position order, and of their
     positions, and its welford_step state [total, mean, m2]; for a batch,
-    a triple of B such lists. prefix_event_mask advances it in place."""
+    a triple of B such lists. causal_mask_bits advances it in place."""
     return (np.zeros(batch + (0,)).tolist(), np.zeros(batch + (0,)).tolist(),
             np.zeros(batch + (3,)).tolist())
 
@@ -129,16 +130,18 @@ def hard_mask(scores: Tensor, ratio: float) -> EventMask:
     )
 
 
-def prefix_event_mask(error_norms: Tensor, prefix: tuple, p: ControllerParams,
-                      ratio: float) -> tuple[Tensor, Tensor]:
-    """Causal event bits of a span that continues a carried prefix.
+def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
+                     prefix: tuple | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """Causal event bits of a span that continues a carried prefix:
+    (hard bits, soft bits, clamped ratio).
 
     Position t gets the bit that hard_mask(event_scores(e[:t+1]), ratio)
-    gives it, hard and soft. `error_norms` is a [T] span, or a [B, T]
-    batch, each row its own sequence. `prefix` (empty_prefix) holds the
-    norms before the span, sorted, and their moments; each position of the
-    span is advanced into it in place, so a one-token span costs one
-    position's work.
+    gives it, hard and soft, with the ratio clamped once per span; so
+    teacher forcing and incremental decode agree. `error_norms` is a [T]
+    span, or a [B, T] batch, each row its own sequence. `prefix`
+    (empty_prefix) holds the norms before the span, sorted, and their
+    moments; each position of the span is advanced into it in place, so a
+    one-token span costs one position's work. None starts a fresh prefix.
 
     The score map is weakly monotone in the norm (reversed when scale < 0),
     so hard_mask's threshold is the score of an order statistic of the
@@ -150,6 +153,10 @@ def prefix_event_mask(error_norms: Tensor, prefix: tuple, p: ControllerParams,
     bits route their gradient to it straight through.
     """
     e = _wrap(error_norms)
+    ratio_t = clamp_ratio(p)
+    ratio = float(ratio_t.data)
+    if prefix is None:
+        prefix = empty_prefix(e.shape[:-1])
     all_values, all_index, all_moments = (
         prefix if e.ndim > 1 else ([prefix[0]], [prefix[1]], [prefix[2]]))
     batch, span, start = len(all_values), e.shape[-1], len(all_values[0])
@@ -242,4 +249,4 @@ def prefix_event_mask(error_norms: Tensor, prefix: tuple, p: ControllerParams,
         tail_mu = np.cumsum((c * (mu - last_mu))[:, ::-1], axis=1)[:, ::-1]
         _accum(e, (full + (rows - last_mu) * tail - tail_mu).reshape(e.shape))
     soft = _op(soft_vals, (e, p.scale, p.bias), bw)
-    return straight_through(hard, soft), soft
+    return straight_through(hard, soft), soft, ratio_t

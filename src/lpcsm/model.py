@@ -17,8 +17,8 @@ from .numerics import (
 from .attention import local_attention, latent_attention
 from .memory import MemoryState, fast_update, memory_read, slow_write
 from .correction import predict_init, refine_step
-from .controller import (ControllerParams, clamp_ratio, empty_prefix,
-                         prefix_event_mask, ratio_raw_init)
+from .controller import (ControllerParams, causal_mask_bits, empty_prefix,
+                         ratio_raw_init)
 from .mhc import MAX_EXTRA_PASSES, mhc_route, route_gain
 
 
@@ -274,24 +274,6 @@ class LayerCache:
         (B,), for B sequences."""
         return cls(history=None, memory=MemoryState.fresh(batch + (cfg.width,)),
                    prefix=empty_prefix(batch))
-
-
-def causal_mask_bits(error_norms: Tensor, cp: ControllerParams,
-                     prefix: tuple | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-position event bits using only each position's prefix statistics.
-
-    Position t takes the bit assigned to it by the hard mask computed over
-    scores of tokens 1..t; this keeps teacher forcing and incremental
-    decode identical. `prefix` is the controller's carried prefix of the
-    tokens before this span, advanced in place past the span; None starts
-    a fresh sequence, of one row or of a [B, T] batch. Returns (hard bits,
-    soft bits, clamped ratio).
-    """
-    ratio = clamp_ratio(cp)
-    if prefix is None:
-        prefix = empty_prefix(error_norms.shape[:-1])
-    hard, soft = prefix_event_mask(error_norms, prefix, cp, float(ratio.data))
-    return hard, soft, ratio
 
 
 def block_forward(h: Tensor, layer: int, params: ParameterStore,

@@ -454,8 +454,6 @@ def forward_backward(root: Tensor, params: ParameterStore) -> dict[str, Tensor]:
     holds its leaf's grad array itself: grads are rebound, never written
     in place, so the next backward leaves these arrays as they are.
     """
-    if root.data.size != 1:
-        raise NumericsError("forward_backward requires a scalar root")
     params.zero_grad()
     root.backward()
     grads = {}

@@ -387,6 +387,25 @@ class TestTrainHarness:
         assert len(lines[1].split(",")) == len(METRICS_HEADER.split(","))
         assert len(result.metrics) == 3
 
+    def test_metrics_rows_are_one_write_of_the_kept_row(self):
+        # One write per line (perfbench timestamps each), and each field
+        # before tokens/s is the repr of the kept row's field.
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        out = Recorder()
+        result = train(tiny_run(), metrics_out=out)
+        assert len(out.writes) == 3 + 1
+        assert out.writes[0] == METRICS_HEADER + "\n"
+        for text, row in zip(out.writes[1:], result.metrics):
+            fields = text.rstrip("\n").split(",")
+            assert fields[:-1] == [repr(v) for v in row[:-1]]
+            assert fields[-1] == f"{row[-1]:.1f}"
+
     def test_same_seed_identical_logs(self):
         # Everything except wall-clock throughput is bit-identical.
         a = train(tiny_run())
@@ -560,6 +579,15 @@ class TestProbe:
         with pytest.raises(NumericsError):
             probe_delayed_identifier(params, cfg,
                                      ProbeSpec(prompt_len=999))
+
+    def test_layout_is_checked_as_the_task(self):
+        # The spec holds no copy of the task's rules: a layout that does
+        # not fit is refused when the probe builds its prompts.
+        cfg = tiny_cfg(max_seq_len=64)
+        spec = ProbeSpec(n_prompts=2, prompt_len=24, distractor_len=16,
+                         key_len=4)
+        with pytest.raises(ConfigError, match="key-recall layout"):
+            probe_delayed_identifier(init_params(cfg), cfg, spec)
 
     def test_fingerprint_independent_of_hash_seed(self):
         # The probe's key cross-entropy, to the last bit, across processes

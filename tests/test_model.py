@@ -223,16 +223,16 @@ class TestClampRatioOnce:
     def test_one_call_per_layer(self, monkeypatch):
         # causal_mask_bits hands its clamped ratio to the straight-through
         # ratio, so each layer clamps once per span.
-        import lpcsm.model
+        import lpcsm.controller
 
         calls = []
-        original = lpcsm.model.clamp_ratio
+        original = lpcsm.controller.clamp_ratio
 
         def counted(cp):
             calls.append(cp)
             return original(cp)
 
-        monkeypatch.setattr(lpcsm.model, "clamp_ratio", counted)
+        monkeypatch.setattr(lpcsm.controller, "clamp_ratio", counted)
         cfg = tiny_cfg(layers=2)
         model_forward([2, 3, 4, 5], init_params(cfg, seed=14), cfg)
         assert len(calls) == cfg.layers
