@@ -16,9 +16,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import Tensor, NumericsError, _wrap, _op, _accum, straight_through
+from .numerics import (
+    Tensor, NumericsError, _wrap, _op, _accum, sigmoid, straight_through,
+)
 
 SCORE_STD_EPS = 1e-6
 
@@ -222,7 +223,7 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
             theta_norms.append(v_j)
         moments[:] = total, m, m2
     hard, diff = np.array([hards, diffs]).reshape((2,) + e.shape)
-    soft_vals = expit(diff)
+    soft_vals = sigmoid(diff)
     def bw(g):
         slope, mu, sd, norm_theta = np.array(
             [slopes, mus, sds, theta_norms]).reshape(4, batch, span)

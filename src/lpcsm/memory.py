@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .numerics import (
-    Tensor, ParameterStore, _accum, _op, concat, gated_scan, linear,
+    Tensor, ParameterStore, _accum, _op, concat, gated_scan, linear, sigmoid,
 )
 from .ont import transport_array, transport_vjp
 
@@ -91,45 +90,53 @@ def slow_write(fast: Tensor, n: Tensor, state: MemoryState, chunk_size: int,
     scale = 1.0 / chunk_size
     fast_rows, n_rows = (x.data.reshape(-1, t_len, d) for x in (fast, n))
     k_count, batch = len(ends), fast_rows.shape[0]
-    starts = [0] + ends[:-1]
-    # Per write, [K, B, d]: the chunk mean, its transport, the gate and the
-    # tanh write; states[k] is the slow state before write k.
-    summary, c_star, gate, write = np.empty((4, k_count, batch, d))
-    states = np.empty((k_count + 1, batch, d))
-    states[0] = slow.data.reshape(-1, d)
-    carry = chunk_sum.data.reshape(-1, d)
-    for k, (start, end) in enumerate(zip(starts, ends)):
-        summary[k] = (carry + fast_rows[:, start:end].sum(axis=1)) * scale
-        c_star[k] = (transport_array(alpha_n, summary[k], states[k])
-                     if transported else summary[k])
-        gate[k] = expit(n_rows[:, end - 1] @ w_g.data + b_g.data)
-        write[k] = np.tanh(c_star[k] @ w_c.data + b_c.data)
-        states[k + 1] = gate[k] * states[k] + (1.0 - gate[k]) * write[k]
-        carry = np.zeros(d)
     rows = np.asarray(ends) - 1
 
-    def batch_major(x):  # [K, B, d] -> [B, K, d]
+    def batch_major(x):  # [K, B, d] <-> [B, K, d]
         return np.swapaxes(x, 0, 1)
+
+    # Per write, [K, B, d]: the chunk mean, its transport, the gate and the
+    # tanh write; states[k] is the slow state before write k. The means and
+    # gates do not depend on the slow state, so they are computed for all
+    # writes at once; the gates' matmul is stacked, since a 2-D [K*B, d]
+    # one rounds unlike each write's [B, d] one.
+    c_star, write = np.empty((2, k_count, batch, d))
+    summary = np.empty((k_count, batch, d))
+    summary[0] = (chunk_sum.data.reshape(-1, d)
+                  + fast_rows[:, :ends[0]].sum(axis=1)) * scale
+    summary[1:] = batch_major(fast_rows[:, ends[0]:ends[-1]].reshape(
+        batch, k_count - 1, chunk_size, d).sum(axis=2)) * scale
+    gate = sigmoid(batch_major(n_rows[:, rows]) @ w_g.data + b_g.data)
+    keep = 1.0 - gate
+    states = np.empty((k_count + 1, batch, d))
+    states[0] = slow.data.reshape(-1, d)
+    for k in range(k_count):
+        c_star[k] = (transport_array(alpha_n, summary[k], states[k])
+                     if transported else summary[k])
+        write[k] = np.tanh(c_star[k] @ w_c.data + b_c.data)
+        states[k + 1] = gate[k] * states[k] + keep[k] * write[k]
 
     def bw(g):
         g = batch_major(g.reshape(batch, k_count + 1, d))
-        # dL/d of the gate's and the write's pre-activations and of the mean
-        g_gate, g_write, g_summary = np.empty((3, k_count, batch, d))
-        g_fast = np.zeros_like(fast_rows)
+        # dL/d of each written state, of the tanh write's pre-activation
+        # and of the mean
+        g_state, g_write, g_summary = np.empty((3, k_count, batch, d))
         g_carry = np.zeros((batch, d))  # dL/dslow from later writes
         for k in range(k_count - 1, -1, -1):
-            g_state = g_carry + g[k + 1]
-            g_gate[k] = (g_state * (states[k] - write[k])
-                         * gate[k] * (1.0 - gate[k]))
-            g_write[k] = (g_state * (1.0 - gate[k])
+            g_state[k] = g_carry + g[k + 1]
+            g_write[k] = (g_state[k] * keep[k]
                           * (1.0 - write[k] * write[k]))
             g_c = g_write[k] @ w_c.data.T
-            g_carry = g_state * gate[k]
+            g_carry = g_state[k] * gate[k]
             if transported:
                 g_c, g_m = transport_vjp(alpha_n, summary[k], states[k], g_c)
                 g_carry += g_m
             g_summary[k] = g_c * scale
-            g_fast[:, starts[k]:ends[k]] = g_summary[k][:, None]
+        # dL/d of the gate's pre-activation
+        g_gate = g_state * (states[:-1] - write) * gate * keep
+        g_fast = np.zeros_like(fast_rows)
+        g_fast[:, :ends[-1]] = np.repeat(batch_major(g_summary),
+                                         np.diff(ends, prepend=0), axis=1)
         g_n = np.zeros_like(n_rows)
         g_n[:, rows] = batch_major(g_gate) @ w_g.data.T
         _accum(fast, g_fast.reshape(fast.shape))

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 class NumericsError(Exception):
@@ -51,6 +50,17 @@ def check_finite(arr: np.ndarray, what: str = "value") -> None:
     optimizer update and checkpoint load. Tape nodes are not checked."""
     if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite {what}")
+
+
+def sigmoid(x):
+    """The logistic function 1 / (1 + exp(-x)) of an array or a float, as
+    float64. It is computed as 0.5 * tanh(x / 2) + 0.5, which has no exp
+    to overflow: it saturates to exactly 0.0 below about -37 and to 1.0
+    above about 37."""
+    y = np.tanh(x * 0.5)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -204,14 +214,14 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        y = expit(a.data)
+        y = sigmoid(a.data)
         return _op(y, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
 
     def softplus(self):
         """log(1 + exp(x)), without overflow for large x."""
         a = self
         return _op(np.logaddexp(0.0, a.data), (a,),
-                   lambda g: _accum(a, g * expit(a.data)))
+                   lambda g: _accum(a, g * sigmoid(a.data)))
 
     def exp(self):
         a = self
@@ -318,18 +328,16 @@ def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
     rows = np.empty_like(dec)  # laid out as the input is
     f = f0.data
     for t in range(len(rows)):
-        f = dec[t] * f + wr[t]
-        rows[t] = f
+        f = np.multiply(dec[t], f, out=rows[t])
+        f += wr[t]
     def bw(g):
         g = g.reshape(steps).swapaxes(0, -2)
-        g_dec = np.empty_like(dec)
-        g_wr = np.empty_like(dec)
+        g_wr = np.empty_like(dec)  # dL/df_t, from step t and later ones
         carry = np.zeros(dec.shape[1:])  # dL/df_t from later steps
         for t in range(len(rows) - 1, -1, -1):
-            carry = carry + g[t]
-            g_wr[t] = carry
-            g_dec[t] = carry * (rows[t - 1] if t > 0 else f0.data)
-            carry = carry * dec[t]
+            g_wr[t] = carry + g[t]
+            carry = g_wr[t] * dec[t]
+        g_dec = g_wr * np.concatenate([f0.data[None], rows[:-1]])
         _accum(a, g_dec.swapaxes(0, -2).reshape(shape))
         _accum(b, g_wr.swapaxes(0, -2).reshape(shape))
         _accum(f0, carry)

@@ -7,9 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import ParameterStore, ConfigError, NumericsError, no_grad
+from .numerics import ParameterStore, ConfigError, NumericsError, no_grad, sigmoid
 from .model import ModelConfig, Logits, LayerCache, model_forward, token_ids
 
 
@@ -69,6 +68,6 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
         if eos_token is not None and nxt == eos_token:
             break
         logits, cache = step_decode(nxt, cache, params, cfg)
-        if stop_threshold is not None and expit(logits.stop.item()) > stop_threshold:
+        if stop_threshold is not None and sigmoid(logits.stop.item()) > stop_threshold:
             break
     return out

@@ -994,3 +994,10 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Full" in out and "w/o mHC" in out
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, lpcsm, lpcsm.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from lpcsm import numerics
 from lpcsm.controller import welford_step
@@ -21,6 +20,11 @@ from lpcsm.model import (
     MAX_PARAMS, ModelConfig, init_params, model_forward, block_forward, embed,
     ablation_variants, causal_mask_bits, controller_params, LayerCache,
 )
+
+
+def logistic(x):
+    """Reference logistic function, independent of the code under test."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def tiny_cfg(**overrides):
@@ -376,11 +380,11 @@ def straight_line_block(h, params, cfg):
     r = np.zeros((t_len, d))
     for t in range(t_len):
         nt = n[t]
-        dg = expit(nt @ P("mem.w_d") + P("mem.b_d"))
+        dg = logistic(nt @ P("mem.w_d") + P("mem.b_d"))
         u = np.tanh(nt @ P("mem.w_u") + P("mem.b_u"))
         fast = dg * fast + (1 - dg) * u
-        qf = expit(nt @ P("mem.w_qf") + P("mem.b_qf"))
-        qs = expit(nt @ P("mem.w_qs") + P("mem.b_qs"))
+        qf = logistic(nt @ P("mem.w_qf") + P("mem.b_qf"))
+        qs = logistic(nt @ P("mem.w_qs") + P("mem.b_qs"))
         r[t] = np.concatenate([qf * fast, qs * slow]) @ P("mem.w_r") + P("mem.b_r")
         acc = acc + fast
         count += 1
@@ -392,7 +396,7 @@ def straight_line_block(h, params, cfg):
             else:
                 proj = (c @ slow) / (slow @ slow) * slow
                 c_star = c + cfg.alpha_n * (c - proj)
-            g = expit(nt @ P("mem.w_g") + P("mem.b_g"))
+            g = logistic(nt @ P("mem.w_g") + P("mem.b_g"))
             uw = np.tanh(c_star @ P("mem.w_c") + P("mem.b_c"))
             slow = g * slow + (1 - g) * uw
             acc = np.zeros(d)
@@ -408,7 +412,7 @@ def straight_line_block(h, params, cfg):
     err_norms = np.linalg.norm(n - est, axis=1)
 
     # causal controller
-    ratio = expit(P("ctrl.ratio_raw")) * (cfg.ratio_max - cfg.ratio_min) + cfg.ratio_min
+    ratio = logistic(P("ctrl.ratio_raw")) * (cfg.ratio_max - cfg.ratio_min) + cfg.ratio_min
     bits = np.zeros(t_len)
     for t in range(t_len):
         e = err_norms[:t + 1]

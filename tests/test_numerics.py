@@ -14,7 +14,7 @@ from lpcsm.model import causal_mask_bits
 from lpcsm.numerics import (
     Tensor, NumericsError, no_grad, concat,
     straight_through, gated_scan, linear, rmsnorm, ParameterStore,
-    forward_backward, grad_check, check_finite,
+    forward_backward, grad_check, check_finite, sigmoid,
 )
 
 SRC = Path(lpcsm.__file__).parent
@@ -287,6 +287,29 @@ class TestGatedScan:
 
         report = grad_check(loss, params)
         assert report.passed, report.max_rel_error
+
+
+def logistic(x):
+    """Reference logistic function, independent of `sigmoid`."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+class TestSigmoid:
+    def test_matches_reference(self):
+        x = np.linspace(-40.0, 40.0, 200_001)
+        assert np.max(np.abs(sigmoid(x) - logistic(x))) <= 2.3e-16
+
+    def test_saturates_without_overflow(self):
+        x = np.array([-1e308, -710.0, 710.0, 1e308])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y = sigmoid(x)
+        assert np.array_equal(y, [0.0, 0.0, 1.0, 1.0])
+
+    def test_scalars_give_float64(self):
+        for x in (0.25, np.array(0.25)):
+            y = sigmoid(x)
+            assert y.dtype == np.float64 and y.shape == ()
+            assert abs(y - logistic(0.25)) <= 2.3e-16
 
 
 class TestSubtraction:
