@@ -57,10 +57,7 @@ def sigmoid(x):
     float64. It is computed as 0.5 * tanh(x / 2) + 0.5, which has no exp
     to overflow: it saturates to exactly 0.0 below about -37 and to 1.0
     above about 37."""
-    y = np.tanh(x * 0.5)
-    y *= 0.5
-    y += 0.5
-    return y
+    return np.tanh(x * 0.5) * 0.5 + 0.5
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -128,12 +125,12 @@ class Tensor:
             if done:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._prev:
-                if id(p) not in visited:
+                if p not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         while topo:
@@ -280,17 +277,22 @@ def _op(data, inputs: tuple, backward) -> Tensor:
     out.data = (data if type(data) is np.ndarray and data.dtype is _F64
                 else np.asarray(data, dtype=np.float64))
     out.grad = None
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
-        out.requires_grad, out._prev, out._backward = True, inputs, backward
-    else:
-        out.requires_grad, out._prev, out._backward = False, (), None
+    if _GRAD_ENABLED:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad, out._prev, out._backward = True, inputs, backward
+                return out
+    out.requires_grad, out._prev, out._backward = False, (), None
     return out
 
 
 def _accum(t: Tensor, g) -> None:
+    """Add g's share to t.grad. The sum is rebound, never written in
+    place, because one g may be handed to both operands of an op."""
     if not t.requires_grad:
         return
-    g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
+    if not (type(g) is np.ndarray and g.dtype is _F64 and g.shape == t.data.shape):
+        g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -458,17 +460,24 @@ def keep_freed_memory() -> None:
 def forward_backward(root: Tensor, params: ParameterStore) -> dict[str, Tensor]:
     """Gradients of a scalar root w.r.t. every trainable parameter reached.
 
-    Frozen and unreachable parameters are omitted, not zero-filled. Each
-    holds its leaf's grad array itself: grads are rebound, never written
-    in place, so the next backward leaves these arrays as they are.
+    Frozen and unreachable parameters are omitted, not zero-filled. The
+    gradients are views, in store order, of one flat array made fresh by
+    each call, so a later backward or optimizer step leaves them as they
+    are. The array is checked for finiteness as a whole.
     """
     params.zero_grad()
     root.backward()
-    grads = {}
-    for name, t in params.trainable_items():
-        if t.grad is not None:
-            check_finite(t.grad, f"gradient of {name!r}")
-            grads[name] = _op(t.grad, (), None)
+    reached = [(name, t.grad) for name, t in params.trainable_items()
+               if t.grad is not None]
+    flat = (np.concatenate([g for _, g in reached], axis=None) if reached
+            else np.empty(0))
+    grads, start = {}, 0
+    for name, g in reached:
+        grads[name] = _op(flat[start:start + g.size].reshape(g.shape), (), None)
+        start += g.size
+    if not np.isfinite(flat).all():
+        for name, g in grads.items():
+            check_finite(g.data, f"gradient of {name!r}")
     return grads
 
 

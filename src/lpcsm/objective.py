@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -132,24 +133,54 @@ class SgdConfig:
 
 @dataclass
 class SgdState:
+    """Momentum-SGD state for one ParameterStore: `velocity` maps each
+    parameter updated so far to its momentum.
+
+    A step updates the parameters, gradients and momenta it is given as
+    three flat arrays, in a few whole-array passes, and then rebinds each
+    parameter's `.data` and momentum to its slice of the fresh results;
+    the arrays they held before are left as they were."""
+
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def step(self, params: ParameterStore, grads: dict[str, Tensor],
              cfg: SgdConfig) -> None:
-        """One clipped momentum update. Raises NumericsError naming the
-        first parameter it would make non-finite, and then changes neither
-        the parameters nor the velocity."""
-        norm_sq = sum(float((g.data * g.data).sum()) for g in grads.values())
-        norm = np.sqrt(norm_sq)
-        scale = 1.0 if norm <= cfg.clip_norm else cfg.clip_norm / norm
-        updates = {}
-        for name, g in grads.items():
-            v = self.velocity.get(name)
-            gd = g.data * scale
-            v = gd if v is None else cfg.momentum * v + gd
-            value = params[name].data - cfg.lr * v
-            check_finite(value, f"parameter {name!r} after the update")
-            updates[name] = v, value
-        for name, (v, value) in updates.items():
-            self.velocity[name] = v
-            params[name].data = value
+        """One clipped momentum update of the parameters named in `grads`.
+        Raises NumericsError naming the first parameter, in store order,
+        that it would make non-finite, and then changes neither the
+        parameters nor the velocity."""
+        if not grads:
+            return
+        names = list(grads)
+        data = [params[n].data for n in names]
+        ends = itertools.accumulate(d.size for d in data)
+        parts = [slice(e - d.size, e) for d, e in zip(data, ends)]
+        g = np.concatenate([grads[n].data for n in names], axis=None)
+        with np.errstate(over="ignore"):
+            sq = g * g
+        norm_sq = sum(float(np.add.reduce(sq[p])) for p in parts)
+        if not math.isfinite(norm_sq) and np.isfinite(g).all():
+            # Finite gradients whose squares overflow: the norm of g / max|g|.
+            peak = float(np.abs(g).max())
+            norm = peak * math.sqrt(float(np.square(g / peak).sum()))
+        else:
+            norm = math.sqrt(norm_sq)
+        if not norm <= cfg.clip_norm:
+            g *= cfg.clip_norm / norm
+        v = np.concatenate([self.velocity[n] if n in self.velocity
+                            else np.zeros(d.size) for n, d in zip(names, data)],
+                           axis=None)
+        v *= cfg.momentum
+        v += g
+        for n, p in zip(names, parts):
+            if n not in self.velocity:  # a first momentum is g itself, -0.0 included
+                v[p] = g[p]
+        value = np.concatenate(data, axis=None)
+        value -= cfg.lr * v
+        if not np.isfinite(value).all():
+            order = {n: k for k, n in enumerate(params.names())}
+            for n, p in sorted(zip(names, parts), key=lambda x: order[x[0]]):
+                check_finite(value[p], f"parameter {n!r} after the update")
+        for n, d, p in zip(names, data, parts):
+            params[n].data = value[p].reshape(d.shape)
+            self.velocity[n] = v[p].reshape(d.shape)

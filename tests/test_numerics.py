@@ -182,9 +182,9 @@ class TestTapeRelease:
                              - (2 * y * (1 - y * y)).sum(axis=0))) < 1e-15
 
     def test_returned_grads_outlive_the_next_step(self):
-        # forward_backward hands out the leaf grads without copying them:
-        # a parameter update and the next step's backward rebind the
-        # leaves' grads and never write into the arrays already returned.
+        # forward_backward returns views of one flat array that it makes
+        # fresh on each call: a parameter update and the next step's
+        # backward never write into the arrays already returned.
         from lpcsm.objective import SgdConfig, SgdState
 
         params, _, loss = self.graph()
@@ -215,6 +215,46 @@ class TestTapeRelease:
         # A new root over a released node reaches it and raises too.
         with pytest.raises(NumericsError, match="released"):
             (hidden * 2.0).sum().backward()
+
+
+class TestFlatGradients:
+    """forward_backward and the optimizer check one flat buffer each."""
+
+    def test_forward_backward_names_the_first_bad_gradient(self):
+        params = ParameterStore()
+        for name in ("a", "b", "c"):
+            params.add(name, np.ones(2))
+        # c's term is on the tape first; b and c get infinite gradients.
+        loss = ((params["c"] * np.inf).sum() + (params["a"] * 2.0).sum()
+                + (params["b"] * np.inf).sum())
+        with pytest.raises(NumericsError, match="gradient of 'b'"):
+            forward_backward(loss, params)
+
+    def test_finite_step_checks_do_not_grow_with_the_store(self, monkeypatch):
+        from lpcsm import numerics, objective
+        from lpcsm.objective import SgdConfig, SgdState
+
+        calls = []
+        real = numerics.check_finite
+        def counting(arr, what="value"):
+            calls.append(what)
+            real(arr, what)
+        monkeypatch.setattr(numerics, "check_finite", counting)
+        monkeypatch.setattr(objective, "check_finite", counting)
+
+        def counts(n):
+            params = ParameterStore()
+            for i in range(n):
+                params.add(f"p{i}", np.full(3, 0.01 * i))
+            loss = sum(((params[f"p{i}"] * params[f"p{i}"]).sum()
+                        for i in range(n)), Tensor(0.0))
+            del calls[:]
+            grads = forward_backward(loss, params)
+            in_backward = len(calls)
+            SgdState().step(params, grads, SgdConfig())
+            return in_backward, len(calls) - in_backward
+
+        assert counts(2) == counts(200)
 
 
 class TestGatedScan:

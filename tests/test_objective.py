@@ -1,6 +1,8 @@
 """Five-term objective: each loss term's degenerate values, additivity,
 zero-weight skipping, and the optimizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,70 @@ class TestOptimizer:
         # Global norm 5 clips to 1: the update direction is preserved.
         assert abs(params["a"].data[0] + 0.6) < 1e-12
         assert abs(params["b"].data[0] + 0.8) < 1e-12
+
+    def test_global_clip_when_the_squared_norm_overflows(self):
+        # Every gradient is finite, but 3e200 ** 2 is not: the clipped
+        # step still moves the parameters, without a warning.
+        params = ParameterStore()
+        params.add("a", np.array([0.0]))
+        params.add("b", np.array([0.0]))
+        opt = SgdState()
+        g = {"a": Tensor(np.array([3e200])), "b": Tensor(np.array([4e200]))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt.step(params, g, SgdConfig(lr=1.0, momentum=0.0, clip_norm=1.0))
+        assert abs(params["a"].data[0] + 0.6) < 1e-12
+        assert abs(params["b"].data[0] + 0.8) < 1e-12
+        assert abs(opt.velocity["a"][0] - 0.6) < 1e-12
+
+    @staticmethod
+    def three_params():
+        params = ParameterStore()
+        for name, value in (("a", [1.0, 2.0]), ("b", [3.0]), ("c", [[4.0, 5.0]])):
+            params.add(name, np.array(value))
+        return params
+
+    def test_parameter_without_gradient_keeps_value_and_momentum(self):
+        params, opt = self.three_params(), SgdState()
+        cfg = SgdConfig(lr=0.5, momentum=0.5, clip_norm=100.0)
+        opt.step(params, {n: Tensor(np.ones(params[n].shape))
+                          for n in ("a", "b", "c")}, cfg)
+        b, v_b = params["b"].data.copy(), opt.velocity["b"].copy()
+        opt.step(params, {n: Tensor(np.ones(params[n].shape))
+                          for n in ("a", "c")}, cfg)
+        assert np.array_equal(params["b"].data, b)
+        assert np.array_equal(opt.velocity["b"], v_b)
+        # v = 0.5 * 1 + 1 and a = 1 - 0.5 - 0.5 * 1.5 for a and c.
+        assert np.array_equal(params["a"].data, [-0.25, 0.75])
+        assert np.array_equal(params["c"].data, [[2.75, 3.75]])
+        assert np.array_equal(opt.velocity["c"], [[1.5, 1.5]])
+
+    def test_rebound_data_is_what_the_next_step_updates(self):
+        params, opt = self.three_params(), SgdState()
+        cfg = SgdConfig(lr=1.0, momentum=0.5, clip_norm=100.0)
+        grads = {n: Tensor(np.ones(params[n].shape)) for n in ("a", "b", "c")}
+        opt.step(params, grads, cfg)
+        params["b"].data = np.array([10.0])
+        opt.step(params, grads, cfg)
+        assert np.array_equal(params["b"].data, [10.0 - 1.5])
+        assert np.array_equal(params["a"].data, [1.0 - 1.0 - 1.5, 2.0 - 1.0 - 1.5])
+
+    def test_refused_update_names_the_first_in_store_order(self):
+        params, opt = self.three_params(), SgdState()
+        cfg = SgdConfig(lr=1.0, momentum=0.5, clip_norm=1e301)
+        opt.step(params, {n: Tensor(np.ones(params[n].shape))
+                          for n in ("a", "b", "c")}, cfg)
+        values = {n: t.data.copy() for n, t in params.items()}
+        velocity = {n: v.copy() for n, v in opt.velocity.items()}
+        # c precedes b in the grads, and both overflow at lr=1e10.
+        grads = {"c": Tensor(np.full((1, 2), 1e300)), "a": Tensor(np.ones(2)),
+                 "b": Tensor(np.array([-1e300]))}
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericsError, match="'b' after the update"):
+            opt.step(params, grads, SgdConfig(lr=1e10, momentum=0.5,
+                                              clip_norm=1e301))
+        for n, t in params.items():
+            assert np.array_equal(t.data, values[n]), n
+        assert opt.velocity.keys() == velocity.keys()
+        for n, v in opt.velocity.items():
+            assert np.array_equal(v, velocity[n]), n
