@@ -166,15 +166,16 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
     inv_temp = 1.0 / p.temperature
     rising = scale >= 0.0           # scores weakly follow the norms' order
 
-    # Per position, sequence by sequence: the hard bit, s_t - s_theta
-    # (exact), dz/de (1/den, or 1/eps on a flat row), the prefix mean,
-    # sqrt(var) (0 on a flat row), and the threshold's position and norm.
-    hards, diffs, slopes, mus, sds, thetas, theta_norms = ([] for _ in range(7))
+    # Per position, sequence by sequence, one record: the hard bit,
+    # s_t - s_theta (exact), dz/de (1/den, or 1/eps on a flat row), the
+    # prefix mean, sqrt(var) (0 on a flat row), and the threshold's
+    # position and norm. A score is (z * scale + bias) * inv_temp, with
+    # z = (v - m) / den, or (v - m) * (1/eps) on a flat row.
+    records = []
     for b in range(batch):
         values, index, moments = all_values[b], all_index[b], all_moments[b]
         total, m, m2 = moments
-        for r, x in enumerate(rows[b].tolist()):
-            t = start + r
+        for t, x in enumerate(rows[b].tolist(), start):
             n = t + 1
             pos = bisect_right(values, x)
             values.insert(pos, x)
@@ -184,18 +185,11 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
             var = m2 / n
             flat = var == 0.0
             if flat:
-                inv = 1.0 / SCORE_STD_EPS
-                slopes.append(inv)
-                sds.append(0.0)
+                sd, slope = 0.0, 1.0 / SCORE_STD_EPS
             else:
-                root = math.sqrt(var)
-                den = root + SCORE_STD_EPS
-                slopes.append(1.0 / den)
-                sds.append(root)
-
-            def score(v):
-                z = (v - m) * inv if flat else (v - m) / den
-                return (z * scale + bias) * inv_temp
+                sd = math.sqrt(var)
+                den = sd + SCORE_STD_EPS
+                slope = 1.0 / den
 
             # hard_mask's threshold is the k-th score of its stable
             # descending order: the (k - #greater)-th, in position order,
@@ -203,31 +197,39 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
             # sorted prefix.
             k = int(math.ceil(ratio * n))
             v = values[n - k if rising else k - 1]
-            s_theta = score(v)
+            s_theta = (((v - m) * slope if flat else (v - m) / den)
+                       * scale + bias) * inv_temp
             lo, hi = bisect_left(values, v), bisect_right(values, v)
-            while lo > 0 and score(values[lo - 1]) == s_theta:
-                lo = bisect_left(values, values[lo - 1], 0, lo)
-            while hi < n and score(values[hi]) == s_theta:
-                hi = bisect_right(values, values[hi], hi)
+            while lo > 0:
+                u = values[lo - 1]
+                if (((u - m) * slope if flat else (u - m) / den)
+                        * scale + bias) * inv_temp != s_theta:
+                    break
+                lo = bisect_left(values, u, 0, lo)
+            while hi < n:
+                u = values[hi]
+                if (((u - m) * slope if flat else (u - m) / den)
+                        * scale + bias) * inv_temp != s_theta:
+                    break
+                hi = bisect_right(values, u, hi)
             rank = k - (n - hi if rising else lo) - 1
             if values[lo] == values[hi - 1]:
                 j, v_j = index[lo + rank], v
             else:  # rounding merged distinct norms into one score
                 j, v_j = sorted(zip(index[lo:hi], values[lo:hi]))[rank]
 
-            s_own = score(x)
-            hards.append(s_own > s_theta or j == t)
-            diffs.append(s_own - s_theta)
-            mus.append(m)
-            thetas.append(j)
-            theta_norms.append(v_j)
+            s_own = (((x - m) * slope if flat else (x - m) / den)
+                     * scale + bias) * inv_temp
+            records.append((s_own > s_theta or j == t, s_own - s_theta,
+                            slope, m, sd, j, v_j))
         moments[:] = total, m, m2
-    hard, diff = np.array([hards, diffs]).reshape((2,) + e.shape)
+    fields = np.array(records).reshape(batch, span, 7)
+    hard, diff = (np.ascontiguousarray(fields[..., i]).reshape(e.shape)
+                  for i in (0, 1))
     soft_vals = sigmoid(diff)
     def bw(g):
-        slope, mu, sd, norm_theta = np.array(
-            [slopes, mus, sds, theta_norms]).reshape(4, batch, span)
-        theta = np.array(thetas, dtype=np.int64).reshape(batch, span) - start
+        slope, mu, sd, theta, norm_theta = np.moveaxis(fields[..., 2:], -1, 0)
+        theta = theta.astype(np.int64) - start
         y = soft_vals.reshape(batch, span)
         g = g.reshape(batch, span)
         gs = g * y * (1.0 - y) * inv_temp  # d/d(s_t - s_theta)

@@ -100,7 +100,7 @@ def slow_write(fast: Tensor, n: Tensor, state: MemoryState, chunk_size: int,
     # gates do not depend on the slow state, so they are computed for all
     # writes at once; the gates' matmul is stacked, since a 2-D [K*B, d]
     # one rounds unlike each write's [B, d] one.
-    c_star, write = np.empty((2, k_count, batch, d))
+    write = np.empty((k_count, batch, d))
     summary = np.empty((k_count, batch, d))
     summary[0] = (chunk_sum.data.reshape(-1, d)
                   + fast_rows[:, :ends[0]].sum(axis=1)) * scale
@@ -110,11 +110,14 @@ def slow_write(fast: Tensor, n: Tensor, state: MemoryState, chunk_size: int,
     keep = 1.0 - gate
     states = np.empty((k_count + 1, batch, d))
     states[0] = slow.data.reshape(-1, d)
-    for k in range(k_count):
-        c_star[k] = (transport_array(alpha_n, summary[k], states[k])
-                     if transported else summary[k])
-        write[k] = np.tanh(c_star[k] @ w_c.data + b_c.data)
-        states[k + 1] = gate[k] * states[k] + keep[k] * write[k]
+    c_star = np.empty_like(write) if transported else summary
+    for c, c_t, w_t, g_t, keep_t, prev, nxt in zip(
+            summary, c_star, write, gate, keep, states, states[1:]):
+        if transported:
+            c_t[...] = transport_array(alpha_n, c, prev)
+        np.tanh(np.add(c_t @ w_c.data, b_c.data, out=w_t), out=w_t)
+        np.multiply(g_t, prev, out=nxt)
+        nxt += keep_t * w_t
 
     def bw(g):
         g = batch_major(g.reshape(batch, k_count + 1, d))
@@ -122,16 +125,19 @@ def slow_write(fast: Tensor, n: Tensor, state: MemoryState, chunk_size: int,
         # and of the mean
         g_state, g_write, g_summary = np.empty((3, k_count, batch, d))
         g_carry = np.zeros((batch, d))  # dL/dslow from later writes
-        for k in range(k_count - 1, -1, -1):
-            g_state[k] = g_carry + g[k + 1]
-            g_write[k] = (g_state[k] * keep[k]
-                          * (1.0 - write[k] * write[k]))
-            g_c = g_write[k] @ w_c.data.T
-            g_carry = g_state[k] * gate[k]
+        d_tanh = 1.0 - write * write
+        for g_k, gs, gw, g_sum, keep_t, dt, g_t, c, prev in zip(*(
+                x[::-1] for x in (g[1:], g_state, g_write, g_summary, keep,
+                                  d_tanh, gate, summary, states[:-1]))):
+            np.add(g_carry, g_k, out=gs)
+            np.multiply(gs, keep_t, out=gw)
+            gw *= dt
+            g_c = gw @ w_c.data.T
+            np.multiply(gs, g_t, out=g_carry)
             if transported:
-                g_c, g_m = transport_vjp(alpha_n, summary[k], states[k], g_c)
+                g_c, g_m = transport_vjp(alpha_n, c, prev, g_c)
                 g_carry += g_m
-            g_summary[k] = g_c * scale
+            np.multiply(g_c, scale, out=g_sum)
         # dL/d of the gate's pre-activation
         g_gate = g_state * (states[:-1] - write) * gate * keep
         g_fast = np.zeros_like(fast_rows)

@@ -33,6 +33,14 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
     overflows, or marginals that are not finite after the `iters` passes
     (a line of exp(logits) that underflows to 0), raise NumericsError at
     once, without a RuntimeWarning.
+
+    A full pass that returns m bitwise unchanged is a fixed point: every
+    later pass would compute the same sums and the same m. So the loop
+    stops there, and the backward runs that pass's adjoint once for each
+    forced pass left, until it too returns its gradient bitwise
+    unchanged. The output and the gradient are those of running every
+    pass. Zero logits, mHC's init, reach the fixed point on the second
+    pass.
     """
     logits = _wrap(logits)
     if iters < 1:
@@ -43,26 +51,40 @@ def sinkhorn_normalize(logits: Tensor, iters: int) -> Tensor:
         m0 = np.exp(logits.data)
     check_finite(m0, "sinkhorn exp(logits)")
     m, passes = m0, []  # passes: (axis, divisor, output) in forward order
+    repeats = 0  # forced passes left at the fixed point
     # A line of exp(logits) that underflows to 0 divides 0 by 0 in its
     # pass; the marginal check raises on the NaNs that leaves.
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(iters + MAX_EXTRA_PASSES):
+            before = m
             for axis in (1, 0):
                 s = m.sum(axis=axis, keepdims=True)
                 m = m / s
                 passes.append((axis, s, m))
-            if i + 1 >= iters:
+            fixed = m.tobytes() == before.tobytes()
+            if fixed:  # no later pass moves m
+                repeats = max(iters - i - 1, 0)
+            if fixed or i + 1 >= iters:
                 residual = _marginal_residual(m)
                 if residual <= MARGINAL_TOL:
                     break
                 check_finite(residual, "sinkhorn marginals")
-        else:
-            raise NumericsError(
-                "sinkhorn failed to reach doubly-stochastic marginals")
-    def bw(g):
-        for axis, s, y in reversed(passes):
+                if fixed:
+                    break
+    if residual > MARGINAL_TOL:
+        raise NumericsError(
+            "sinkhorn failed to reach doubly-stochastic marginals")
+    def adjoint(g, steps):
+        for axis, s, y in reversed(steps):
             g = (g - (g * y).sum(axis=axis, keepdims=True)) / s
-        _accum(logits, g * m0)
+        return g
+
+    def bw(g):
+        for _ in range(repeats):
+            before, g = g, adjoint(g, passes[-2:])
+            if g.tobytes() == before.tobytes():
+                break
+        _accum(logits, adjoint(g, passes) * m0)
     return _op(m, (logits,), bw)
 
 

@@ -61,9 +61,14 @@ def sigmoid(x):
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
+    """Reduce a broadcast gradient back to the operand's shape.
+
+    A size-1 leading axis that another sum over axis 0 follows is taken
+    as g[0], not summed: the floats are the same, since numpy's sums start
+    from +0.0, and so the next sum turns each -0.0 into +0.0 as the
+    skipped one would have."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = g[0] if len(g) == 1 and g.ndim > len(shape) + 1 else g.sum(axis=0)
     for i, s in enumerate(shape):
         if s == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
@@ -329,16 +334,16 @@ def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
     wr = b.data.reshape(steps).swapaxes(0, -2)
     rows = np.empty_like(dec)  # laid out as the input is
     f = f0.data
-    for t in range(len(rows)):
-        f = np.multiply(dec[t], f, out=rows[t])
-        f += wr[t]
+    for d_t, w_t, row in zip(dec, wr, rows):
+        f = np.multiply(d_t, f, out=row)
+        f += w_t
     def bw(g):
         g = g.reshape(steps).swapaxes(0, -2)
         g_wr = np.empty_like(dec)  # dL/df_t, from step t and later ones
         carry = np.zeros(dec.shape[1:])  # dL/df_t from later steps
-        for t in range(len(rows) - 1, -1, -1):
-            g_wr[t] = carry + g[t]
-            carry = g_wr[t] * dec[t]
+        for g_t, d_t, out in zip(g[::-1], dec[::-1], g_wr[::-1]):
+            np.add(carry, g_t, out=out)
+            np.multiply(out, d_t, out=carry)
         g_dec = g_wr * np.concatenate([f0.data[None], rows[:-1]])
         _accum(a, g_dec.swapaxes(0, -2).reshape(shape))
         _accum(b, g_wr.swapaxes(0, -2).reshape(shape))
@@ -363,7 +368,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     axes, one row as [1, k], since BLAS picks a kernel, and so its
     rounding, by shape."""
     try:
-        data = x.data @ w.data + b.data
+        data = x.data @ w.data
+        data += b.data
     except ValueError as e:
         raise NumericsError(
             f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}") from e
@@ -384,11 +390,15 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
         raise NumericsError("rmsnorm on zero-length last axis")
     if gain.shape != (x.shape[-1],):
         raise NumericsError("rmsnorm gain length mismatch")
-    rms = np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + eps)
+    n = x.shape[-1]
+    # add.reduce / n is .mean()'s arithmetic without its dispatch.
+    rms = np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / n
+                  + eps)
     xhat = x.data / rms
     def bw(g):
         gx = g * gain.data
-        _accum(x, (gx - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / rms)
+        dot = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
+        _accum(x, (gx - xhat * dot) / rms)
         _accum(gain, g * xhat)
     return _op(xhat * gain.data, (x, gain), bw)
 

@@ -41,13 +41,16 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
-def _split(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split(c: np.ndarray, m: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """(zero, p): per row, whether m lies below the zero floor, [..., 1],
-    and the component p of c aligned with m, 0 on those rows. The norm is
-    np.linalg.norm(m, axis=-1)'s, without its dispatch."""
+    or None when no row does, and the component p of c aligned with m, 0
+    on those rows. The norm is np.linalg.norm(m, axis=-1)'s, without its
+    dispatch."""
     _check_lengths(c, m)
     mm = _row_sum(m * m)
     zero = np.sqrt(mm) < ZERO_NORM_FLOOR
+    if not zero.any():  # np.where would select every row's own value
+        return None, m * (_row_sum(c * m) / mm)
     # Zero rows divide by 1 in place of <m, m>; np.where drops them.
     ratio = _row_sum(c * m) / np.where(zero, 1.0, mm)
     return zero, np.where(zero, 0.0, m * ratio)
@@ -68,7 +71,8 @@ def transport_array(alpha: float, c: np.ndarray, m: np.ndarray) -> np.ndarray:
     zero reference the whole summary is novelty, so the transport is
     exactly the unconstrained amplification (1 + alpha) c."""
     zero, p = _split(c, m)
-    return np.where(zero, c * (1.0 + alpha), c + (c - p) * alpha)
+    x = c + (c - p) * alpha
+    return x if zero is None else np.where(zero, c * (1.0 + alpha), x)
 
 
 def transport_vjp(alpha: float, c: np.ndarray, m: np.ndarray,
@@ -81,13 +85,16 @@ def transport_vjp(alpha: float, c: np.ndarray, m: np.ndarray,
     x = (1+alpha) c does not depend on m."""
     mm = _row_dot(m, m)
     zero = np.sqrt(mm) < ZERO_NORM_FLOOR
-    mm = np.where(zero, 1.0, mm)
+    some_zero = zero.any()  # else np.where would select every row's own value
+    if some_zero:
+        mm = np.where(zero, 1.0, mm)
     s = _row_dot(c, m) / mm
     gm_ratio = _row_dot(g, m) / mm
-    g_c = np.where(zero, g * (1.0 + alpha),
-                   (1.0 + alpha) * g - (alpha * gm_ratio) * m)
-    g_m = np.where(zero, 0.0,
-                   -alpha * (s * g + gm_ratio * (c - (2.0 * s) * m)))
+    g_c = (1.0 + alpha) * g - (alpha * gm_ratio) * m
+    g_m = -alpha * (s * g + gm_ratio * (c - (2.0 * s) * m))
+    if some_zero:
+        g_c = np.where(zero, g * (1.0 + alpha), g_c)
+        g_m = np.where(zero, 0.0, g_m)
     return g_c, g_m
 
 

@@ -2,13 +2,37 @@
 pre-mix / transport / post-mix path."""
 
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpcsm import mhc
+from lpcsm.config import load_run_config
+from lpcsm.model import init_params
 from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
 from lpcsm.mhc import sinkhorn_normalize, mhc_route, route_gain
+from lpcsm.train import train
+
+CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+def every_pass_sinkhorn(logits, iters, g):
+    """Sinkhorn that runs every pass, with no fixed-point stop: its output
+    and the logits' gradient for an upstream gradient g."""
+    m0 = np.exp(logits)
+    m, passes = m0, []
+    for i in range(iters + mhc.MAX_EXTRA_PASSES):
+        for axis in (1, 0):
+            s = m.sum(axis=axis, keepdims=True)
+            m = m / s
+            passes.append((axis, s, m))
+        if i + 1 >= iters and mhc._marginal_residual(m) <= mhc.MARGINAL_TOL:
+            break
+    for axis, s, y in reversed(passes):
+        g = (g - (g * y).sum(axis=axis, keepdims=True)) / s
+    return m, g * m0
 
 
 class TestSinkhorn:
@@ -80,6 +104,24 @@ class TestSinkhorn:
             if passes >= 3 and mhc._marginal_residual(m.data) <= mhc.MARGINAL_TOL:
                 break
         assert np.array_equal(out.data, m.data)
+
+    @pytest.mark.parametrize("iters", [1, 2, 20])
+    @pytest.mark.parametrize("kind", ["zero", "rank-one", "random"])
+    def test_same_bytes_as_every_pass(self, kind, iters):
+        # Zero and rank-one (a_i + b_j) logits reach the fixed point on
+        # passes 2 and 3, before 20 forced passes end; these random ones
+        # reach the marginal tolerance first.
+        rng = np.random.default_rng(11)
+        logits = {"zero": np.zeros((4, 4)),
+                  "rank-one": rng.uniform(-2, 2, (4, 1)) + rng.uniform(-2, 2, 4),
+                  "random": rng.uniform(-3, 3, (4, 4))}[kind]
+        weights = rng.standard_normal((4, 4))
+        t = Tensor(logits, requires_grad=True)
+        out = sinkhorn_normalize(t, iters)
+        (out * Tensor(weights)).sum().backward()
+        m, g = every_pass_sinkhorn(logits, iters, weights)
+        assert out.data.tobytes() == m.tobytes()
+        assert t.grad.tobytes() == g.tobytes()
 
     def test_grad_check_covers_extra_passes(self, monkeypatch):
         logits = np.random.default_rng(8).uniform(-5, 5, (4, 4))
@@ -210,3 +252,27 @@ class TestRoute:
             return (out * out).sum()
 
         assert grad_check(loss, params).passed
+
+
+class TestTransportFromInit:
+    """From mHC's default init (pre = 1, post = 1/S, logits = 0) the logits'
+    gradient is exactly 0 and pre and post each get one update for all
+    streams, so training moves only the gain S * p * q: the transport
+    never trains, and Sinkhorn only ever sees zero logits."""
+
+    @pytest.mark.parametrize("streams", [4, 3])
+    def test_copy_run_keeps_transport_at_init(self, streams):
+        run = load_run_config(str(CONFIGS / "train-copy-t64.yaml"))
+        run = replace(run, model=replace(run.model, mhc_streams=streams))
+        init = init_params(run.model, seed=run.train.seed)
+        params = train(run, steps=20).params
+        routed = [n[:-len("logits")] for n in params.names()
+                  if n.endswith("mhc.logits")]
+        assert len(routed) == run.model.layers
+        for p in routed:
+            assert (params[p + "logits"].data.tobytes()
+                    == init[p + "logits"].data.tobytes())
+            for name in (p + "pre", p + "post"):
+                assert np.ptp(params[name].data) == 0.0
+            # the gain did train
+            assert not np.array_equal(params[p + "pre"].data, init[p + "pre"].data)

@@ -14,7 +14,7 @@ from lpcsm.model import causal_mask_bits
 from lpcsm.numerics import (
     Tensor, NumericsError, no_grad, concat,
     straight_through, gated_scan, linear, rmsnorm, ParameterStore,
-    forward_backward, grad_check, check_finite, sigmoid,
+    forward_backward, grad_check, check_finite, sigmoid, _accum,
 )
 
 SRC = Path(lpcsm.__file__).parent
@@ -255,6 +255,29 @@ class TestFlatGradients:
             return in_backward, len(calls) - in_backward
 
         assert counts(2) == counts(200)
+
+
+class TestUnbroadcast:
+    """A size-1 leading axis is taken, not summed, only when another sum
+    over axis 0 follows; the bytes are those of summing every axis."""
+
+    def test_size_one_batch_into_bias(self):
+        g = np.random.default_rng(3).standard_normal((1, 6, 4))
+        g[0, :, 1] = -0.0  # a column that sums to zero
+        g[0, 2, 0] = -0.0
+        bias = Tensor(np.zeros(4), requires_grad=True)
+        _accum(bias, g)
+        expected = g.sum(axis=0).sum(axis=0)
+        assert bias.grad.tobytes() == expected.tobytes()
+        assert not np.signbit(bias.grad[1])
+
+    def test_size_one_row_into_bias_still_sums(self):
+        g = np.array([[-0.0, 1.5, -0.0]])
+        bias = Tensor(np.zeros(3), requires_grad=True)
+        _accum(bias, g)
+        # g[0] would keep the -0.0 entries; the sum gives +0.0.
+        assert bias.grad.tobytes() == g.sum(axis=0).tobytes()
+        assert not np.signbit(bias.grad).any()
 
 
 class TestGatedScan:

@@ -8,7 +8,7 @@ import pytest
 from lpcsm.numerics import NumericsError
 from lpcsm.ont import (
     ont_proj, ont_novelty, ont_oracle_min, ont_write_objective,
-    transport_array, transport_vjp, verify_properties,
+    transport_array, transport_vjp, verify_properties, ZERO_NORM_FLOOR,
 )
 
 
@@ -197,3 +197,29 @@ class TestPropertySuite:
             row_c, row_m = transport_vjp(0.4, c[i], m[i], g[i])
             assert np.array_equal(g_c[i], row_c)
             assert np.array_equal(g_m[i], row_m)
+
+    def test_batch_without_zero_row_matches_where_form(self):
+        # With no row below the floor the transport and its VJP skip
+        # np.where; the floats are those of the np.where form.
+        rng = np.random.default_rng(9)
+        c, m, g = (rng.standard_normal((5, 7)) for _ in range(3))
+        alpha = 0.7
+        mm = (m * m).sum(axis=-1, keepdims=True)
+        zero = np.sqrt(mm) < ZERO_NORM_FLOOR
+        assert not zero.any()
+        ratio = (c * m).sum(axis=-1, keepdims=True) / np.where(zero, 1.0, mm)
+        p = np.where(zero, 0.0, m * ratio)
+        x = np.where(zero, c * (1.0 + alpha), c + (c - p) * alpha)
+        assert transport_array(alpha, c, m).tobytes() == x.tobytes()
+
+        def dot(a, b):
+            return (a[..., None, :] @ b[..., :, None])[..., 0]
+        mm = np.where(zero, 1.0, dot(m, m))
+        s, gm_ratio = dot(c, m) / mm, dot(g, m) / mm
+        g_c = np.where(zero, g * (1.0 + alpha),
+                       (1.0 + alpha) * g - (alpha * gm_ratio) * m)
+        g_m = np.where(zero, 0.0,
+                       -alpha * (s * g + gm_ratio * (c - (2.0 * s) * m)))
+        got_c, got_m = transport_vjp(alpha, c, m, g)
+        assert got_c.tobytes() == g_c.tobytes()
+        assert got_m.tobytes() == g_m.tobytes()

@@ -14,8 +14,10 @@ runs one op of each tree, A first in even rounds and B first in odd ones
 (ABBA). A train op is one `train()` call of the workload's steps from the
 config's seed, timed per step as perfbench times it, and its time is the
 median step; a decode op is one greedy `generate` of the workload's new
-tokens after the prompt of the task's first batch, and its time is the
-call's wall time, prefill included, per generated token. Each workload
+tokens after the prompt of the task's first batch, with each
+`runtime.step_decode` call timed as perfbench's `StepClock` times it, and
+its time is the median of the last max_new calls, one per generated
+token, so the prefill is left out. Each workload
 prints one row: each side's median op time in ms, the median of the
 rounds' B/A ratios, the number of rounds B was faster in, and whether
 every op of both trees gave the same output (the losses of every step,
@@ -71,10 +73,21 @@ class Side:
             clock = RowClock()
             self.train.train(self.run, steps=self.w.steps, metrics_out=clock)
             return 1e3 * statistics.median(clock.step_seconds()), clock.losses()
-        t0 = time.perf_counter()
-        out = self.runtime.generate(self.prompt, self.w.max_new, self.params,
-                                    self.run.model)
-        return 1e3 * (time.perf_counter() - t0) / self.w.max_new, out
+        seconds, original = [], self.runtime.step_decode
+
+        def timed(*args, **kwargs):  # generate() looks the name up per token
+            t0 = time.perf_counter()
+            out = original(*args, **kwargs)
+            seconds.append(time.perf_counter() - t0)
+            return out
+
+        self.runtime.step_decode = timed
+        try:
+            out = self.runtime.generate(self.prompt, self.w.max_new,
+                                        self.params, self.run.model)
+        finally:
+            self.runtime.step_decode = original
+        return 1e3 * statistics.median(seconds[-self.w.max_new:]), out
 
 
 def compare(a: Side, b: Side, rounds: int) -> tuple[float, float, float, int, bool]:
