@@ -16,12 +16,6 @@ from .numerics import Tensor, ParameterStore, NumericsError, linear, _op, _accum
 MASK_VALUE = -1e30
 
 
-def _require(params: ParameterStore, names: list[str]) -> None:
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise NumericsError(f"missing attention parameters: {missing}")
-
-
 def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
     """Windowed attention of the T rows of q over the rows of k and v, the
     last T of which sit at the queries' positions. q is [T, d] or a batch
@@ -115,7 +109,6 @@ def local_attention(hidden: Tensor, rows: Tensor, window: int, heads: int,
     rows it may attend to, within the window: earlier rows, if any, then
     the span's own T rows, shaped alike.
     """
-    _require(params, [prefix + n for n in ("w_qkv", "b_qkv", "w_o", "b_o")])
     d = hidden.shape[-1]
     qkv = linear(rows, params[prefix + "w_qkv"], params[prefix + "b_qkv"])
     q = qkv[..., -hidden.shape[-2]:, 0:d]
@@ -128,9 +121,6 @@ def latent_attention(hidden: Tensor, rows: Tensor, window: int, heads: int,
                      params: ParameterStore, prefix: str = "attn.") -> Tensor:
     """Latent-KV variant: keys/values lifted from a compressed bottleneck.
     `rows` is as in `local_attention`."""
-    _require(params, [prefix + n for n in
-                      ("w_q", "b_q", "w_z", "b_z", "w_k_up", "b_k_up",
-                       "w_v_up", "b_v_up", "w_o", "b_o")])
     q = linear(hidden, params[prefix + "w_q"], params[prefix + "b_q"])
     z = linear(rows, params[prefix + "w_z"], params[prefix + "b_z"])
     k = linear(z, params[prefix + "w_k_up"], params[prefix + "b_k_up"])

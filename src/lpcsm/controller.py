@@ -1,13 +1,12 @@
 """Learned sparse event controller: normalized error scores, a learned
-bias-scale transform with temperature, and a straight-through hard
-threshold at a learnable bounded density.
+scale with temperature, and a straight-through hard threshold at a
+learnable bounded density.
 
-`event_scores` and `hard_mask` define the mask of one sequence;
-`causal_mask_bits`, a span's mask, gives every position the bit those two
-assign it within its own prefix, for all positions of a span at once, at
-the ratio it clamps. The prefix a sequence carries from span to span is
-this module's alone: `empty_prefix` creates it and `causal_mask_bits`
-reads and advances it."""
+`causal_mask_bits`, a span's mask, gives every position the top-ratio
+bit of the scores of its own prefix, for all positions of a span at
+once, at the ratio it clamps. The prefix a sequence carries from span to
+span is this module's alone: `empty_prefix` creates it and
+`causal_mask_bits` reads and advances it."""
 
 from __future__ import annotations
 
@@ -17,28 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    Tensor, NumericsError, _wrap, _op, _accum, sigmoid, straight_through,
-)
+from .numerics import Tensor, _wrap, _op, _accum, sigmoid, straight_through
 
 SCORE_STD_EPS = 1e-6
 
 
 @dataclass
 class ControllerParams:
-    bias: Tensor
     scale: Tensor
     temperature: float
     ratio_raw: Tensor
     ratio_min: float
     ratio_max: float
-
-
-@dataclass
-class EventMask:
-    hard: Tensor
-    soft: Tensor
-    effective_ratio: float
 
 
 def ratio_raw_init(target: float, ratio_min: float, ratio_max: float) -> float:
@@ -76,61 +65,6 @@ def empty_prefix(batch: tuple = ()) -> tuple:
             np.zeros(batch + (3,)).tolist())
 
 
-def event_scores(error_norms: Tensor, p: ControllerParams) -> Tensor:
-    """Normalize errors (population std), apply bias-scale and temperature.
-
-    The mean and variance are welford_step's, in Tensor ops: each float
-    is the same, and the gradient is the tape's own."""
-    e = _wrap(error_norms)
-    if e.ndim != 1 or e.shape[0] < 1:
-        raise NumericsError("event_scores expects a nonempty [T] vector")
-    total = mu = m2 = Tensor(0.0)
-    for i in range(e.shape[0]):
-        x = e[i]
-        total = total + x
-        new = total / (i + 1)
-        m2 = m2 + (x - mu) * (x - new)
-        mu = new
-        if float(m2.data) < 0.0:
-            m2 = Tensor(0.0)
-    centered = e - mu
-    var = m2 / e.shape[0]
-    if float(var.data) == 0.0:
-        # Degenerate prefix (constant errors): sqrt has no gradient at 0,
-        # and the eps-floored denominator is the correct limit anyway.
-        z = centered * (1.0 / SCORE_STD_EPS)
-    else:
-        z = centered / (var.sqrt() + SCORE_STD_EPS)
-    return (z * p.scale + p.bias) * (1.0 / p.temperature)
-
-
-def hard_mask(scores: Tensor, ratio: float) -> EventMask:
-    """Top-ceil(ratio*T) binary mask with index tie-break; straight-through.
-
-    The threshold is the smallest selected score; ties resolve toward the
-    lower index so the cardinality is exact. The hard tensor's backward
-    pass is the sigmoid soft path around the (detached) threshold.
-    """
-    scores = _wrap(scores)
-    t_len = scores.shape[0]
-    if not (0.0 < ratio <= 1.0):
-        raise NumericsError("mask ratio must lie in (0, 1]")
-    k = int(math.ceil(ratio * t_len))
-    order = np.argsort(-scores.data, kind="stable")
-    selected = order[:k]
-    hard_vals = np.zeros(t_len)
-    hard_vals[selected] = 1.0
-    # The threshold is the smallest selected score, kept differentiable so
-    # the soft path is a locally exact function of the scores.
-    theta = scores[int(order[k - 1])]
-    soft = (scores - theta).sigmoid()
-    return EventMask(
-        hard=straight_through(hard_vals, soft),
-        soft=soft,
-        effective_ratio=k / t_len,
-    )
-
-
 def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
                      prefix: tuple | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Causal event bits of a span that continues a carried prefix:
@@ -138,7 +72,9 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
 
     Position t gets the bit that hard_mask(event_scores(e[:t+1]), ratio)
     gives it, hard and soft, with the ratio clamped once per span; so
-    teacher forcing and incremental decode agree. `error_norms` is a [T]
+    teacher forcing and incremental decode agree. Those two functions,
+    the mask of one whole sequence, are the reference this one is tested
+    against, in tests/reference_controller.py. `error_norms` is a [T]
     span, or a [B, T] batch, each row its own sequence. `prefix`
     (empty_prefix) holds the norms before the span, sorted, and their
     moments; each position of the span is advanced into it in place, so a
@@ -162,14 +98,14 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
         prefix if e.ndim > 1 else ([prefix[0]], [prefix[1]], [prefix[2]]))
     batch, span, start = len(all_values), e.shape[-1], len(all_values[0])
     rows = e.data.reshape(batch, span)  # one row per sequence
-    scale, bias = float(p.scale.data), float(p.bias.data)
+    scale = float(p.scale.data)
     inv_temp = 1.0 / p.temperature
     rising = scale >= 0.0           # scores weakly follow the norms' order
 
     # Per position, sequence by sequence, one record: the hard bit,
     # s_t - s_theta (exact), dz/de (1/den, or 1/eps on a flat row), the
     # prefix mean, sqrt(var) (0 on a flat row), and the threshold's
-    # position and norm. A score is (z * scale + bias) * inv_temp, with
+    # position and norm. A score is z * scale * inv_temp, with
     # z = (v - m) / den, or (v - m) * (1/eps) on a flat row.
     records = []
     for b in range(batch):
@@ -198,18 +134,18 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
             k = int(math.ceil(ratio * n))
             v = values[n - k if rising else k - 1]
             s_theta = (((v - m) * slope if flat else (v - m) / den)
-                       * scale + bias) * inv_temp
+                       * scale * inv_temp)
             lo, hi = bisect_left(values, v), bisect_right(values, v)
             while lo > 0:
                 u = values[lo - 1]
                 if (((u - m) * slope if flat else (u - m) / den)
-                        * scale + bias) * inv_temp != s_theta:
+                        * scale * inv_temp != s_theta):
                     break
                 lo = bisect_left(values, u, 0, lo)
             while hi < n:
                 u = values[hi]
                 if (((u - m) * slope if flat else (u - m) / den)
-                        * scale + bias) * inv_temp != s_theta:
+                        * scale * inv_temp != s_theta):
                     break
                 hi = bisect_right(values, u, hi)
             rank = k - (n - hi if rising else lo) - 1
@@ -219,7 +155,7 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
                 j, v_j = sorted(zip(index[lo:hi], values[lo:hi]))[rank]
 
             s_own = (((x - m) * slope if flat else (x - m) / den)
-                     * scale + bias) * inv_temp
+                     * scale * inv_temp)
             records.append((s_own > s_theta or j == t, s_own - s_theta,
                             slope, m, sd, j, v_j))
         moments[:] = total, m, m2
@@ -235,7 +171,6 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
         gs = g * y * (1.0 - y) * inv_temp  # d/d(s_t - s_theta)
         dz = (rows - norm_theta) * slope  # z_t - z_theta
         _accum(p.scale, np.sum(gs * dz))
-        _accum(p.bias, np.zeros(()))  # cancels in s_t - s_theta
         w = gs * scale * slope          # d/de_t, and minus d/de_theta
         full = 0.0 + w  # a copy, with no -0.0
         # A threshold before the span is a norm of the past: a constant.
@@ -251,5 +186,5 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
         tail = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
         tail_mu = np.cumsum((c * (mu - last_mu))[:, ::-1], axis=1)[:, ::-1]
         _accum(e, (full + (rows - last_mu) * tail - tail_mu).reshape(e.shape))
-    soft = _op(soft_vals, (e, p.scale, p.bias), bw)
+    soft = _op(soft_vals, (e, p.scale), bw)
     return straight_through(hard, soft), soft, ratio_t

@@ -209,7 +209,6 @@ def param_specs(cfg: ModelConfig, layers: int | None = None) -> list[tuple]:
             mat(p + "pred.w2", d, d); vec(p + "pred.b2", d)
             mat(p + "refine.w1", 3 * d, d); vec(p + "refine.b1", d)
             mat(p + "refine.w2", d, d); vec(p + "refine.b2", d)
-        add(p + "ctrl.bias", ())
         add(p + "ctrl.scale", (), 1.0)
         add(p + "ctrl.ratio_raw", (),
             ratio_raw_init(cfg.ratio_init, cfg.ratio_min, cfg.ratio_max),
@@ -243,7 +242,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParameterStore:
 
 def controller_params(params: ParameterStore, cfg: ModelConfig, prefix: str) -> ControllerParams:
     return ControllerParams(
-        bias=params[prefix + "ctrl.bias"],
         scale=params[prefix + "ctrl.scale"],
         temperature=cfg.temperature,
         ratio_raw=params[prefix + "ctrl.ratio_raw"],

@@ -420,7 +420,10 @@ class ParameterStore:
         return t
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._entries[name]
+        try:
+            return self._entries[name]
+        except KeyError:
+            raise NumericsError(f"missing parameter {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries

@@ -160,22 +160,15 @@ class AblationRow:
     final_ratio: float
 
 
-def ablate(run: RunConfig, toggles: list[str] | None = None,
-           steps: int | None = None, seed: int | None = None) -> list[AblationRow]:
-    """Train the full model and each requested single-toggle ablation on
-    the same seeded data stream."""
-    variants = ablation_variants(run.model)
-    if toggles is None:
-        toggles = list(variants)
-    unknown = [t for t in toggles if t not in variants]
-    if unknown:
-        raise ConfigError(f"unknown ablation toggles: {unknown}")
+def ablate(run: RunConfig) -> list[AblationRow]:
+    """Train the full model and each single-toggle ablation on the same
+    seeded data stream."""
     rows = []
-    full = train(run, steps=steps, seed=seed)
+    full = train(run)
     rows.append(AblationRow("Full", full.final_lm, 0.0,
                             full.tokens_per_second, full.final_ratio))
-    for name in toggles:
-        res = train(replace(run, model=variants[name]), steps=steps, seed=seed)
+    for name, model in ablation_variants(run.model).items():
+        res = train(replace(run, model=model))
         delta = 100.0 * (res.final_lm - full.final_lm) / full.final_lm
         rows.append(AblationRow(name, res.final_lm, delta,
                                 res.tokens_per_second, res.final_ratio))

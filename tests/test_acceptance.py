@@ -13,7 +13,7 @@ import numpy as np
 from lpcsm.numerics import Tensor, forward_backward, grad_check
 from lpcsm.ont import verify_properties
 from lpcsm.mhc import sinkhorn_normalize
-from lpcsm.controller import hard_mask, clamp_ratio
+from lpcsm.controller import clamp_ratio
 from lpcsm.model import (
     ModelConfig, init_params, model_forward, controller_params,
 )
@@ -27,6 +27,7 @@ from lpcsm.train import (
 from lpcsm.checkpoint import save_checkpoint, load_checkpoint
 
 from conftest import record_acceptance
+from reference_controller import hard_mask
 
 TOGGLES = ("slow_memory", "predictive_coding", "ont", "stop_head", "mhc")
 

@@ -11,15 +11,15 @@ from lpcsm.numerics import (
     no_grad,
 )
 from lpcsm.controller import (
-    ControllerParams, ratio_raw_init, clamp_ratio, event_scores, hard_mask,
-    welford_step, empty_prefix,
+    ControllerParams, ratio_raw_init, clamp_ratio, welford_step, empty_prefix,
 )
+from reference_controller import event_scores, hard_mask
 
 
-def make_cp(bias=0.0, scale=1.0, temperature=1.0, ratio_raw=0.0,
+def make_cp(scale=1.0, temperature=1.0, ratio_raw=0.0,
             ratio_min=0.05, ratio_max=0.95):
     return ControllerParams(
-        bias=Tensor(bias), scale=Tensor(scale), temperature=temperature,
+        scale=Tensor(scale), temperature=temperature,
         ratio_raw=Tensor(ratio_raw), ratio_min=ratio_min, ratio_max=ratio_max,
     )
 
@@ -65,11 +65,6 @@ class TestClampRatio:
 
 
 class TestEventScores:
-    def test_constant_errors_give_bias(self):
-        cp = make_cp(bias=0.7)
-        s = event_scores(Tensor(np.full(5, 2.0)), cp)
-        assert np.max(np.abs(s.data - 0.7)) < 1e-12
-
     def test_hand_normalization(self):
         cp = make_cp()
         s = event_scores(Tensor(np.array([0.0, 2.0])), cp).data
@@ -227,7 +222,7 @@ class TestCausalMaskBitsOracle:
     def test_constant_prefix(self):
         # var == 0 rows take the eps-floored branch: a constant start, an
         # all-zero sequence (no predictive coding) and a constant tail.
-        self._check(np.r_[np.full(9, 0.7), [0.2, 1.3, 0.7]], make_cp(bias=0.3),
+        self._check(np.r_[np.full(9, 0.7), [0.2, 1.3, 0.7]], make_cp(),
                     splits=(3, 9))
         self._check(np.zeros(12), make_cp(), splits=(5,))
         self._check(np.r_[[0.4, 2.0], np.full(10, 1.0)], make_cp(ratio_raw=1.0))
@@ -239,7 +234,7 @@ class TestCausalMaskBitsOracle:
         # value, so its variance is 0 or a few ulps squared by length:
         # either branch, the scan and event_scores take the same one.
         errs = np.full(length, value)
-        for cp in (make_cp(bias=0.3), make_cp(scale=-0.8, ratio_raw=1.0)):
+        for cp in (make_cp(), make_cp(scale=-0.8, ratio_raw=1.0)):
             splits = sorted({1, length // 2} - {0, length})
             self._check(errs, cp, splits=splits)
         if length <= 3:  # three 0.1s: mean 0.10000000000000002, var 0
@@ -252,7 +247,7 @@ class TestCausalMaskBitsOracle:
             for length in (2, 3, 17, 64):
                 steps = rng.integers(0, ulps + 1, size=length)
                 errs = value + steps * np.spacing(value)
-                cp = make_cp(bias=rng.uniform(-1, 1), scale=rng.uniform(-2, 2),
+                cp = make_cp(scale=rng.uniform(-2, 2),
                              ratio_raw=rng.uniform(-2, 2))
                 self._check(errs, cp, splits=(1, length // 2))
 
@@ -261,7 +256,18 @@ class TestCausalMaskBitsOracle:
         rng = np.random.default_rng(31)
         errs = np.abs(rng.standard_normal(50))
         errs[10:14] = errs[3]
-        self._check(errs, make_cp(scale=scale, bias=0.4), splits=(7, 30))
+        self._check(errs, make_cp(scale=scale), splits=(7, 30))
+
+    @pytest.mark.parametrize("scale", [1.0, -0.7])
+    @pytest.mark.parametrize("tiny", [(1e-17, 2e-17, 3e-17),
+                                      (3e-17, 1e-17, 2e-17)])
+    def test_rounding_merges_distinct_norms(self, tiny, scale):
+        # Norms of 1e-17 beside O(1) ones give the same v - m, so distinct
+        # norms share one score and the threshold is taken from a run of
+        # unequal norms in position order; out of value order, the second
+        # case tells position order from the prefix's value order.
+        self._check([1.0, *tiny, 0.5], make_cp(scale=scale, ratio_raw=0.3),
+                    splits=(2,))
 
     def test_near_ties(self):
         # Errors a few ulps apart, under affine maps whose rounding can
@@ -271,7 +277,7 @@ class TestCausalMaskBitsOracle:
             base = rng.uniform(0.5, 2.0)
             ulps = rng.integers(0, 5, size=int(rng.integers(2, 60)))
             errs = base + ulps * np.spacing(base)
-            cp = make_cp(bias=rng.uniform(-1, 1), scale=rng.uniform(-3, 3),
+            cp = make_cp(scale=rng.uniform(-3, 3),
                          temperature=rng.uniform(0.3, 2.0),
                          ratio_raw=rng.uniform(-3, 3))
             self._check(errs, cp, splits=(1, len(errs) // 2))
@@ -280,7 +286,7 @@ class TestCausalMaskBitsOracle:
         rng = np.random.default_rng(33)
         for t_len in (1, 2, 7, 64, 129, 256):
             errs = np.abs(rng.standard_normal(t_len)) * rng.uniform(0.1, 5.0)
-            cp = make_cp(bias=rng.uniform(-1, 1), scale=rng.uniform(-2, 2),
+            cp = make_cp(scale=rng.uniform(-2, 2),
                          ratio_raw=rng.uniform(-3, 3))
             splits = sorted({1, t_len // 3, t_len - 1} - {0})
             self._check(errs, cp, splits=splits)
@@ -295,8 +301,8 @@ class TestCausalMaskBitsOracle:
         errs = np.abs(rng.standard_normal((3, 40)))
         errs[1, 5:12] = errs[1, 2]
         errs[2] = 0.6
-        for cp in (make_cp(bias=0.2, scale=1.4, ratio_raw=0.7),
-                   make_cp(bias=-0.3, scale=-0.9, ratio_raw=-1.2)):
+        for cp in (make_cp(scale=1.4, ratio_raw=0.7),
+                   make_cp(scale=-0.9, ratio_raw=-1.2)):
             hard, soft, ratio = causal_mask_bits(Tensor(errs), cp)
             refs = [per_prefix_bits(row, cp, float(ratio.data)) for row in errs]
             assert np.array_equal(hard.data, [h for h, _ in refs])
@@ -318,7 +324,7 @@ class TestCausalMaskBitsOracle:
 
         def grads(e_data, past_rows, weights):
             e = Tensor(e_data, requires_grad=True)
-            cp = make_cp(bias=0.1, scale=0.7, temperature=0.8, ratio_raw=0.3)
+            cp = make_cp(scale=0.7, temperature=0.8, ratio_raw=0.3)
             cp.scale.requires_grad = True
             _, soft, _ = causal_mask_bits(e, cp, carried(past_rows, cp))
             (soft * Tensor(weights)).sum().backward()
@@ -337,12 +343,11 @@ class TestCausalMaskBitsOracle:
         past = list(np.abs(rng.standard_normal(3)) + 0.1)  # detached norms
         params.add("errs", np.abs(rng.standard_normal(6)) + 0.1)
         params.add("scale", 0.8)
-        params.add("bias", 0.2)
         weights = Tensor(rng.standard_normal(6))
 
         def loss(p):
-            cp = ControllerParams(bias=p["bias"], scale=p["scale"],
-                                  temperature=1.3, ratio_raw=Tensor(0.0),
+            cp = ControllerParams(scale=p["scale"], temperature=1.3,
+                                  ratio_raw=Tensor(0.0),
                                   ratio_min=0.05, ratio_max=0.95)
             _, soft, _ = causal_mask_bits(p["errs"], cp, carried(past, cp))
             return (soft * weights).sum()
@@ -377,12 +382,11 @@ class TestPrefixEventNode:
         params = ParameterStore()
         params.add("errs", 0.3 + 0.37 * rng.permutation(9))  # well apart
         params.add("scale", scale)
-        params.add("bias", -0.4)
         weights = Tensor(rng.standard_normal(11))
 
         def run(p):
-            cp = ControllerParams(bias=p["bias"], scale=p["scale"],
-                                  temperature=1.7, ratio_raw=Tensor(0.4),
+            cp = ControllerParams(scale=p["scale"], temperature=1.7,
+                                  ratio_raw=Tensor(0.4),
                                   ratio_min=0.05, ratio_max=0.95)
             span = concat([Tensor(np.full(2, 0.7)), p["errs"]])
             return causal_mask_bits(span, cp, carried([0.7] * past, cp))
@@ -413,15 +417,15 @@ class TestPrefixEventNode:
             outside = (errs.max() + rng.uniform(0.1, 1.0, past) if scale > 0
                        else errs.min() * rng.uniform(0.1, 0.9, past))
             errs = np.r_[outside, errs]
-            cp = make_cp(bias=0.3, scale=scale, temperature=0.6, ratio_raw=-0.5)
+            cp = make_cp(scale=scale, temperature=0.6, ratio_raw=-0.5)
             ref_hard, _ = per_prefix_bits(errs, cp, float(clamp_ratio(cp).data))
             assert not ref_hard[past:].any()
         g = Tensor(rng.standard_normal(errs.size - past))
         grads = []
         for node in (True, False):
             e = Tensor(errs[past:], requires_grad=True)
-            cp = make_cp(bias=0.3, scale=scale, temperature=0.6, ratio_raw=-0.5)
-            cp.scale.requires_grad = cp.bias.requires_grad = True
+            cp = make_cp(scale=scale, temperature=0.6, ratio_raw=-0.5)
+            cp.scale.requires_grad = True
             if node:
                 _, soft, _ = causal_mask_bits(e, cp, carried(errs[:past], cp))
             else:
@@ -431,11 +435,10 @@ class TestPrefixEventNode:
                     hard_mask(event_scores(full[0:t + 1], cp), ratio).soft[t:t + 1]
                     for t in range(past, errs.size)])
             (soft * g).sum().backward()
-            grads.append((e.grad, cp.scale.grad, cp.bias.grad))
-        (e_node, scale_node, bias_node), (e_ref, scale_ref, bias_ref) = grads
+            grads.append((e.grad, cp.scale.grad))
+        (e_node, scale_node), (e_ref, scale_ref) = grads
         assert np.max(np.abs(e_node - e_ref)) < 1e-9 * np.max(np.abs(e_ref))
         assert abs(scale_node - scale_ref) < 1e-9 * max(1.0, abs(scale_ref))
-        assert bias_node == 0.0 and abs(bias_ref) < 1e-12
 
     @pytest.mark.parametrize("splits", [(1,), (2, 5), (3, 4, 9), (10,)])
     def test_carried_prefix_matches_one_span(self, splits):
@@ -444,7 +447,7 @@ class TestPrefixEventNode:
         from lpcsm.model import causal_mask_bits
 
         errs = np.random.default_rng(40).choice([0.2, 0.5, 0.9, 1.4], size=12)
-        cp = make_cp(bias=0.1, scale=-0.6)
+        cp = make_cp(scale=-0.6)
         whole = empty_prefix()
         hard, soft, _ = causal_mask_bits(Tensor(errs), cp, whole)
         parts = empty_prefix()
@@ -469,7 +472,7 @@ class TestPrefixEventNode:
         rng = np.random.default_rng(47)
         errs = np.abs(rng.standard_normal((3, 48)))
         errs[1, 10:30] = 0.1  # a flat stretch
-        cp = make_cp(bias=0.2, scale=1.1, ratio_raw=-0.4)
+        cp = make_cp(scale=1.1, ratio_raw=-0.4)
         ends = np.cumsum((0,) + sizes)
         for rows in (errs[0], errs):
             whole = empty_prefix(rows.shape[:-1])
@@ -512,9 +515,7 @@ class TestPrefixEventNode:
             tracemalloc.stop()
         assert peak < 5e6, peak
 
-    def test_bias_gradient_is_exactly_zero(self):
-        # bias shifts every score of a prefix alike, so it cancels in the
-        # top-k comparison and in s_t - s_theta.
+    def test_scale_gradient_reaches_every_layer(self):
         from lpcsm.model import ModelConfig, init_params
         from lpcsm.objective import LossWeights
         from lpcsm.train import sequence_loss
@@ -526,5 +527,4 @@ class TestPrefixEventNode:
         b, _ = sequence_loss(tokens[:-1], tokens[1:], params, cfg, LossWeights())
         grads = forward_backward(b.total, params)
         for layer in range(cfg.layers):
-            assert grads[f"layers.{layer}.ctrl.bias"].data == 0.0
             assert np.any(grads[f"layers.{layer}.ctrl.scale"].data != 0.0)

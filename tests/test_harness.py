@@ -230,6 +230,7 @@ class TestCheckpoint:
         ("extra", "entries do not match"),
         ("swapped", "'embed.pos' where 'embed.tok' belongs"),
         ("wrong shape", "shape mismatch for 'embed.tok'"),
+        ("old ctrl.bias layout", "^checkpoint entries do not match"),
     ])
     def test_entries_follow_the_table(self, tmp_path, case, message):
         path = str(tmp_path / "m.ckpt")
@@ -287,6 +288,20 @@ def swap_first_dims(entries):
     return [bytes(first), *entries[1:]]
 
 
+def with_ctrl_bias(entries):
+    """The entries in the earlier layout, which stored a scalar 0.0
+    `layers.{i}.ctrl.bias` before each `layers.{i}.ctrl.scale`."""
+    out = []
+    for entry in entries:
+        name = entry[4:4 + struct.unpack_from("<I", entry)[0]]
+        if name.endswith(b".ctrl.scale"):
+            bias = name.replace(b".ctrl.scale", b".ctrl.bias")
+            out.append(struct.pack("<I", len(bias)) + bias
+                       + struct.pack("<Id", 0, 0.0))  # rank 0, value 0.0
+        out.append(entry)
+    return out
+
+
 # Checkpoints whose entries do not follow the config's parameter table.
 ENTRY_EDITS = {
     "repeated": entries_edited(lambda e: e + e[:1]),
@@ -295,6 +310,7 @@ ENTRY_EDITS = {
         lambda e: e + [e[0].replace(b"embed.tok", b"embed.xyz")]),
     "swapped": entries_edited(lambda e: [e[1], e[0], *e[2:]]),
     "wrong shape": entries_edited(swap_first_dims),
+    "old ctrl.bias layout": entries_edited(with_ctrl_bias),
 }
 
 
@@ -609,17 +625,9 @@ class TestProbe:
 
 
 class TestAblate:
-    def test_empty_toggle_set(self):
-        rows = ablate(tiny_run(), toggles=[], steps=1)
-        assert len(rows) == 1
-        assert rows[0].variant == "Full"
-
-    def test_unknown_toggle(self):
-        with pytest.raises(NumericsError):
-            ablate(tiny_run(), toggles=["w/o gravity"], steps=1)
-
     def test_full_matrix_emits_six_rows(self):
-        rows = ablate(tiny_run(), steps=1)
+        rows = ablate(tiny_run(train=TrainSettings(steps=1, batch_size=1,
+                                                   seed=0)))
         assert len(rows) == 6
         assert rows[0].delta_pct == 0.0
         assert all(np.isfinite(r.final_lm) for r in rows)
@@ -887,6 +895,9 @@ class TestCli:
             ENTRY_EDITS["swapped"], ["generate", *PROMPT], 4),
         "checkpoint entry of the wrong shape": (
             ENTRY_EDITS["wrong shape"], ["generate", *PROMPT], 4),
+        "checkpoint of the layout with ctrl.bias": (
+            ENTRY_EDITS["old ctrl.bias layout"], ["generate", *PROMPT], 4,
+            "I/O error: checkpoint entries do not match"),
         # Sizes the machine cannot allocate stop before init_params.
         "max_seq_len past the parameter bound": (
             run_yaml("max_seq_len: 32", "max_seq_len: 100000000000"),

@@ -469,7 +469,7 @@ class TestTensorBasics:
         for name, shape in (("w_qkv", (4, 12)), ("b_qkv", (12,)),
                             ("w_o", (4, 4)), ("b_o", (4,))):
             params.add("attn." + name, rng.standard_normal(shape))
-        cp = ControllerParams(bias=leaf(), scale=leaf(), temperature=1.0,
+        cp = ControllerParams(scale=leaf(), temperature=1.0,
                               ratio_raw=leaf(), ratio_min=0.1, ratio_max=0.9)
         builds = [
             lambda: x + 1.0, lambda: 1.0 + x, lambda: -x, lambda: x - 1.0,
