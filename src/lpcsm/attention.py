@@ -7,6 +7,8 @@ attention costs O(T·window) in time and memory."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import Tensor, ParameterStore, NumericsError, linear, _op, _accum
@@ -26,9 +28,11 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
     sees one run of bs+w-1 key rows, from row past+b*bs of the rows padded
     with w-1 zero rows in front. So the scores, the mix and each gradient
     are one batched matmul over the blocks; slots outside a query's window
-    or in the padding are masked out. The backward adds the blocks' key
-    and value gradients back into the padded rows with one slice-add per
-    bs slots of a block.
+    or in the padding are masked out. A span of one block whose run lies
+    inside the rows, past >= w-1 (each one-token decode step once the
+    window is full), has its q, k and v read through head views instead.
+    The backward adds the blocks' key and value gradients back into the
+    padded rows with one slice-add per bs slots of a block.
     """
     if window < 1:
         raise NumericsError("attention window must be >= 1")
@@ -45,11 +49,12 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
     # Padded rows: room for the last block's run and for every slice-add.
     n_rows = past + (nb - 1 - (-span // bs)) * bs
 
+    def heads_of(x):  # [..., n, d] -> a [..., H, n, hd] view
+        return x.reshape(x.shape[:-1] + (heads, hd)).swapaxes(-3, -2)
+
     def by_head(x, front, rows):  # [..., n, d] -> [..., H, rows, hd]
         out = np.zeros(lead + (heads, rows, hd))
-        n = x.shape[-2]
-        out[..., front:front + n, :] = (
-            x.reshape(lead + (n, heads, hd)).swapaxes(-3, -2))
+        out[..., front:front + x.shape[-2], :] = heads_of(x)
         return out
 
     def by_row(x, n):  # [..., H, rows, hd] or its blocks -> first n [..., n, d]
@@ -68,9 +73,14 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
         return (by_head(q.data, 0, nb * bs).reshape(block_shape),
                 by_head(k.data, w - 1, n_rows), by_head(v.data, w - 1, n_rows))
 
-    qb, kp, vp = padded()
-    scale = 1.0 / np.sqrt(hd)
-    scores = (qb @ blocks(kp).swapaxes(-1, -2)) * scale  # [..., nb, bs, span]
+    if nb == 1 and past >= w - 1:  # one block, all its keys in the rows
+        qb, kb, vb = (heads_of(x.data)[..., None, -n:, :]
+                      for x, n in ((q, t_len), (k, span), (v, span)))
+    else:
+        qb, kp, vp = padded()
+        kb, vb = blocks(kp), blocks(vp)
+    scale = 1.0 / math.sqrt(hd)
+    scores = (qb @ kb.swapaxes(-1, -2)) * scale  # [..., nb, bs, span]
     slot = np.arange(span)
     if bs > 1:  # slot j of block row i is in that query's window iff
         off = slot - np.arange(bs)[:, None]  # i <= j < i + w
@@ -98,7 +108,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, window: int, heads: int) -> Tensor:
                 gx[..., past + c:past + c + nb * bs, :].reshape(
                     block_shape)[..., :n, :] += g_blocks[..., c:c + n, :]
             _accum(x, by_row(gx[..., w - 1:, :], kv_len))
-    return _op(by_row(p @ blocks(vp), t_len), (q, k, v), bw)
+    return _op(by_row(p @ vb, t_len), (q, k, v), bw)
 
 
 def local_attention(hidden: Tensor, rows: Tensor, window: int, heads: int,

@@ -37,8 +37,13 @@ def ratio_raw_init(target: float, ratio_min: float, ratio_max: float) -> float:
 
 
 def clamp_ratio(p: ControllerParams) -> Tensor:
-    """Sigmoid-bounded ratio in (ratio_min, ratio_max)."""
-    return p.ratio_raw.sigmoid() * (p.ratio_max - p.ratio_min) + p.ratio_min
+    """Sigmoid-bounded ratio in (ratio_min, ratio_max), as one tape node
+    with the floats of raw.sigmoid() * (ratio_max - ratio_min) + ratio_min
+    and of its backward."""
+    raw, width = p.ratio_raw, p.ratio_max - p.ratio_min
+    y = sigmoid(raw.data)
+    return _op(y * width + p.ratio_min, (raw,),
+               lambda g: _accum(raw, g * width * y * (1.0 - y)))
 
 
 def welford_step(total: float, mean: float, m2: float, x: float,
@@ -102,12 +107,12 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
     inv_temp = 1.0 / p.temperature
     rising = scale >= 0.0           # scores weakly follow the norms' order
 
-    # Per position, sequence by sequence, one record: the hard bit,
-    # s_t - s_theta (exact), dz/de (1/den, or 1/eps on a flat row), the
-    # prefix mean, sqrt(var) (0 on a flat row), and the threshold's
-    # position and norm. A score is z * scale * inv_temp, with
+    # Per position, sequence by sequence: the hard bit, s_t - s_theta
+    # (exact), and the backward's record: dz/de (1/den, or 1/eps on a flat
+    # row), the prefix mean, sqrt(var) (0 on a flat row), and the
+    # threshold's position and norm. A score is z * scale * inv_temp, with
     # z = (v - m) / den, or (v - m) * (1/eps) on a flat row.
-    records = []
+    bits, diffs, records = [], [], []
     for b in range(batch):
         values, index, moments = all_values[b], all_index[b], all_moments[b]
         total, m, m2 = moments
@@ -156,15 +161,15 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
 
             s_own = (((x - m) * slope if flat else (x - m) / den)
                      * scale * inv_temp)
-            records.append((s_own > s_theta or j == t, s_own - s_theta,
-                            slope, m, sd, j, v_j))
+            bits.append(s_own > s_theta or j == t)
+            diffs.append(s_own - s_theta)
+            records.append((slope, m, sd, j, v_j))
         moments[:] = total, m, m2
-    fields = np.array(records).reshape(batch, span, 7)
-    hard, diff = (np.ascontiguousarray(fields[..., i]).reshape(e.shape)
-                  for i in (0, 1))
-    soft_vals = sigmoid(diff)
+    hard = np.array(bits, dtype=np.float64).reshape(e.shape)
+    soft_vals = sigmoid(np.array(diffs).reshape(e.shape))
     def bw(g):
-        slope, mu, sd, theta, norm_theta = np.moveaxis(fields[..., 2:], -1, 0)
+        slope, mu, sd, theta, norm_theta = np.moveaxis(
+            np.array(records).reshape(batch, span, 5), -1, 0)
         theta = theta.astype(np.int64) - start
         y = soft_vals.reshape(batch, span)
         g = g.reshape(batch, span)

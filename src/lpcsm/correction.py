@@ -7,7 +7,7 @@ from .numerics import Tensor, ParameterStore, NumericsError, concat, linear
 
 
 def _mlp(x: Tensor, params: ParameterStore, prefix: str) -> Tensor:
-    h = linear(x, params[prefix + "w1"], params[prefix + "b1"]).tanh()
+    h = linear(x, params[prefix + "w1"], params[prefix + "b1"], "tanh")
     return linear(h, params[prefix + "w2"], params[prefix + "b2"])
 
 

@@ -37,8 +37,8 @@ def fast_update(h: Tensor, prev: Tensor, params: ParameterStore,
     """Gated tokenwise update: d*prev + (1-d)*tanh write. For a [T, d]
     span of rows (or a [B, T, d] batch) it returns the states after each
     row, from a [d] (or [B, d]) `prev`."""
-    d = linear(h, params[prefix + "w_d"], params[prefix + "b_d"]).sigmoid()
-    u = linear(h, params[prefix + "w_u"], params[prefix + "b_u"]).tanh()
+    d = linear(h, params[prefix + "w_d"], params[prefix + "b_d"], "sigmoid")
+    u = linear(h, params[prefix + "w_u"], params[prefix + "b_u"], "tanh")
     return gated_scan(d, (1.0 - d) * u, prev)
 
 
@@ -47,8 +47,8 @@ def memory_read(h: Tensor, fast: Tensor, slow: Tensor,
     """Separate sigmoid gates query the fast and slow halves, then mix.
     A [T, d] span, or a [B, T, d] batch, reads fast rows of its shape and
     slow rows of its shape or one slow state per sequence."""
-    qf = linear(h, params[prefix + "w_qf"], params[prefix + "b_qf"]).sigmoid()
-    qs = linear(h, params[prefix + "w_qs"], params[prefix + "b_qs"]).sigmoid()
+    qf = linear(h, params[prefix + "w_qf"], params[prefix + "b_qf"], "sigmoid")
+    qs = linear(h, params[prefix + "w_qs"], params[prefix + "b_qs"], "sigmoid")
     if slow.ndim == h.ndim - 1 > 1:  # one [B, d] state for a whole batch
         slow = slow.reshape(slow.shape[:-1] + (1, slow.shape[-1]))
     gated = concat([qf * fast, qs * slow], axis=-1)

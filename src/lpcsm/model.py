@@ -322,7 +322,8 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
         hard_bits, soft_bits, ratio_t = causal_mask_bits(error_norms, cp,
                                                          cache.prefix)
         mask = soft_bits if soft_mask else hard_bits
-        density = hard_bits.data.mean(axis=-1)  # one per sequence
+        hard = hard_bits.data  # one density per sequence
+        density = np.add.reduce(hard, axis=-1) / hard.shape[-1]
         if soft_mask:
             sparse_ratio_st = ratio_t
         else:
@@ -339,7 +340,7 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
                        params[p + "fuse.b"])
         resid = h + fused
         n2 = rmsnorm(resid, params[p + "norm2.gain"], cfg.rmsnorm_eps)
-        ffn = linear(n2, params[p + "ffn.w1"], params[p + "ffn.b1"]).tanh()
+        ffn = linear(n2, params[p + "ffn.w1"], params[p + "ffn.b1"], "tanh")
         update = linear(ffn, params[p + "ffn.w2"], params[p + "ffn.b2"])
 
         if cfg.mhc:
@@ -375,14 +376,15 @@ def token_ids(tokens, cfg: ModelConfig) -> np.ndarray:
         raise NumericsError("tokens must be a nonempty 1-D sequence "
                             "or 2-D batch")
     # asarray turns a bool among ints into an int, so a sequence is looked
-    # through for one; an array's dtype already tells.
-    if (ids.dtype.kind not in "iu"
-            or (not isinstance(tokens, np.ndarray)
-                and any(isinstance(t, (bool, np.bool_)) for t in
-                        (tokens if ids.ndim == 1 else
-                         [t for row in tokens for t in row])))
-            or ids.min() < 0 or ids.max() >= cfg.vocab_size):
-        raise ConfigError(f"token ids must be integers in [0, {cfg.vocab_size})")
+    # through for one, and each id's range checked on the way; an array's
+    # dtype already tells.
+    v = cfg.vocab_size
+    if ids.dtype.kind not in "iu" or (
+            (ids.min() < 0 or ids.max() >= v) if isinstance(tokens, np.ndarray)
+            else any(isinstance(t, (bool, np.bool_)) or not 0 <= t < v
+                     for t in (tokens if ids.ndim == 1 else
+                               [t for row in tokens for t in row]))):
+        raise ConfigError(f"token ids must be integers in [0, {v})")
     return ids
 
 

@@ -328,27 +328,33 @@ def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
             or f0.data.shape != shape[:-2] + shape[-1:]):
         raise NumericsError(
             f"gated_scan shape mismatch: {a.shape}, {b.shape}, {f0.shape}")
-    # Time-major views, [T, d] or [T, B, d]: step t is each sequence's row.
     steps = shape if len(shape) > 1 else (1,) + shape
-    dec = a.data.reshape(steps).swapaxes(0, -2)
-    wr = b.data.reshape(steps).swapaxes(0, -2)
-    rows = np.empty_like(dec)  # laid out as the input is
-    f = f0.data
-    for d_t, w_t, row in zip(dec, wr, rows):
-        f = np.multiply(d_t, f, out=row)
-        f += w_t
+
+    def time_major(x):  # [T, d] or [T, B, d] views: step t is each row
+        return x.reshape(steps).swapaxes(0, -2)
+
+    if steps[-2] == 1:  # one step
+        out = a.data * f0.data.reshape(shape) + b.data
+    else:
+        dec = time_major(a.data)
+        rows = np.empty_like(dec)  # laid out as the input is
+        f = f0.data
+        for d_t, w_t, row in zip(dec, time_major(b.data), rows):
+            f = np.multiply(d_t, f, out=row)
+            f += w_t
+        out = rows.swapaxes(0, -2).reshape(shape)
     def bw(g):
-        g = g.reshape(steps).swapaxes(0, -2)
+        dec, rows, g = time_major(a.data), time_major(out), time_major(g)
         g_wr = np.empty_like(dec)  # dL/df_t, from step t and later ones
         carry = np.zeros(dec.shape[1:])  # dL/df_t from later steps
-        for g_t, d_t, out in zip(g[::-1], dec[::-1], g_wr[::-1]):
-            np.add(carry, g_t, out=out)
-            np.multiply(out, d_t, out=carry)
+        for g_t, d_t, g_f in zip(g[::-1], dec[::-1], g_wr[::-1]):
+            np.add(carry, g_t, out=g_f)
+            np.multiply(g_f, d_t, out=carry)
         g_dec = g_wr * np.concatenate([f0.data[None], rows[:-1]])
         _accum(a, g_dec.swapaxes(0, -2).reshape(shape))
         _accum(b, g_wr.swapaxes(0, -2).reshape(shape))
         _accum(f0, carry)
-    return _op(rows.swapaxes(0, -2).reshape(shape), (a, b, f0), bw)
+    return _op(out, (a, b, f0), bw)
 
 
 def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
@@ -360,20 +366,31 @@ def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
     return _op(hard, (soft,), lambda g: _accum(soft, g))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one tape node. x is one row, a [T, d] span or a
-    [B, T, d] batch of spans; a 1-D w with a scalar b maps each row to a
-    scalar. The backward takes a 1-D w as [d, 1], and its gradient from
-    the rows as one [N, d] matrix. The input's gradient keeps g's leading
-    axes, one row as [1, k], since BLAS picks a kernel, and so its
-    rounding, by shape."""
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
+    """x @ w + b, then `act` ("tanh" or "sigmoid") if given, as one tape
+    node. x is one row, a [T, d] span or a [B, T, d] batch of spans; a 1-D
+    w with a scalar b maps each row to a scalar. The backward first takes
+    g through `act` as Tensor.tanh and Tensor.sigmoid do, then takes a 1-D
+    w as [d, 1], and its gradient from the rows as one [N, d] matrix. The
+    input's gradient keeps g's leading axes, one row as [1, k], since BLAS
+    picks a kernel, and so its rounding, by shape."""
     try:
         data = x.data @ w.data
         data += b.data
     except ValueError as e:
         raise NumericsError(
             f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}") from e
+    if act == "tanh":
+        data = np.tanh(data)
+    elif act == "sigmoid":
+        data = sigmoid(data)
+    elif act is not None:
+        raise NumericsError(f"unknown activation {act!r}")
     def bw(g):
+        if act == "tanh":
+            g = g * (1.0 - data * data)
+        elif act == "sigmoid":
+            g = g * data * (1.0 - data)
         w2 = w.data.reshape(len(w.data), -1)
         g2 = g.reshape((x.shape[:-1] or (1,)) + w2.shape[1:])
         rows = x.data.reshape(-1, len(w2))

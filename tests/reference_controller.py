@@ -57,7 +57,8 @@ def hard_mask(scores: Tensor, ratio: float) -> EventMask:
 
     The threshold is the smallest selected score; ties resolve toward the
     lower index so the cardinality is exact. The hard tensor's backward
-    pass is the sigmoid soft path around the (detached) threshold.
+    pass is the sigmoid soft path around the threshold, which stays on
+    the tape, so the gradient reaches the threshold's score too.
     """
     scores = _wrap(scores)
     t_len = scores.shape[0]

@@ -19,16 +19,17 @@ def test_repo_against_itself():
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     header, *rows = run.stdout.splitlines()
-    assert header.split() == ["workload", "unit", "A", "ms", "B", "ms", "B/A",
-                              "B", "won", "identical"]
+    assert header.split() == ["workload", "unit", "A", "ms", "A", "IQR%", "B",
+                              "ms", "B/A", "B", "won", "identical"]
     assert len(rows) == 2
     for row, (name, unit) in zip(rows, [("train-copy-t64", "ms/step"),
                                         ("decode-t256", "ms/token")]):
-        m = re.fullmatch(rf"{name} +{unit} +(\d+\.\d{{3}}) +(\d+\.\d{{3}})"
-                         r" +(\d+\.\d{3}) +(\d)/2 +(yes|no)", row.strip())
+        m = re.fullmatch(rf"{name} +{unit} +(\d+\.\d{{3}}) +(\d+\.\d)"
+                         r" +(\d+\.\d{3}) +(\d+\.\d{3}) +(\d)/2 +(yes|no)",
+                         row.strip())
         assert m, row
-        assert 0 <= int(m[4]) <= 2
-        assert m[5] == "yes"
+        assert 0 <= int(m[5]) <= 2
+        assert m[6] == "yes"
 
 
 def test_decode_op_times_tokens_not_prefill():

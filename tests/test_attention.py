@@ -247,9 +247,11 @@ class TestWindowedNode:
         for a, b in zip(*results):
             assert np.max(np.abs(a - b)) < 1e-12
 
-    @pytest.mark.parametrize("t_len,past,window", [(20, 3, 8), (4, 2, 6)])
+    @pytest.mark.parametrize("t_len,past,window", [(20, 3, 8), (4, 2, 6),
+                                                   (1, 9, 8), (1, 3, 4)])
     def test_batch_rows_match_dense_masked_form(self, t_len, past, window):
-        # Each row of a [B, T] batch is its own sequence.
+        # Each row of a [B, T] batch is its own sequence. The one-row spans
+        # after a full window read q, k and v through head views.
         d, heads, b = 8, 2, 3
         rng = np.random.default_rng(47 + t_len)
         q, k, v = (rng.standard_normal((b, n, d)) for n in (t_len, past + t_len,

@@ -58,6 +58,24 @@ class TestClampRatio:
         cp = make_cp(ratio_raw=-50.0, ratio_min=0.1, ratio_max=0.5)
         assert abs(clamp_ratio(cp).item() - 0.1) < 1e-12
 
+    @pytest.mark.parametrize("raw", [-50.0, -1.0, 0.0, 0.7, 50.0])
+    def test_one_node_equals_its_chain_bit_for_bit(self, raw):
+        results = []
+        for fused in (True, False):
+            cp = make_cp(ratio_min=0.1, ratio_max=0.5)
+            cp.ratio_raw = Tensor(raw, requires_grad=True)
+            if fused:
+                ratio = clamp_ratio(cp)
+                assert ratio._prev == (cp.ratio_raw,)
+            else:
+                ratio = (cp.ratio_raw.sigmoid() * (cp.ratio_max - cp.ratio_min)
+                         + cp.ratio_min)
+            (ratio * 1.7).backward()
+            results.append((ratio.data, cp.ratio_raw.grad))
+        for got, expect in zip(*results):
+            assert got.shape == expect.shape == ()
+            assert got.tobytes() == expect.tobytes()
+
     def test_init_inverse(self):
         raw = ratio_raw_init(0.25, 0.05, 0.95)
         cp = make_cp(ratio_raw=raw)

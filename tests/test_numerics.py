@@ -351,6 +351,29 @@ class TestGatedScan:
         report = grad_check(loss, params)
         assert report.passed, report.max_rel_error
 
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1, 3)])
+    def test_one_row_span(self, shape):
+        # One step, computed without the loop: the loop's floats and a
+        # passing gradient check.
+        rng = np.random.default_rng(8)
+        params = ParameterStore()
+        params.add("decay", rng.uniform(0.1, 0.9, shape))
+        params.add("write", rng.standard_normal(shape))
+        params.add("init", rng.standard_normal(shape[:-2] + shape[-1:]))
+        weights = Tensor(rng.standard_normal(shape))
+        rows = gated_scan(params["decay"], params["write"], params["init"])
+        expect = (params["decay"].data * params["init"].data.reshape(shape)
+                  + params["write"].data)
+        assert rows.shape == shape
+        assert np.array_equal(rows.data, expect)
+
+        def loss(p):
+            rows = gated_scan(p["decay"], p["write"], p["init"])
+            return (rows * rows * weights).sum()
+
+        report = grad_check(loss, params)
+        assert report.passed, report.max_rel_error
+
 
 def logistic(x):
     """Reference logistic function, independent of `sigmoid`."""
@@ -427,6 +450,34 @@ class TestLinear:
         out = linear(x, w, b)
         assert out._prev == (x, w, b)
         assert np.array_equal(out.data, x.data @ w.data + b.data)
+
+    @pytest.mark.parametrize("act", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("x_shape", [(1, 6), (5, 6), (3, 5, 6)])
+    def test_activation_equals_its_chain_bit_for_bit(self, x_shape, act):
+        # A row, a span and a batch: the fused node gives the value and the
+        # x, w and b gradients of linear(x, w, b) followed by the Tensor
+        # method, float for float.
+        rng = np.random.default_rng(15)
+        arrays = [rng.standard_normal(s) for s in (x_shape, (6, 4), (4,))]
+        weights = rng.standard_normal(x_shape[:-1] + (4,))
+        results = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            if fused:
+                out = linear(x, w, b, act)
+                assert out._prev == (x, w, b)
+            else:
+                out = getattr(linear(x, w, b), act)()
+            (out * Tensor(weights)).sum().backward()
+            results.append([out.data, x.grad, w.grad, b.grad])
+        for got, expect in zip(*results):
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+
+    def test_unknown_activation(self):
+        with pytest.raises(NumericsError, match="unknown activation"):
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))),
+                   Tensor(np.ones(5)), "relu")
 
     def test_shape_mismatch(self):
         with pytest.raises(NumericsError, match="linear shape mismatch"):

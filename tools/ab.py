@@ -18,10 +18,12 @@ tokens after the prompt of the task's first batch, with each
 `runtime.step_decode` call timed as perfbench's `StepClock` times it, and
 its time is the median of the last max_new calls, one per generated
 token, so the prefill is left out. Each workload
-prints one row: each side's median op time in ms, the median of the
-rounds' B/A ratios, the number of rounds B was faster in, and whether
-every op of both trees gave the same output (the losses of every step,
-or the generated tokens).
+prints one row: each side's median op time in ms, A's spread (the
+distance between the quartiles of its per-round times, in percent of
+its median), the median of the rounds' B/A ratios, the number of rounds
+B was faster in, and whether every op of both trees gave the same output
+(the losses of every step, or the generated tokens). A gain is clear of
+the noise when 1 - B/A, in percent, exceeds A's spread.
 
 Separate processes of one tree differ by a few percent from each other;
 two trees timed in one process, in alternation, share that drift.
@@ -47,7 +49,8 @@ sys.path.insert(0, str(PERFBENCH))
 from worker import WORKLOADS, RowClock  # noqa: E402
 
 ROUNDS = 16
-HEADER = "workload             unit      A ms      B ms     B/A   B won  identical"
+HEADER = ("workload             unit      A ms  A IQR%      B ms     B/A   B won"
+          "  identical")
 
 
 class Side:
@@ -90,8 +93,10 @@ class Side:
         return 1e3 * statistics.median(seconds[-self.w.max_new:]), out
 
 
-def compare(a: Side, b: Side, rounds: int) -> tuple[float, float, float, int, bool]:
-    """(A's median ms, B's median ms, median B/A, rounds B won, identical)."""
+def compare(a: Side, b: Side,
+            rounds: int) -> tuple[float, float, float, float, int, bool]:
+    """(A's median ms, A's IQR in % of it, B's median ms, median B/A,
+    rounds B won, identical)."""
     _, ref = a.op()
     identical = b.op()[1] == ref
     ms = {a: [], b: []}
@@ -102,7 +107,9 @@ def compare(a: Side, b: Side, rounds: int) -> tuple[float, float, float, int, bo
             identical = identical and out == ref
     ratios = [y / x for x, y in zip(ms[a], ms[b])]
     won = sum(y < x for x, y in zip(ms[a], ms[b]))
-    return (statistics.median(ms[a]), statistics.median(ms[b]),
+    median_a = statistics.median(ms[a])
+    q1, _, q3 = statistics.quantiles(ms[a], n=4)
+    return (median_a, 100 * (q3 - q1) / median_a, statistics.median(ms[b]),
             statistics.median(ratios), won, identical)
 
 
@@ -128,11 +135,11 @@ def main(argv=None) -> int:
         print(HEADER)
         for name in args.workloads or names:
             a, b = Side("lpcsm_a", name), Side("lpcsm_b", name)
-            ms_a, ms_b, ratio, won, same = compare(a, b, ROUNDS)
+            ms_a, iqr_a, ms_b, ratio, won, same = compare(a, b, ROUNDS)
             unit = "ms/step" if a.w.kind == "train" else "ms/token"
-            print(f"{name:<20} {unit:<8} {ms_a:>8.3f}  {ms_b:>8.3f}  {ratio:>6.3f}"
-                  f"  {won:>3}/{ROUNDS:<3} {'yes' if same else 'no'}",
-                  flush=True)
+            print(f"{name:<20} {unit:<8} {ms_a:>8.3f}  {iqr_a:>6.1f}  "
+                  f"{ms_b:>8.3f}  {ratio:>6.3f}  {won:>3}/{ROUNDS:<3} "
+                  f"{'yes' if same else 'no'}", flush=True)
     return 0
 
 
