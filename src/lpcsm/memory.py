@@ -2,9 +2,10 @@
 chunk-boundary slow writes transported through the novelty geometry.
 
 The fast and read functions take one token's row, a [T, d] span of
-them or a [B, T, d] batch of spans; a span's fast states come from one
-`gated_scan`, and all of its slow writes, one per chunk boundary, from
-one `slow_write` node. A span leaves a `MemoryState` for the next one."""
+them or a [B, T, d] batch of spans, and each call is one tape node; a
+span's fast states come from one `gated_scan`, and all of its slow
+writes, one per chunk boundary, from one `slow_write` node. A span
+leaves a `MemoryState` for the next one."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    Tensor, ParameterStore, _accum, _op, concat, gated_scan, linear, sigmoid,
+    Tensor, ParameterStore, _accum, _op, _unbroadcast, affine, affine_vjp,
+    gated_scan, gated_scan_vjp, sigmoid,
 )
 from .ont import transport_array, transport_vjp
 
@@ -36,23 +38,50 @@ def fast_update(h: Tensor, prev: Tensor, params: ParameterStore,
                 prefix: str = "mem.") -> Tensor:
     """Gated tokenwise update: d*prev + (1-d)*tanh write. For a [T, d]
     span of rows (or a [B, T, d] batch) it returns the states after each
-    row, from a [d] (or [B, d]) `prev`."""
-    d = linear(h, params[prefix + "w_d"], params[prefix + "b_d"], "sigmoid")
-    u = linear(h, params[prefix + "w_u"], params[prefix + "b_u"], "tanh")
-    return gated_scan(d, (1.0 - d) * u, prev)
+    row, from a [d] (or [B, d]) `prev`. One tape node: the gates, the
+    gated write and the scan."""
+    w_d, b_d = params[prefix + "w_d"], params[prefix + "b_d"]
+    w_u, b_u = params[prefix + "w_u"], params[prefix + "b_u"]
+    d = affine(h.data, w_d.data, b_d.data, "sigmoid")
+    u = affine(h.data, w_u.data, b_u.data, "tanh")
+    keep = 1.0 - d
+    rows = gated_scan(d, keep * u, prev.data)
+    def bw(g):
+        g_d, g_write, g_prev = gated_scan_vjp(g, d, rows, prev.data)
+        _accum(prev, g_prev)
+        g_d = g_d - g_write * u  # the decay's share through 1 - d
+        _accum(h, affine_vjp(g_d, h.data, w_d, b_d, d, "sigmoid"))
+        _accum(h, affine_vjp(g_write * keep, h.data, w_u, b_u, u, "tanh"))
+    return _op(rows, (h, prev, w_d, b_d, w_u, b_u), bw)
 
 
 def memory_read(h: Tensor, fast: Tensor, slow: Tensor,
                 params: ParameterStore, prefix: str = "mem.") -> Tensor:
-    """Separate sigmoid gates query the fast and slow halves, then mix.
-    A [T, d] span, or a [B, T, d] batch, reads fast rows of its shape and
-    slow rows of its shape or one slow state per sequence."""
-    qf = linear(h, params[prefix + "w_qf"], params[prefix + "b_qf"], "sigmoid")
-    qs = linear(h, params[prefix + "w_qs"], params[prefix + "b_qs"], "sigmoid")
+    """Separate sigmoid gates query the fast and slow halves, then mix,
+    as one tape node. A [T, d] span, or a [B, T, d] batch, reads fast
+    rows of its shape and slow rows of its shape or one slow state per
+    sequence."""
+    w_qf, b_qf = params[prefix + "w_qf"], params[prefix + "b_qf"]
+    w_qs, b_qs = params[prefix + "w_qs"], params[prefix + "b_qs"]
+    w_r, b_r = params[prefix + "w_r"], params[prefix + "b_r"]
+    qf = affine(h.data, w_qf.data, b_qf.data, "sigmoid")
+    qs = affine(h.data, w_qs.data, b_qs.data, "sigmoid")
+    s = slow.data
     if slow.ndim == h.ndim - 1 > 1:  # one [B, d] state for a whole batch
-        slow = slow.reshape(slow.shape[:-1] + (1, slow.shape[-1]))
-    gated = concat([qf * fast, qs * slow], axis=-1)
-    return linear(gated, params[prefix + "w_r"], params[prefix + "b_r"])
+        s = s.reshape(s.shape[:-1] + (1, s.shape[-1]))
+    gated = np.concatenate([qf * fast.data, qs * s], axis=-1)
+    out = affine(gated, w_r.data, b_r.data)
+    def bw(g):
+        g_f, g_s = np.split(affine_vjp(g, gated, w_r, b_r, out), 2, axis=-1)
+        _accum(fast, g_f * qf)
+        _accum(h, affine_vjp(g_f * fast.data, h.data, w_qf, b_qf, qf,
+                             "sigmoid"))
+        _accum(h, affine_vjp(g_s * s, h.data, w_qs, b_qs, qs, "sigmoid"))
+        _accum(slow, _unbroadcast(g_s * qs, s.shape).reshape(slow.shape))
+    # The tape visits inputs last first. Slow, h, then fast is the order
+    # the reference op chain visits them in, so every other node keeps its
+    # place on the tape, and every gradient sum its order.
+    return _op(out, (fast, h, slow, w_qf, b_qf, w_qs, b_qs, w_r, b_r), bw)
 
 
 def slow_write(fast: Tensor, n: Tensor, state: MemoryState, chunk_size: int,
@@ -78,7 +107,7 @@ def slow_write(fast: Tensor, n: Tensor, state: MemoryState, chunk_size: int,
     t_len, d = fast.shape[-2:]
     ends = list(range(chunk_size - state.chunk_count, t_len + 1, chunk_size))
     if not ends:
-        state.chunk_sum = state.chunk_sum + fast.sum(axis=-2)
+        state.chunk_sum = _open_chunk_sum(fast, 0, state.chunk_sum)
         state.chunk_count += t_len
         return state.slow, 0
     w_g, b_g = params[prefix + "w_g"], params[prefix + "b_g"]
@@ -157,7 +186,55 @@ def slow_write(fast: Tensor, n: Tensor, state: MemoryState, chunk_size: int,
     out = _op(batch_major(states).reshape(fast.shape[:-2] + (k_count + 1, d)),
               (fast, n, chunk_sum, slow, w_g, b_g, w_c, b_c), bw)
     state.slow = out[..., k_count, :]
-    state.chunk_sum = fast[..., ends[-1]:, :].sum(axis=-2)
+    state.chunk_sum = _open_chunk_sum(fast, ends[-1])
     state.chunk_count = t_len - ends[-1]
-    reads = out[..., np.searchsorted(ends, np.arange(t_len), side="right"), :]
-    return reads, k_count
+    return _chunk_reads(out, ends, t_len), k_count
+
+
+def _open_chunk_sum(fast: Tensor, start: int,
+                    carried: Tensor | None = None) -> Tensor:
+    """The sum of the fast states from row `start` on, plus the `carried`
+    sum if given: the open chunk's sum, as one tape node."""
+    data = fast.data[..., start:, :].sum(axis=-2)
+    if carried is not None:
+        data = carried.data + data
+    def bw(g):
+        if carried is not None:
+            _accum(carried, g)
+        g_fast = np.zeros_like(fast.data)
+        g_fast[..., start:, :] = g[..., None, :]
+        _accum(fast, g_fast)
+    return _op(data, (fast,) if carried is None else (carried, fast), bw)
+
+
+def _chunk_reads(states: Tensor, ends: list, t_len: int) -> Tensor:
+    """The slow state each of the span's rows reads, from the K+1 `states`
+    of `slow_write`: row t reads the state after the writes at ends <= t.
+    One tape node; its backward sums each chunk's rows in order from
+    +0.0, the floats np.add.at gave."""
+    data = states.data[..., np.searchsorted(ends, np.arange(t_len),
+                                            side="right"), :]
+    def bw(g):
+        g = np.ascontiguousarray(g)
+        lead, d, k_count = g.shape[:-2], g.shape[-1], len(ends)
+        g_states = np.zeros_like(states.data)
+        g_states[..., 0, :] = _sum_rows(g[..., :ends[0], :])
+        if k_count > 1:  # the whole chunks between the first and last end
+            g_states[..., 1:k_count, :] = _sum_rows(
+                g[..., ends[0]:ends[-1], :].reshape(
+                    lead + (k_count - 1, ends[1] - ends[0], d)))
+        if ends[-1] < t_len:
+            g_states[..., k_count, :] = _sum_rows(g[..., ends[-1]:, :])
+        _accum(states, g_states)
+    return _op(data, (states,), bw)
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """x summed over axis -2 one row after another from +0.0, as np.add.at
+    adds. numpy sums a non-last axis so while the last axis is its inner
+    loop; with one entry per row the rows' axis would be the inner loop,
+    which numpy sums pairwise, so they are accumulated, from the first row,
+    instead."""
+    if x.shape[-1] == 1:
+        return np.add.accumulate(x, axis=-2)[..., -1, :] + 0.0
+    return x.sum(axis=-2)

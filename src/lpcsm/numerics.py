@@ -7,6 +7,7 @@ scalar can be checked against central finite differences by `grad_check`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,48 +314,60 @@ def concat(tensors, axis=0) -> Tensor:
     return _op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bw)
 
 
-def gated_scan(decay: Tensor, write: Tensor, init: Tensor) -> Tensor:
+def gated_scan(decay: np.ndarray, write: np.ndarray,
+               init: np.ndarray) -> np.ndarray:
     """States of f_t = decay_t * f_(t-1) + write_t from f_(-1) = init.
 
     A [T, d] decay and write give the rows f_0..f_(T-1) from a [d] init,
     and a [B, T, d] pair those of each sequence from a [B, d] init; a [d]
-    pair gives the one-step state. One tape node: the forward runs the
-    recurrence in numpy over [B, d] rows and the backward runs its adjoint
-    in reverse time.
+    pair gives the one-step state. The recurrence runs in numpy over
+    [B, d] rows of contiguous time-major copies; `gated_scan_vjp` is its
+    backward.
     """
-    a, b, f0 = _wrap(decay), _wrap(write), _wrap(init)
-    shape = a.data.shape
-    if (not 1 <= len(shape) <= 3 or b.data.shape != shape
-            or f0.data.shape != shape[:-2] + shape[-1:]):
+    shape = decay.shape
+    if (not 1 <= len(shape) <= 3 or write.shape != shape
+            or init.shape != shape[:-2] + shape[-1:]):
         raise NumericsError(
-            f"gated_scan shape mismatch: {a.shape}, {b.shape}, {f0.shape}")
-    steps = shape if len(shape) > 1 else (1,) + shape
+            f"gated_scan shape mismatch: {decay.shape}, {write.shape}, "
+            f"{init.shape}")
+    if len(shape) == 1 or shape[-2] == 1:  # one step
+        return decay * init.reshape(shape) + write
+    dec, wr = _time_major(decay), _time_major(write)
+    rows = np.empty_like(dec)
+    f = init
+    for d_t, w_t, row in zip(dec, wr, rows):
+        f = np.multiply(d_t, f, out=row)
+        f += w_t
+    return _batch_major(rows, shape)
 
-    def time_major(x):  # [T, d] or [T, B, d] views: step t is each row
-        return x.reshape(steps).swapaxes(0, -2)
 
-    if steps[-2] == 1:  # one step
-        out = a.data * f0.data.reshape(shape) + b.data
-    else:
-        dec = time_major(a.data)
-        rows = np.empty_like(dec)  # laid out as the input is
-        f = f0.data
-        for d_t, w_t, row in zip(dec, time_major(b.data), rows):
-            f = np.multiply(d_t, f, out=row)
-            f += w_t
-        out = rows.swapaxes(0, -2).reshape(shape)
-    def bw(g):
-        dec, rows, g = time_major(a.data), time_major(out), time_major(g)
-        g_wr = np.empty_like(dec)  # dL/df_t, from step t and later ones
-        carry = np.zeros(dec.shape[1:])  # dL/df_t from later steps
-        for g_t, d_t, g_f in zip(g[::-1], dec[::-1], g_wr[::-1]):
-            np.add(carry, g_t, out=g_f)
-            np.multiply(g_f, d_t, out=carry)
-        g_dec = g_wr * np.concatenate([f0.data[None], rows[:-1]])
-        _accum(a, g_dec.swapaxes(0, -2).reshape(shape))
-        _accum(b, g_wr.swapaxes(0, -2).reshape(shape))
-        _accum(f0, carry)
-    return _op(out, (a, b, f0), bw)
+def gated_scan_vjp(g: np.ndarray, decay: np.ndarray, rows: np.ndarray,
+                   init: np.ndarray) -> tuple:
+    """The gradients of decay, write and init for gradient g of the rows
+    that `gated_scan(decay, write, init)` returned: its adjoint, run in
+    reverse time."""
+    shape = decay.shape
+    dec, rows, g = _time_major(decay), _time_major(rows), _time_major(g)
+    g_wr = np.empty_like(dec)  # dL/df_t, from step t and later ones
+    carry = np.zeros(dec.shape[1:])  # dL/df_t from later steps
+    for g_t, d_t, g_f in zip(g[::-1], dec[::-1], g_wr[::-1]):
+        np.add(carry, g_t, out=g_f)
+        np.multiply(g_f, d_t, out=carry)
+    g_dec = g_wr * np.concatenate([init[None], rows[:-1]])
+    return _batch_major(g_dec, shape), _batch_major(g_wr, shape), carry
+
+
+def _time_major(x: np.ndarray) -> np.ndarray:
+    """[T, d] or [B, T, d] (a [d] row is one step) as contiguous
+    [T, d] or [T, B, d]: step t is row t."""
+    if x.ndim == 1:
+        return x[None]
+    return x if x.ndim == 2 else np.ascontiguousarray(x.swapaxes(0, 1))
+
+
+def _batch_major(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """`_time_major`'s inverse, for an input of `shape`."""
+    return x.swapaxes(0, 1) if len(shape) == 3 else x.reshape(shape)
 
 
 def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
@@ -366,38 +379,52 @@ def straight_through(hard_values: np.ndarray, soft: Tensor) -> Tensor:
     return _op(hard, (soft,), lambda g: _accum(soft, g))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
-    """x @ w + b, then `act` ("tanh" or "sigmoid") if given, as one tape
-    node. x is one row, a [T, d] span or a [B, T, d] batch of spans; a 1-D
-    w with a scalar b maps each row to a scalar. The backward first takes
-    g through `act` as Tensor.tanh and Tensor.sigmoid do, then takes a 1-D
-    w as [d, 1], and its gradient from the rows as one [N, d] matrix. The
-    input's gradient keeps g's leading axes, one row as [1, k], since BLAS
-    picks a kernel, and so its rounding, by shape."""
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+           act: str | None = None) -> np.ndarray:
+    """x @ w + b, then `act` ("tanh" or "sigmoid") if given: the arrays
+    of `linear`'s forward."""
     try:
-        data = x.data @ w.data
-        data += b.data
+        y = x @ w
+        y += b
     except ValueError as e:
         raise NumericsError(
             f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}") from e
     if act == "tanh":
-        data = np.tanh(data)
-    elif act == "sigmoid":
-        data = sigmoid(data)
-    elif act is not None:
+        return np.tanh(y)
+    if act == "sigmoid":
+        return sigmoid(y)
+    if act is not None:
         raise NumericsError(f"unknown activation {act!r}")
-    def bw(g):
-        if act == "tanh":
-            g = g * (1.0 - data * data)
-        elif act == "sigmoid":
-            g = g * data * (1.0 - data)
-        w2 = w.data.reshape(len(w.data), -1)
-        g2 = g.reshape((x.shape[:-1] or (1,)) + w2.shape[1:])
-        rows = x.data.reshape(-1, len(w2))
-        _accum(x, (g2 @ w2.T).reshape(x.shape))
-        _accum(w, (rows.T @ g2.reshape(len(rows), -1)).reshape(w.shape))
-        _accum(b, g)
-    return _op(data, (x, w, b), bw)
+    return y
+
+
+def affine_vjp(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor,
+               y: np.ndarray, act: str | None = None) -> np.ndarray:
+    """`linear`'s backward for output y = affine(x, w.data, b.data, act)
+    and its gradient g: it adds w's and b's shares to their gradients and
+    returns x's. `act` goes first, as Tensor.tanh and Tensor.sigmoid take
+    it; a 1-D w is taken as [d, 1], and its gradient from the rows as one
+    [N, d] matrix. x's gradient keeps g's leading axes, one row as [1, k],
+    since BLAS picks a kernel, and so its rounding, by shape."""
+    if act == "tanh":
+        g = g * (1.0 - y * y)
+    elif act == "sigmoid":
+        g = g * y * (1.0 - y)
+    w2 = w.data.reshape(len(w.data), -1)
+    g2 = g.reshape((x.shape[:-1] or (1,)) + w2.shape[1:])
+    rows = x.reshape(-1, len(w2))
+    _accum(w, (rows.T @ g2.reshape(len(rows), -1)).reshape(w.shape))
+    _accum(b, g)
+    return (g2 @ w2.T).reshape(x.shape)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
+    """x @ w + b, then `act` ("tanh" or "sigmoid") if given, as one tape
+    node. x is one row, a [T, d] span or a [B, T, d] batch of spans; a 1-D
+    w with a scalar b maps each row to a scalar."""
+    data = affine(x.data, w.data, b.data, act)
+    return _op(data, (x, w, b),
+               lambda g: _accum(x, affine_vjp(g, x.data, w, b, data, act)))
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
@@ -408,9 +435,14 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     if gain.shape != (x.shape[-1],):
         raise NumericsError("rmsnorm gain length mismatch")
     n = x.shape[-1]
-    # add.reduce / n is .mean()'s arithmetic without its dispatch.
-    rms = np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / n
-                  + eps)
+    # add.reduce / n is .mean()'s arithmetic without its dispatch; one row
+    # takes the same IEEE operations on a Python float.
+    if x.data.size == n:
+        rms = math.sqrt(float(np.add.reduce(x.data * x.data, axis=None)) / n
+                        + eps)
+    else:
+        rms = np.sqrt(np.add.reduce(x.data * x.data, axis=-1, keepdims=True)
+                      / n + eps)
     xhat = x.data / rms
     def bw(g):
         gx = g * gain.data

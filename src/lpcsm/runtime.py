@@ -45,10 +45,9 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
     prompt = list(prompt)
     if not prompt:
         raise ConfigError("generate requires a nonempty prompt")
-    prompt = token_ids(prompt, cfg)
-    if prompt.ndim != 1:
+    ids = token_ids(prompt, cfg)  # the one check of the list
+    if ids.ndim != 1:
         raise NumericsError("generate takes one 1-D prompt")
-    prompt = prompt.tolist()
     if max_new < 0:
         raise ConfigError(f"max_new must be >= 0, got {max_new}")
     if len(prompt) + max_new > cfg.max_seq_len:
@@ -60,8 +59,8 @@ def generate(prompt, max_new: int, params: ParameterStore, cfg: ModelConfig,
         raise ConfigError(f"stop_threshold must lie in [0, 1], got {stop_threshold}")
     if stop_threshold is not None and not cfg.stop_head:
         raise ConfigError("stop_threshold needs a model with a stop head")
-    logits, cache = step_decode(prompt, init_cache(cfg), params, cfg)
-    out = list(prompt)
+    logits, cache = step_decode(ids, init_cache(cfg), params, cfg)
+    out = ids.tolist()
     for _ in range(max_new):
         nxt = int(np.argmax(logits.lm.data))
         out.append(nxt)

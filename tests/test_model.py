@@ -651,3 +651,25 @@ class TestTapeBudget:
     def test_decode_chunk_closing_token(self, monkeypatch):
         calls, closes = self.decode_ops(monkeypatch, 127)
         assert closes and 0 < calls <= 160
+
+    # One node per call of attention, the fast update, the read, each
+    # correction step and the open chunk's sum: 118 and 124 `_op` calls
+    # per decode token and 162 backward nodes per B=4 train step before.
+    def test_decode_token_count_is_pinned(self, monkeypatch):
+        assert self.decode_ops(monkeypatch, 128) == (66, False)
+
+    def test_chunk_closing_token_count_is_pinned(self, monkeypatch):
+        assert self.decode_ops(monkeypatch, 127) == (72, True)
+
+    def test_batch_step_backward_nodes_are_pinned(self):
+        cfg = self.readme_cfg(64)
+        inputs, targets = make_batch(SyntheticTask("copy", 32, 64, 2, seed=1), 4)
+        loss, _ = sequence_loss(inputs, targets, init_params(cfg, seed=1), cfg,
+                                LossWeights())
+        nodes, stack = {}, [loss.total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._prev)
+        assert sum(n._backward is not None for n in nodes.values()) == 114

@@ -10,12 +10,15 @@ import pytest
 import lpcsm
 from lpcsm.attention import local_attention
 from lpcsm.controller import ControllerParams
+from lpcsm.memory import fast_update, memory_read
 from lpcsm.model import causal_mask_bits
 from lpcsm.numerics import (
     Tensor, NumericsError, no_grad, concat,
     straight_through, gated_scan, linear, rmsnorm, ParameterStore,
     forward_backward, grad_check, check_finite, sigmoid, _accum,
 )
+
+from reference_mechanisms import scan_node
 
 SRC = Path(lpcsm.__file__).parent
 
@@ -286,7 +289,7 @@ class TestGatedScan:
         decay = rng.uniform(0, 1, (9, 5))
         write = rng.standard_normal((9, 5))
         f = rng.standard_normal(5)
-        rows = gated_scan(Tensor(decay), Tensor(write), Tensor(f)).data
+        rows = gated_scan(decay, write, f)
         for t in range(9):
             f = decay[t] * f + write[t]
             assert np.array_equal(rows[t], f)
@@ -294,7 +297,7 @@ class TestGatedScan:
     def test_vector_is_one_step(self):
         decay, write, init = (np.array([0.3, 0.9]), np.array([1.0, -2.0]),
                               np.array([0.5, 0.25]))
-        out = gated_scan(Tensor(decay), Tensor(write), Tensor(init)).data
+        out = gated_scan(decay, write, init)
         assert out.shape == (2,)
         assert np.array_equal(out, decay * init + write)
 
@@ -303,23 +306,20 @@ class TestGatedScan:
         decay = rng.uniform(0, 1, (3, 7, 4))
         write = rng.standard_normal((3, 7, 4))
         init = rng.standard_normal((3, 4))
-        rows = gated_scan(Tensor(decay), Tensor(write), Tensor(init)).data
+        rows = gated_scan(decay, write, init)
         for b in range(3):
-            one = gated_scan(Tensor(decay[b]), Tensor(write[b]),
-                             Tensor(init[b])).data
+            one = gated_scan(decay[b], write[b], init[b])
             assert np.array_equal(rows[b], one)
 
     def test_shape_mismatch(self):
         with pytest.raises(NumericsError):
-            gated_scan(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
-                       Tensor(np.ones(3)))
+            gated_scan(np.ones((3, 2)), np.ones((3, 2)), np.ones(3))
         for init in ((3, 2), (2,)):  # a batch needs a [B, d] init
             with pytest.raises(NumericsError):
-                gated_scan(Tensor(np.ones((2, 3, 2))),
-                           Tensor(np.ones((2, 3, 2))), Tensor(np.ones(init)))
+                gated_scan(np.ones((2, 3, 2)), np.ones((2, 3, 2)),
+                           np.ones(init))
         with pytest.raises(NumericsError):
-            gated_scan(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))),
-                       Tensor(np.ones(2)))
+            gated_scan(np.ones((3, 2)), np.ones((2, 2)), np.ones(2))
 
     def test_grad_check(self):
         rng = np.random.default_rng(5)
@@ -330,7 +330,7 @@ class TestGatedScan:
         weights = Tensor(rng.standard_normal((6, 3)))
 
         def loss(p):
-            rows = gated_scan(p["decay"], p["write"], p["init"])
+            rows = scan_node(p["decay"], p["write"], p["init"])
             return (rows * rows * weights).sum()
 
         report = grad_check(loss, params)
@@ -345,7 +345,7 @@ class TestGatedScan:
         weights = Tensor(rng.standard_normal((2, 5, 3)))
 
         def loss(p):
-            rows = gated_scan(p["decay"], p["write"], p["init"])
+            rows = scan_node(p["decay"], p["write"], p["init"])
             return (rows * rows * weights).sum()
 
         report = grad_check(loss, params)
@@ -361,14 +361,14 @@ class TestGatedScan:
         params.add("write", rng.standard_normal(shape))
         params.add("init", rng.standard_normal(shape[:-2] + shape[-1:]))
         weights = Tensor(rng.standard_normal(shape))
-        rows = gated_scan(params["decay"], params["write"], params["init"])
+        rows = scan_node(params["decay"], params["write"], params["init"])
         expect = (params["decay"].data * params["init"].data.reshape(shape)
                   + params["write"].data)
         assert rows.shape == shape
         assert np.array_equal(rows.data, expect)
 
         def loss(p):
-            rows = gated_scan(p["decay"], p["write"], p["init"])
+            rows = scan_node(p["decay"], p["write"], p["init"])
             return (rows * rows * weights).sum()
 
         report = grad_check(loss, params)
@@ -520,6 +520,10 @@ class TestTensorBasics:
         for name, shape in (("w_qkv", (4, 12)), ("b_qkv", (12,)),
                             ("w_o", (4, 4)), ("b_o", (4,))):
             params.add("attn." + name, rng.standard_normal(shape))
+        for name in ("w_d", "w_u", "w_qf", "w_qs", "b_d", "b_u", "b_qf", "b_qs",
+                     "w_r", "b_r"):
+            shape = (8, 4) if name == "w_r" else (4, 4) if name[0] == "w" else (4,)
+            params.add("mem." + name, rng.standard_normal(shape))
         cp = ControllerParams(scale=leaf(), temperature=1.0,
                               ratio_raw=leaf(), ratio_min=0.1, ratio_max=0.9)
         builds = [
@@ -530,7 +534,8 @@ class TestTensorBasics:
             lambda: x.exp(), lambda: x.log(), lambda: x.sqrt(),
             lambda: x.reshape((4, 2)), lambda: x[1],
             lambda: concat([x, x]), lambda: x[[1, 0, 1]],
-            lambda: gated_scan(x, x, x[0]),
+            lambda: fast_update(x, x[0], params),
+            lambda: memory_read(x, x, x[0], params),
             lambda: straight_through(np.ones(4), x[0]),
             lambda: local_attention(x, x, 2, 2, params),
             lambda: causal_mask_bits(x[0], cp),
@@ -597,6 +602,30 @@ class TestRmsNorm:
             return rmsnorm(t, Tensor(np.array([1.0, 2.0, 0.5])), 1e-6).sum()
 
         check_op(f, (2, 3), 5)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7,), (1, 1, 32), (1, 9)])
+    def test_one_row_matches_array_path(self, shape):
+        # One row takes its rms as a Python float; the floats, forward and
+        # backward, are those of the [..., 1] array of rms values.
+        rng = np.random.default_rng(16)
+        for _ in range(20):  # a wrong sum order can round alike by chance
+            x = Tensor(rng.standard_normal(shape) * 3.0, requires_grad=True)
+            gain = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+            g = rng.standard_normal(shape)
+            out = rmsnorm(x, gain, 1e-6)
+            (out * Tensor(g)).sum().backward()
+            n = shape[-1]
+            rms = np.sqrt(np.add.reduce(x.data * x.data, axis=-1,
+                                        keepdims=True) / n + 1e-6)
+            xhat = x.data / rms
+            gx = g * gain.data
+            dot = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
+            assert out.data.tobytes() == (xhat * gain.data).tobytes()
+            assert x.grad.tobytes() == ((gx - xhat * dot) / rms).tobytes()
+            expect_gain = g * xhat
+            while expect_gain.ndim > 1:
+                expect_gain = expect_gain.sum(axis=0)
+            assert gain.grad.tobytes() == expect_gain.tobytes()
 
     def test_grad_check_x_and_gain(self):
         rng = np.random.default_rng(15)

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lpcsm import runtime
+from lpcsm import model, runtime
 from lpcsm.numerics import ConfigError, NumericsError, Tensor
 from lpcsm.model import ModelConfig, init_params, model_forward
 from lpcsm.runtime import init_cache, step_decode, generate
@@ -264,7 +264,27 @@ class TestSpanPrefill:
                             or step(tokens, *a))
         out = generate([2, 3, 4, 5, 6], 7, params, cfg)
         assert len(out) == 5 + 7
-        assert calls == [[2, 3, 4, 5, 6]] + out[5:]
+        # The prompt goes in as the int array its one check made.
+        assert [list(calls[0])] + calls[1:] == [[2, 3, 4, 5, 6]] + out[5:]
+
+    def test_prompt_list_is_checked_once(self, monkeypatch):
+        # generate checks the prompt list and hands step_decode the checked
+        # array, whose own check looks at its dtype and range, not at each
+        # entry: token_ids sees the list once.
+        cfg = tiny_cfg()
+        params = init_params(cfg, seed=4)
+        prompt = [2, 3, 4, 5, 6]
+        seen = []
+        check = model.token_ids
+
+        def counting(tokens, *a):
+            seen.append(type(tokens))
+            return check(tokens, *a)
+        monkeypatch.setattr(model, "token_ids", counting)
+        monkeypatch.setattr(runtime, "token_ids", counting)
+        generate(prompt, 3, params, cfg)
+        # The prompt, then the prefill's array and one id list per token.
+        assert seen == [list, np.ndarray] + [list] * 3
 
 
 class TestGenerate:
