@@ -19,6 +19,17 @@ from .numerics import (Tensor, ParameterStore, NumericsError, _accum, _op,
 MASK_VALUE = -1e30
 
 
+def _slot_max(x: np.ndarray) -> np.ndarray:
+    """np.maximum.reduce(x, axis=-1, keepdims=True), taken slot by slot:
+    one np.maximum per slot of the last axis. A block's score rows are
+    many and short, and a reduce over each costs more; a max is exact, so
+    the values are the same."""
+    top = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
+    return top[..., None]
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, window: int,
             heads: int) -> tuple:
     """Windowed attention of the T rows of q over the rows of k and v, the
@@ -92,7 +103,8 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, window: int,
             past + bs * np.arange(nb)[:, None, None] + np.arange(span)
             < w - 1))
     # The ufuncs' reduce is the methods' arithmetic without their dispatch.
-    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    scores -= (_slot_max(scores) if bs > 1
+               else np.maximum.reduce(scores, axis=-1, keepdims=True))
     p = np.exp(scores, out=scores)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
 

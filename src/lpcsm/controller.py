@@ -70,6 +70,160 @@ def empty_prefix(batch: tuple = ()) -> tuple:
             np.zeros(batch + (3,)).tolist())
 
 
+def _position_records(xs: list, values: list, index: list, moments: list,
+                      start: int, ratio: float, scale: float,
+                      inv_temp: float) -> list:
+    """The per-position path: the norms xs of one sequence's span, from
+    position `start` on, each advanced in turn into the sequence's sorted
+    prefix (values, index) and its moments, all in place, with Python
+    floats. Returns one record per position: (hard bit, s_t - s_theta,
+    dz/de, mean, sqrt(var), the threshold's position, its norm).
+
+    A score is z * scale * inv_temp, with z = (v - m) / den, den =
+    sqrt(var) + eps, or z = (v - m) * (1/eps) on a flat row (var == 0).
+    It runs where the array pass would not give these floats: a tie at
+    the threshold, a clamped m2, and a span of one position."""
+    rising = scale >= 0.0           # scores weakly follow the norms' order
+    total, m, m2 = moments
+    records = []
+    for t, x in enumerate(xs, start):
+        n = t + 1
+        pos = bisect_right(values, x)
+        values.insert(pos, x)
+        index.insert(pos, t)
+
+        total, m, m2 = welford_step(total, m, m2, x, n)
+        var = m2 / n
+        flat = var == 0.0
+        if flat:
+            sd, slope = 0.0, 1.0 / SCORE_STD_EPS
+        else:
+            sd = math.sqrt(var)
+            den = sd + SCORE_STD_EPS
+            slope = 1.0 / den
+
+        # hard_mask's threshold is the k-th score of its stable
+        # descending order: the (k - #greater)-th, in position order,
+        # of its run of equal scores, which is contiguous in the
+        # sorted prefix.
+        k = int(math.ceil(ratio * n))
+        v = values[n - k if rising else k - 1]
+        s_theta = (((v - m) * slope if flat else (v - m) / den)
+                   * scale * inv_temp)
+        lo, hi = bisect_left(values, v), bisect_right(values, v)
+        while lo > 0:
+            u = values[lo - 1]
+            if (((u - m) * slope if flat else (u - m) / den)
+                    * scale * inv_temp != s_theta):
+                break
+            lo = bisect_left(values, u, 0, lo)
+        while hi < n:
+            u = values[hi]
+            if (((u - m) * slope if flat else (u - m) / den)
+                    * scale * inv_temp != s_theta):
+                break
+            hi = bisect_right(values, u, hi)
+        rank = k - (n - hi if rising else lo) - 1
+        if values[lo] == values[hi - 1]:
+            j, v_j = index[lo + rank], v
+        else:  # rounding merged distinct norms into one score
+            j, v_j = sorted(zip(index[lo:hi], values[lo:hi]))[rank]
+
+        s_own = (((x - m) * slope if flat else (x - m) / den)
+                 * scale * inv_temp)
+        records.append((s_own > s_theta or j == t, s_own - s_theta, slope,
+                        m, sd, j, v_j))
+    moments[:] = total, m, m2
+    return records
+
+
+def _array_pass(rows: np.ndarray, prefix: tuple, ratio: float, scale: float,
+                inv_temp: float, table: np.ndarray) -> list:
+    """The records of a [B, T] span, as `_position_records` gives them,
+    written into `table` ([7, B, T], one plane per record field) and the
+    prefix advanced in place; returns the rows it leaves to
+    `_position_records`, with their prefix as it was.
+
+    The moments are running sums: np.add.accumulate of the norms from the
+    carried total gives welford_step's totals, total / n its means, and
+    the accumulated increments (x - previous mean) * (x - mean) its m2s,
+    float for float, unless a partial m2 falls below 0, where
+    welford_step clamps it: such a row is left over. The Python loop only
+    inserts each norm into its sorted prefix and reads the positions in
+    slot q, the threshold's (n - k, or k - 1 when scale < 0), and in its
+    two neighbours. A row where a neighbour scores the threshold's score,
+    an exact tie or distinct norms merged by rounding, is left over too:
+    the threshold is then the rank-th of a run, which the per-position
+    path resolves. Elsewhere the run is slot q alone."""
+    values, index, moments = prefix
+    batch, span = rows.shape
+    start = len(values[0])
+    n = np.arange(start + 1.0, start + span + 1.0)  # each prefix's length
+    carried = np.array(moments)
+    total = rows.copy()
+    total[:, 0] += carried[:, 0]
+    np.add.accumulate(total, axis=1, out=total)
+    mean = total / n
+    prev = np.empty_like(mean)
+    prev[:, 0] = carried[:, 1]
+    prev[:, 1:] = mean[:, :-1]
+    m2 = (rows - prev) * (rows - mean)
+    m2[:, 0] += carried[:, 2]
+    np.add.accumulate(m2, axis=1, out=m2)
+    var = m2 / n
+    clamped = (var < 0.0).any(axis=1)
+    var[clamped] = 0.0  # those rows are left over
+    flat = var == 0.0
+    sd = np.sqrt(var)
+    den = sd + SCORE_STD_EPS
+    slope = 1.0 / den  # 1 / eps on a flat row, as there
+
+    k = np.ceil(ratio * n)
+    slot = (n - k if scale >= 0.0 else k - 1).astype(np.int64)
+    positions = np.arange(start, start + span)
+    steps = list(zip(positions.tolist(), slot.tolist(),
+                     (slot - positions).tolist()))
+    reads = []
+    for b in range(batch):
+        vals, idx = values[b], index[b]
+        for (t, q, q_next), x in zip(steps, rows[b].tolist()):
+            pos = bisect_right(vals, x)
+            vals.insert(pos, x)
+            idx.insert(pos, t)
+            # idx[q - t] is idx[q + 1] unless q is the last slot.
+            reads += idx[q], idx[q - 1], idx[q_next]
+    read = np.fromiter(reads, np.int64, 3 * batch * span).reshape(batch, -1)
+    norms = rows  # each position's norm, by position
+    if start:
+        norms = np.empty((batch, start + span))
+        norms[:, start:] = rows
+        for b in range(batch):
+            norms[b, index[b]] = values[b]
+    v, below, above = np.take_along_axis(norms, read, axis=1).reshape(
+        batch, span, 3).transpose(2, 0, 1)
+    theta = read[:, ::3]
+
+    c = np.stack((rows, v, below, above)) - mean
+    own, s_theta, s_below, s_above = (
+        np.where(flat, c * slope, c / den) * scale * inv_temp)
+    tied = (((slot > 0) & (s_below == s_theta))
+            | ((slot < n - 1) & (s_above == s_theta)))
+    table[0] = (own > s_theta) | (theta == positions)
+    table[1] = own - s_theta
+    table[2], table[3], table[4], table[5], table[6] = (slope, mean, sd,
+                                                        theta, v)
+    left = np.flatnonzero(clamped | tied.any(axis=1)).tolist()
+    for b in range(batch):
+        if b in left:  # take the span's norms back out of the prefix
+            kept = [(u, i) for u, i in zip(values[b], index[b]) if i < start]
+            values[b][:] = [u for u, _ in kept]
+            index[b][:] = [i for _, i in kept]
+        else:
+            moments[b][:] = (float(total[b, -1]), float(mean[b, -1]),
+                             float(m2[b, -1]))
+    return left
+
+
 def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
                      prefix: tuple | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """Causal event bits of a span that continues a carried prefix:
@@ -87,90 +241,55 @@ def causal_mask_bits(error_norms: Tensor, p: ControllerParams,
 
     The score map is weakly monotone in the norm (reversed when scale < 0),
     so hard_mask's threshold is the score of an order statistic of the
-    sorted prefix, and only the scores it compares are computed: as
-    Python floats, from event_scores' running mean and variance, in
-    event_scores' op order, so each is the same float. The soft bits are
-    one tape node for any span length and batch, with an O(T) backward
-    that reads each threshold's norm as the forward recorded it; the hard
-    bits route their gradient to it straight through.
+    sorted prefix, and only the scores it compares are computed, from
+    event_scores' running mean and variance in event_scores' op order, so
+    each is the same float. A span of two or more positions takes the
+    array pass (`_array_pass`): its moments and scores are [B, T] arrays,
+    and per position only the sorted insert and the threshold's read stay
+    in Python. A one-position span, which is every decode token, and a
+    row the array pass leaves over (a tie at the threshold, or a clamped
+    m2) take the per-position path (`_position_records`), which gives the
+    same records. The soft bits are one tape node for any span length and
+    batch, with an O(T) backward that reads each threshold's norm as the
+    forward recorded it; the hard bits route their gradient to it
+    straight through.
     """
     e = _wrap(error_norms)
     ratio_t = clamp_ratio(p)
     ratio = float(ratio_t.data)
     if prefix is None:
         prefix = empty_prefix(e.shape[:-1])
-    all_values, all_index, all_moments = (
+    values, index, moments = (
         prefix if e.ndim > 1 else ([prefix[0]], [prefix[1]], [prefix[2]]))
-    batch, span, start = len(all_values), e.shape[-1], len(all_values[0])
+    batch, span, start = len(values), e.shape[-1], len(values[0])
     rows = e.data.reshape(batch, span)  # one row per sequence
     scale = float(p.scale.data)
     inv_temp = 1.0 / p.temperature
-    rising = scale >= 0.0           # scores weakly follow the norms' order
 
-    # Per position, sequence by sequence: the hard bit, s_t - s_theta
-    # (exact), and the backward's record: dz/de (1/den, or 1/eps on a flat
-    # row), the prefix mean, sqrt(var) (0 on a flat row), and the
-    # threshold's position and norm. A score is z * scale * inv_temp, with
-    # z = (v - m) / den, or (v - m) * (1/eps) on a flat row.
-    bits, diffs, records = [], [], []
-    for b in range(batch):
-        values, index, moments = all_values[b], all_index[b], all_moments[b]
-        total, m, m2 = moments
-        for t, x in enumerate(rows[b].tolist(), start):
-            n = t + 1
-            pos = bisect_right(values, x)
-            values.insert(pos, x)
-            index.insert(pos, t)
-
-            total, m, m2 = welford_step(total, m, m2, x, n)
-            var = m2 / n
-            flat = var == 0.0
-            if flat:
-                sd, slope = 0.0, 1.0 / SCORE_STD_EPS
-            else:
-                sd = math.sqrt(var)
-                den = sd + SCORE_STD_EPS
-                slope = 1.0 / den
-
-            # hard_mask's threshold is the k-th score of its stable
-            # descending order: the (k - #greater)-th, in position order,
-            # of its run of equal scores, which is contiguous in the
-            # sorted prefix.
-            k = int(math.ceil(ratio * n))
-            v = values[n - k if rising else k - 1]
-            s_theta = (((v - m) * slope if flat else (v - m) / den)
-                       * scale * inv_temp)
-            lo, hi = bisect_left(values, v), bisect_right(values, v)
-            while lo > 0:
-                u = values[lo - 1]
-                if (((u - m) * slope if flat else (u - m) / den)
-                        * scale * inv_temp != s_theta):
-                    break
-                lo = bisect_left(values, u, 0, lo)
-            while hi < n:
-                u = values[hi]
-                if (((u - m) * slope if flat else (u - m) / den)
-                        * scale * inv_temp != s_theta):
-                    break
-                hi = bisect_right(values, u, hi)
-            rank = k - (n - hi if rising else lo) - 1
-            if values[lo] == values[hi - 1]:
-                j, v_j = index[lo + rank], v
-            else:  # rounding merged distinct norms into one score
-                j, v_j = sorted(zip(index[lo:hi], values[lo:hi]))[rank]
-
-            s_own = (((x - m) * slope if flat else (x - m) / den)
-                     * scale * inv_temp)
-            bits.append(s_own > s_theta or j == t)
-            diffs.append(s_own - s_theta)
-            records.append((slope, m, sd, j, v_j))
-        moments[:] = total, m, m2
-    hard = np.array(bits, dtype=np.float64).reshape(e.shape)
-    soft_vals = sigmoid(np.array(diffs).reshape(e.shape))
+    # Per position: the hard bit, s_t - s_theta (exact), and the
+    # backward's record: dz/de (1/den, or 1/eps on a flat row), the
+    # prefix mean, sqrt(var) (0 on a flat row), and the threshold's
+    # position and norm.
+    if span > 1:
+        table = np.empty((7, batch, span))
+        left = _array_pass(rows, (values, index, moments), ratio, scale,
+                           inv_temp, table)
+    else:  # one position, as each decode token, or none
+        left = range(batch)
+    records = [_position_records(rows[b].tolist(), values[b], index[b],
+                                 moments[b], start, ratio, scale, inv_temp)
+               for b in left]
+    if span > 1:
+        for b, row in zip(left, records):
+            table[:, b] = np.array(row, dtype=np.float64).T
+    else:
+        table = np.array([r for row in records for r in row],
+                         dtype=np.float64).T.reshape(7, batch, span)
+    hard = table[0].reshape(e.shape)
+    soft_vals = sigmoid(table[1].reshape(e.shape))
     def bw(g):
-        slope, mu, sd, theta, norm_theta = np.moveaxis(
-            np.array(records).reshape(batch, span, 5), -1, 0)
-        theta = theta.astype(np.int64) - start
+        slope, mu, sd, norm_theta = table[2], table[3], table[4], table[6]
+        theta = table[5].astype(np.int64) - start
         y = soft_vals.reshape(batch, span)
         g = g.reshape(batch, span)
         gs = g * y * (1.0 - y) * inv_temp  # d/d(s_t - s_theta)

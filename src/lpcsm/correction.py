@@ -1,13 +1,14 @@
 """Predictive correction: estimate the hidden state from the attention and
-memory reads, then iteratively refine against the explicit mismatch. Each
-call is one tape node."""
+memory reads, iteratively refine against the explicit mismatch, measure
+the mismatch left and gate the estimate by the event bits. Each call is
+one tape node."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .numerics import (Tensor, ParameterStore, NumericsError, _accum, _op,
-                       affine, affine_vjp)
+                       _unbroadcast, affine, affine_vjp)
 
 
 def _mlp(x: np.ndarray, params: ParameterStore, prefix: str) -> tuple:
@@ -56,3 +57,28 @@ def refine_step(a: Tensor, r: Tensor, h: Tensor, estimate: Tensor,
     # order the reference op chain visits them in, so every other node
     # keeps its place on the tape, and every gradient sum its order.
     return _op(estimate.data + y, (a, r, h, estimate) + weights, bw)
+
+
+def mismatch_sq(h: Tensor, estimate: Tensor) -> Tensor:
+    """Each row's squared mismatch norm, the sum over the last axis of
+    (h - estimate)^2. The backward takes the square's two shares, then
+    splits their sum between h and the estimate."""
+    diff = h.data - estimate.data
+    def bw(g):
+        g = np.broadcast_to(np.expand_dims(g, -1), diff.shape)
+        g_diff = g * diff
+        g_diff = g_diff + g * diff
+        _accum(h, g_diff)
+        _accum(estimate, -g_diff)
+    return _op((diff * diff).sum(axis=-1), (h, estimate), bw)
+
+
+def masked_estimate(mask: Tensor, estimate: Tensor) -> Tensor:
+    """The estimate's rows, [..., T, d], each times its event bit from the
+    [..., T] mask. The backward gives the estimate its share first."""
+    bits = mask.data.reshape(mask.shape + (1,))
+    def bw(g):
+        g_bits = _unbroadcast(g * estimate.data, bits.shape)
+        _accum(estimate, g * bits)
+        _accum(mask, g_bits.reshape(mask.shape))
+    return _op(bits * estimate.data, (mask, estimate), bw)

@@ -36,6 +36,9 @@ class SyntheticTask:
         if (self.kind == "key-recall"
                 and 2 * self.key_len + self.distractor_len + 1 > self.seq_len):
             raise ConfigError("key-recall layout exceeds seq_len")
+        if self.kind == "copy" and self.key_len + 1 > self.seq_len:
+            raise ConfigError("a copy task needs key_len + 1 <= seq_len: "
+                              "the key and its delimiter")
 
 
 def _copy_sequence(task: SyntheticTask, rng) -> np.ndarray:

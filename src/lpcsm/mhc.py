@@ -114,5 +114,14 @@ def route_gain(pre: Tensor, post: Tensor, logits: Tensor, iters: int) -> Tensor:
 
 def mhc_route(h_in: Tensor, block_update: Tensor, gain: Tensor) -> Tensor:
     """Route the residual through the streams (see `route_gain`) and inject
-    the block update additively. Accepts a vector or a [T, d] batch."""
-    return _wrap(h_in) * gain + _wrap(block_update)
+    the block update additively: h_in * gain + block_update, as one tape
+    node. Accepts a vector, a [T, d] span or a [B, T, d] batch."""
+    h_in, block_update, gain = _wrap(h_in), _wrap(block_update), _wrap(gain)
+    def bw(g):
+        _accum(block_update, g)
+        _accum(h_in, g * gain.data)
+        _accum(gain, g * h_in.data)
+    # The tape visits inputs last first: the update, the gain, then h_in,
+    # as it visits the sum's and the product's.
+    return _op(h_in.data * gain.data + block_update.data,
+               (h_in, gain, block_update), bw)

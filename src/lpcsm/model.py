@@ -12,11 +12,13 @@ import numpy as np
 
 from .numerics import (
     Tensor, ParameterStore, NumericsError, ConfigError, check_finite, rmsnorm,
-    concat, linear, straight_through,
+    concat, linear, straight_through, _accum, _op, _unbroadcast, affine,
+    affine_vjp,
 )
 from .attention import local_attention, latent_attention
 from .memory import MemoryState, fast_update, memory_read, slow_write
-from .correction import predict_init, refine_step
+from .correction import (predict_init, refine_step, mismatch_sq,
+                         masked_estimate)
 from .controller import (ControllerParams, causal_mask_bits, empty_prefix,
                          ratio_raw_init)
 from .mhc import MAX_EXTRA_PASSES, mhc_route, route_gain
@@ -274,6 +276,23 @@ class LayerCache:
                    prefix=empty_prefix(batch))
 
 
+def fuse(h: Tensor, parts: tuple, w: Tensor, b: Tensor) -> Tensor:
+    """The residual h + linear(concat(parts, axis=-1), w, b), as one tape
+    node. The backward takes h's share, then the linear's, then splits
+    the rows' gradient among the parts in order."""
+    x = np.concatenate([t.data for t in parts], axis=-1)
+    y = affine(x, w.data, b.data)
+    def bw(g):
+        _accum(h, g)
+        g_x = affine_vjp(g, x, w, b, y)
+        ends = np.cumsum([t.shape[-1] for t in parts])[:-1]
+        for t, g_t in zip(parts, np.split(g_x, ends, axis=-1)):
+            _accum(t, g_t)
+    # The tape visits inputs last first: b, w, the parts from the last,
+    # then h, as it visits the sum's, the linear's and the concat's.
+    return _op(h.data + y, (h, *parts, w, b), bw)
+
+
 def block_forward(h: Tensor, layer: int, params: ParameterStore,
                   cfg: ModelConfig, soft_mask: bool = False,
                   cache: LayerCache | None = None) -> tuple[Tensor, LayerAux]:
@@ -310,8 +329,7 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             est = predict_init(a, r, params, p + "pred.")
             for _ in range(cfg.s_ref):
                 est = refine_step(a, r, n, est, params, p + "refine.")
-            diff = n - est
-            err_sq = (diff * diff).sum(axis=-1)
+            err_sq = mismatch_sq(n, est)
             error_norms = err_sq.sqrt()
         else:
             est = None
@@ -332,13 +350,12 @@ def block_forward(h: Tensor, layer: int, params: ParameterStore,
             sparse_ratio_st = straight_through(density, ratio_t)
 
         if cfg.predictive_coding:
-            corrected = mask.reshape(mask.shape + (1,)) * est
+            corrected = masked_estimate(mask, est)
         else:
             corrected = Tensor(np.zeros(h.shape))
 
-        fused = linear(concat([a, r, corrected], axis=-1), params[p + "fuse.w"],
-                       params[p + "fuse.b"])
-        resid = h + fused
+        resid = fuse(h, (a, r, corrected), params[p + "fuse.w"],
+                     params[p + "fuse.b"])
         n2 = rmsnorm(resid, params[p + "norm2.gain"], cfg.rmsnorm_eps)
         ffn = linear(n2, params[p + "ffn.w1"], params[p + "ffn.b1"], "tanh")
         update = linear(ffn, params[p + "ffn.w2"], params[p + "ffn.b2"])
@@ -390,13 +407,25 @@ def token_ids(tokens, cfg: ModelConfig) -> np.ndarray:
 
 def embed(tokens, params: ParameterStore, cfg: ModelConfig,
           position_offset: int = 0) -> Tensor:
+    """Each token's row of embed.tok plus its position's row of embed.pos,
+    as one tape node. The backward sums the rows' gradients into each id's
+    row of the table, in position order from +0.0, then their sum over the
+    batch into the positions' rows."""
     tokens = token_ids(tokens, cfg)
     t_len = tokens.shape[-1]
     if position_offset + t_len > cfg.max_seq_len:
         raise ConfigError("sequence exceeds max_seq_len")
-    tok = params["embed.tok"][tokens]
-    pos = params["embed.pos"][position_offset:position_offset + t_len]
-    return tok + pos
+    tok, pos = params["embed.tok"], params["embed.pos"]
+    rows = slice(position_offset, position_offset + t_len)
+    def bw(g):
+        (v, d), ids = tok.shape, tokens.reshape(-1)
+        # bincount adds its weights in order, as np.add.at does.
+        _accum(tok, np.bincount((ids[:, None] * d + np.arange(d)).reshape(-1),
+                                g.reshape(-1), v * d).reshape(v, d))
+        g_pos = np.zeros_like(pos.data)
+        g_pos[rows] = _unbroadcast(g, pos.data[rows].shape)
+        _accum(pos, g_pos)
+    return _op(tok.data[tokens] + pos.data[rows], (tok, pos), bw)
 
 
 def model_forward(tokens, params: ParameterStore, cfg: ModelConfig,

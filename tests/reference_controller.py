@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from lpcsm.controller import SCORE_STD_EPS, ControllerParams
-from lpcsm.numerics import Tensor, NumericsError, _wrap, straight_through
+from lpcsm.numerics import (Tensor, NumericsError, _wrap, sigmoid,
+                            straight_through)
 
 
 @dataclass
@@ -78,3 +79,35 @@ def hard_mask(scores: Tensor, ratio: float) -> EventMask:
         soft=soft,
         effective_ratio=k / t_len,
     )
+
+
+def prefix_masks(errs, p: ControllerParams, ratio: float) -> tuple:
+    """The hard and soft bit that hard_mask(event_scores(e[:t+1]), ratio)
+    gives position t, for every t of a [T] row: the same floats as those
+    two functions, without their tape, so that rows of thousands of norms
+    can be checked. event_scores' moments after each prefix are its
+    running ones, so one pass gives them all; each prefix's scores are
+    then its centered norms over sqrt(var) + eps (times 1/eps where
+    var == 0), times scale and 1/temperature, and hard_mask's stable
+    top-k picks the bits."""
+    errs = np.asarray(errs, dtype=np.float64)
+    scale, inv_temp = float(p.scale.data), 1.0 / p.temperature
+    hard, soft = np.zeros(errs.size), np.zeros(errs.size)
+    total = mu = m2 = 0.0
+    for t, x in enumerate(errs.tolist()):
+        total = total + x
+        new = total / (t + 1)
+        m2 = m2 + (x - mu) * (x - new)
+        mu = new
+        if m2 < 0.0:
+            m2 = 0.0
+        centered = errs[:t + 1] - mu
+        var = m2 / (t + 1)
+        z = (centered * (1.0 / SCORE_STD_EPS) if var == 0.0
+             else centered / (np.sqrt(var) + SCORE_STD_EPS))
+        scores = z * scale * inv_temp
+        k = int(math.ceil(ratio * (t + 1)))
+        order = np.argsort(-scores, kind="stable")
+        hard[t] = t in order[:k]
+        soft[t] = sigmoid(scores[t] - scores[order[k - 1]])
+    return hard, soft

@@ -1,6 +1,7 @@
-"""The block's mechanisms as chains of Tensor ops, kept as the reference
-that the one-node forms in `lpcsm.attention`, `lpcsm.memory` and
-`lpcsm.correction` are tested against.
+"""The block's mechanisms and the glue between them as chains of Tensor
+ops, kept as the reference that the one-node forms in `lpcsm.attention`,
+`lpcsm.memory`, `lpcsm.correction`, `lpcsm.mhc` and `lpcsm.model` are
+tested against.
 
 Each function composes `linear`, `concat`, slices and Tensor arithmetic
 as the model did before each call became one tape node; `attend_node` and
@@ -11,8 +12,10 @@ value and the same bytes in every gradient."""
 from __future__ import annotations
 
 from lpcsm.attention import _attend
-from lpcsm.numerics import (Tensor, ParameterStore, NumericsError, _accum, _op,
-                            _wrap, concat, gated_scan, gated_scan_vjp, linear)
+from lpcsm.model import ModelConfig, token_ids
+from lpcsm.numerics import (Tensor, ParameterStore, NumericsError, ConfigError,
+                            _accum, _op, _wrap, concat, gated_scan,
+                            gated_scan_vjp, linear)
 
 
 def attend_node(q: Tensor, k: Tensor, v: Tensor, window: int,
@@ -88,3 +91,31 @@ def refine_step(a: Tensor, r: Tensor, h: Tensor, estimate: Tensor,
                 params: ParameterStore, prefix: str = "refine.") -> Tensor:
     err = h - estimate
     return estimate + _mlp(concat([a, r, err], axis=-1), params, prefix)
+
+
+def mismatch_sq(h: Tensor, estimate: Tensor) -> Tensor:
+    diff = h - estimate
+    return (diff * diff).sum(axis=-1)
+
+
+def masked_estimate(mask: Tensor, estimate: Tensor) -> Tensor:
+    return mask.reshape(mask.shape + (1,)) * estimate
+
+
+def fuse(h: Tensor, parts: tuple, w: Tensor, b: Tensor) -> Tensor:
+    return h + linear(concat(list(parts), axis=-1), w, b)
+
+
+def mhc_route(h_in: Tensor, block_update: Tensor, gain: Tensor) -> Tensor:
+    return _wrap(h_in) * gain + _wrap(block_update)
+
+
+def embed(tokens, params: ParameterStore, cfg: ModelConfig,
+          position_offset: int = 0) -> Tensor:
+    tokens = token_ids(tokens, cfg)
+    t_len = tokens.shape[-1]
+    if position_offset + t_len > cfg.max_seq_len:
+        raise ConfigError("sequence exceeds max_seq_len")
+    tok = params["embed.tok"][tokens]
+    pos = params["embed.pos"][position_offset:position_offset + t_len]
+    return tok + pos

@@ -9,7 +9,8 @@ import pytest
 
 from lpcsm.numerics import (Tensor, NumericsError, ParameterStore, concat,
                             grad_check)
-from lpcsm.attention import MASK_VALUE, local_attention, latent_attention
+from lpcsm.attention import (MASK_VALUE, _slot_max, local_attention,
+                             latent_attention)
 
 from reference_mechanisms import attend_node
 
@@ -310,3 +311,14 @@ class TestWindowedNode:
                 tracemalloc.stop()
 
         assert peak_bytes(512) <= 2.5 * peak_bytes(256)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 8, 8, 15), (3, 2, 5, 1), (2, 7, 2)])
+def test_slot_max_is_the_row_max(shape):
+    # The block path's row max, slot by slot, gives the reduce's values,
+    # with masked slots and a row masked up to its last slot among them.
+    x = np.random.default_rng(53).standard_normal(shape)
+    x[..., ::3] = MASK_VALUE
+    x[..., :-1][..., :1, :] = MASK_VALUE
+    assert np.array_equal(_slot_max(x),
+                          np.maximum.reduce(x, axis=-1, keepdims=True))

@@ -13,7 +13,7 @@ from lpcsm.numerics import (
 from lpcsm.controller import (
     ControllerParams, ratio_raw_init, clamp_ratio, welford_step, empty_prefix,
 )
-from reference_controller import event_scores, hard_mask
+from reference_controller import event_scores, hard_mask, prefix_masks
 
 
 def make_cp(scale=1.0, temperature=1.0, ratio_raw=0.0,
@@ -546,3 +546,197 @@ class TestPrefixEventNode:
         grads = forward_backward(b.total, params)
         for layer in range(cfg.layers):
             assert np.any(grads[f"layers.{layer}.ctrl.scale"].data != 0.0)
+
+
+def masks_of(errs, cp, ratio):
+    """prefix_masks of each row of a [T] or [B, T] array of norms."""
+    rows = [prefix_masks(row, cp, ratio) for row in np.atleast_2d(errs)]
+    shape = np.shape(errs)
+    return (np.reshape([h for h, _ in rows], shape),
+            np.reshape([s for _, s in rows], shape))
+
+
+def long_rows(rng):
+    """Rows of 1024 and more norms: random ones, exact ties, rounding-merged
+    ties (the [1.0, *tiny, 0.5] family, repeated), a flat row and a row
+    whose norms are a few ulps apart."""
+    ties = rng.choice([0.25, 0.5, 1.0], size=1024)
+    merged = np.tile([1.0, 1e-17, 2e-17, 3e-17, 0.5], 205)
+    ulps = 0.7 + rng.integers(0, 3, size=1030) * np.spacing(0.7)
+    return {
+        "random": np.abs(rng.standard_normal(1100)),
+        "exact ties": ties,
+        "merged ties": merged,
+        "flat": np.full(1024, 0.7),
+        "ulps apart": ulps,
+        "batch": np.stack([np.abs(rng.standard_normal(1030)),
+                           np.r_[ties, ties[:6]], np.full(1030, 1.0 / 3.0),
+                           ulps]),
+    }
+
+
+class TestArrayPass:
+    """Spans of two or more positions take the array pass: it gives the
+    bits of the per-prefix reference (reference_controller), and the
+    bytes of the per-position path, forward, backward and in the prefix
+    it leaves, on long rows and [B, T] batches, fresh and carried."""
+
+    CPS = {"scale > 0": dict(scale=1.3, temperature=0.7, ratio_raw=-0.6),
+           "scale < 0": dict(scale=-0.8, temperature=1.4, ratio_raw=0.9)}
+
+    @staticmethod
+    def per_position(monkeypatch):
+        """Leave every row of every span to the per-position path."""
+        import lpcsm.controller as controller
+        monkeypatch.setattr(controller, "_array_pass",
+                            lambda rows, *args: range(len(rows)))
+
+    @staticmethod
+    def run(errs, cp_kwargs, split, g):
+        """The bytes of a span's bits after a carried prefix of `split`
+        norms, of its gradients, and the prefix it leaves."""
+        from lpcsm.model import causal_mask_bits
+
+        cp = make_cp(**cp_kwargs)
+        cp.scale.requires_grad = True
+        prefix = carried(errs[..., :split], cp)
+        e = Tensor(errs[..., split:], requires_grad=True)
+        hard, soft, _ = causal_mask_bits(e, cp, prefix)
+        (hard * Tensor(g[..., split:])).sum().backward()
+        return hard.data, soft.data, [hard.data.tobytes(), soft.data.tobytes(),
+                                      e.grad.tobytes(), cp.scale.grad.tobytes(),
+                                      prefix]
+
+    @pytest.mark.parametrize("cp_name", sorted(CPS))
+    @pytest.mark.parametrize("case", ["random", "exact ties", "merged ties",
+                                      "flat", "ulps apart", "batch"])
+    def test_long_rows(self, case, cp_name, monkeypatch):
+        rng = np.random.default_rng(48)
+        errs = long_rows(rng)[case]
+        g = rng.standard_normal(errs.shape)
+        cp_kwargs = self.CPS[cp_name]
+        ratio = float(clamp_ratio(make_cp(**cp_kwargs)).data)
+        ref_hard, ref_soft = masks_of(errs, make_cp(**cp_kwargs), ratio)
+        got = {}
+        for split in (0, 1, errs.shape[-1] // 2):
+            hard, soft, got[split] = self.run(errs, cp_kwargs, split, g)
+            assert np.array_equal(hard, ref_hard[..., split:]), split
+            assert np.array_equal(soft, ref_soft[..., split:]), split
+        self.per_position(monkeypatch)
+        for split, outcome in got.items():
+            assert outcome == self.run(errs, cp_kwargs, split, g)[2], split
+
+    @pytest.mark.parametrize("cp_name", sorted(CPS))
+    def test_merged_tie_family(self, cp_name, monkeypatch):
+        # Distinct norms that share one score after rounding, in and out
+        # of value order, alone and carried past a split.
+        rows = np.array([[1.0, 1e-17, 2e-17, 3e-17, 0.5],
+                         [1.0, 3e-17, 1e-17, 2e-17, 0.5]])
+        g = np.random.default_rng(49).standard_normal(rows.shape)
+        cp_kwargs = self.CPS[cp_name]
+        ratio = float(clamp_ratio(make_cp(**cp_kwargs)).data)
+        ref_hard, ref_soft = masks_of(rows, make_cp(**cp_kwargs), ratio)
+        got = {}
+        for split in (0, 1, 2):
+            hard, soft, got[split] = self.run(rows, cp_kwargs, split, g)
+            assert np.array_equal(hard, ref_hard[:, split:])
+            assert np.array_equal(soft, ref_soft[:, split:])
+        self.per_position(monkeypatch)
+        for split, outcome in got.items():
+            assert outcome == self.run(rows, cp_kwargs, split, g)[2]
+
+    def test_prefix_masks_is_the_reference(self):
+        # The tape-free reference gives hard_mask(event_scores(...))'s bits
+        # on rows short enough for the Tensor form.
+        rng = np.random.default_rng(50)
+        rows = [np.abs(rng.standard_normal(40)),
+                rng.choice([0.25, 0.5, 1.0], size=40), np.full(9, 0.1),
+                [1.0, 1e-17, 2e-17, 3e-17, 0.5],
+                [1.0, 3e-17, 1e-17, 2e-17, 0.5],
+                0.7 + rng.integers(0, 3, size=30) * np.spacing(0.7)]
+        for cp_kwargs in self.CPS.values():
+            cp = make_cp(**cp_kwargs)
+            ratio = float(clamp_ratio(cp).data)
+            for row in rows:
+                hard, soft = prefix_masks(row, cp, ratio)
+                ref_hard, ref_soft = per_prefix_bits(
+                    np.asarray(row, dtype=np.float64), cp, ratio)
+                assert np.array_equal(hard, ref_hard)
+                assert np.array_equal(soft, ref_soft)
+
+    def test_random_rows_take_the_array_pass(self, monkeypatch):
+        import lpcsm.controller as controller
+        from lpcsm.model import causal_mask_bits
+
+        calls = []
+        original = controller._position_records
+        monkeypatch.setattr(controller, "_position_records",
+                            lambda *a: calls.append(1) or original(*a))
+        errs = np.abs(np.random.default_rng(51).standard_normal((4, 64)))
+        causal_mask_bits(Tensor(errs), make_cp())
+        assert calls == []
+        causal_mask_bits(Tensor(errs[:, :1]), make_cp())  # one position
+        assert len(calls) == 4
+
+    def test_empty_spans(self):
+        # A span of no positions gives no bits, no gradient and leaves the
+        # prefix as it was, between spans that carry it.
+        from lpcsm.model import causal_mask_bits
+
+        errs = np.abs(np.random.default_rng(52).standard_normal((2, 12)))
+        cp = make_cp(scale=-0.9)
+        whole = empty_prefix((2,))
+        hard, _, _ = causal_mask_bits(Tensor(errs), cp, whole)
+        parts = empty_prefix((2,))
+        pieces = []
+        for lo, hi in ((0, 0), (0, 5), (5, 5), (5, 12), (12, 12)):
+            e = Tensor(errs[:, lo:hi], requires_grad=True)
+            h, s, _ = causal_mask_bits(e, cp, parts)
+            assert h.shape == s.shape == (2, hi - lo)
+            s.sum().backward()
+            assert e.grad.shape == (2, hi - lo)
+            pieces.append(h.data)
+        assert parts == whole
+        assert np.array_equal(np.concatenate(pieces, axis=1), hard.data)
+        h, _, _ = causal_mask_bits(Tensor(np.zeros(0)), cp, empty_prefix())
+        assert h.shape == (0,)
+
+    def test_negative_m2_falls_back(self, monkeypatch):
+        # welford_step clamps an m2 that rounding takes below 0, which the
+        # accumulated sums cannot do: such a span runs the per-position
+        # path, from the prefix as it was. No real row has been seen to
+        # get there, so the carried state is made up: a mean just below
+        # 1.0 whose next one rounds above it (TestWelfordStep).
+        import lpcsm.controller as controller
+        from lpcsm.model import causal_mask_bits
+
+        calls = []
+        original = controller._position_records
+        monkeypatch.setattr(controller, "_position_records",
+                            lambda *a: calls.append(1) or original(*a))
+        cp = make_cp(scale=0.6, ratio_raw=0.4)
+        cp.scale.requires_grad = True
+        span = np.array([1.0, 1.2, 0.9, 0.7])  # no tie with the prefix
+
+        def run(pieces):
+            state = ([0.5, 1.5], [1, 0],
+                     [2.0000000000000004, 0.9999999999999999, 0.0])
+            out = []
+            for piece in pieces:
+                e = Tensor(piece, requires_grad=True)
+                hard, soft, _ = causal_mask_bits(e, cp, state)
+                (soft * Tensor(np.arange(1.0, piece.size + 1))).sum().backward()
+                out.append((hard.data, soft.data, e.grad))
+            return [np.concatenate(r).tobytes() for r in zip(*out)], state
+
+        total, mean = 2.0000000000000004, 0.9999999999999999
+        assert (1.0 - mean) * (1.0 - (total + 1.0) / 3) < 0.0  # clamped
+        (bits, soft, grad), state = run([span])
+        assert len(calls) == 1
+        # One position at a time gives the bits and leaves the prefix.
+        pieces, piece_state = run([span[i:i + 1] for i in range(4)])
+        assert pieces[:2] == [bits, soft] and piece_state == state
+        # The span's gradients are the per-position path's, as if the
+        # array pass had not run.
+        self.per_position(monkeypatch)
+        assert run([span]) == ([bits, soft, grad], state)

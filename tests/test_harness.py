@@ -117,6 +117,17 @@ class TestSyntheticData:
             SyntheticTask(kind="copy", vocab_size=8, seq_len=8, key_len=2,
                           distractor_len=-1)
 
+    def test_copy_key_fits_its_sequence(self):
+        # A copy sequence holds its key and a delimiter: a longer key would
+        # draw ids no position holds.
+        for key_len in (16, 100_000, 99999999999999999999):
+            with pytest.raises(ConfigError, match="key_len"):
+                SyntheticTask(kind="copy", vocab_size=8, seq_len=16,
+                              key_len=key_len)
+        inputs, _ = make_batch(SyntheticTask(kind="copy", vocab_size=8,
+                                             seq_len=16, key_len=15), 2)
+        assert np.all(inputs[:, 15] == DELIM)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -857,6 +868,14 @@ class TestCli:
         "zero task seq_len": (run_yaml("seq_len: 12", "seq_len: 0"), ["train"], 2),
         "negative distractor_len": (
             run_yaml("key_len: 3", "key_len: 3\n  distractor_len: -1"), ["train"], 2),
+        "copy key longer than seq_len": (
+            run_yaml("key_len: 3", "key_len: 100000"), ["train"], 2, "key_len"),
+        "copy key past any array size": (
+            run_yaml("key_len: 3", "key_len: 99999999999999999999"), ["train"],
+            2, "key_len"),
+        "eval copy key without its delimiter": (
+            None, ["eval", "--task", TASK.replace("key_len=3", "key_len=12")],
+            2, "key_len"),
         "key-recall layout exceeds seq_len": (
             run_yaml("kind: copy\n  vocab_size: 11\n  seq_len: 12\n  key_len: 3",
                      "kind: key-recall\n  vocab_size: 11\n  seq_len: 12\n"

@@ -1,9 +1,11 @@
 """Each mechanism call is one tape node: attention, the fast update, the
-memory read and the correction steps give the value and the gradient
-bytes of the Tensor-op chains in `reference_mechanisms`, alone and
-inside the model, on a [T, d] span, a [B, T, d] batch and a one-row
-span. A changed op or accumulation order moves the last bits of some
-gradient, so these compare bytes, not closeness."""
+memory read and the correction steps, and the glue between them (the
+embedding, the mismatch norm, the masked estimate, the fuse with its
+residual add and the mHC route), give the value and the gradient bytes of
+the Tensor-op chains in `reference_mechanisms`, alone and inside the
+model, on a [T, d] span, a [B, T, d] batch and a one-row span. A changed
+op or accumulation order moves the last bits of some gradient, so these
+compare bytes, not closeness."""
 
 import sys
 from types import SimpleNamespace
@@ -14,9 +16,11 @@ import pytest
 import lpcsm.model as model
 import lpcsm.numerics as numerics
 from lpcsm.attention import latent_attention, local_attention
-from lpcsm.correction import predict_init, refine_step
+from lpcsm.correction import (masked_estimate, mismatch_sq, predict_init,
+                              refine_step)
 from lpcsm.memory import fast_update, memory_read
-from lpcsm.model import ModelConfig, init_params
+from lpcsm.mhc import mhc_route
+from lpcsm.model import ModelConfig, embed, fuse, init_params
 from lpcsm.numerics import Tensor, concat, forward_backward
 from lpcsm.objective import LossWeights
 from lpcsm.train import sequence_loss
@@ -26,17 +30,23 @@ import reference_mechanisms as reference
 NODES = SimpleNamespace(local_attention=local_attention,
                         latent_attention=latent_attention,
                         fast_update=fast_update, memory_read=memory_read,
-                        predict_init=predict_init, refine_step=refine_step)
+                        predict_init=predict_init, refine_step=refine_step,
+                        mismatch_sq=mismatch_sq,
+                        masked_estimate=masked_estimate, fuse=fuse,
+                        mhc_route=mhc_route, embed=embed)
 D, PAST = 8, 4
 P = "layers.0."
+
+
+def config(latent_dim=None):
+    return ModelConfig(vocab_size=5, width=D, layers=1, heads=2, window=3,
+                       chunk_size=4, max_seq_len=16, latent_dim=latent_dim)
 
 
 def store(latent_dim=None, seed=0):
     """One layer's parameters, every entry drawn at random (the init's
     zero biases would leave some gradient paths untested)."""
-    cfg = ModelConfig(vocab_size=5, width=D, layers=1, heads=2, window=3,
-                      chunk_size=4, max_seq_len=16, latent_dim=latent_dim)
-    params = init_params(cfg, seed)
+    params = init_params(config(latent_dim), seed)
     rng = np.random.default_rng(seed + 1)
     for _, t in params.items():
         t.data[...] = rng.standard_normal(t.shape) * 0.5
@@ -52,10 +62,17 @@ def leaves(lead, t_len, seed=5):
     x = {"n": leaf(*lead, t_len, D), "history": leaf(*lead, PAST, D),
          "prev": leaf(*lead, D), "fast": leaf(*lead, t_len, D),
          "slow_rows": leaf(*lead, t_len, D), "slow_state": leaf(*lead, D),
-         "a": leaf(*lead, t_len, D), "r": leaf(*lead, t_len, D)}
+         "a": leaf(*lead, t_len, D), "r": leaf(*lead, t_len, D),
+         "mask": leaf(*lead, t_len), "gain": leaf()}
     # The rows a span attends to: the history, then the span.
     x["rows"] = concat([x["history"], x["n"]], axis=-2)
     return x
+
+
+def token_ids(x):
+    """Ids for the span's positions, of 5, so most ids repeat: the
+    embedding's gradient adds up the rows of each."""
+    return np.random.default_rng(8).integers(0, 5, x["n"].shape[:-1])
 
 
 def correction(m, x, p):
@@ -86,6 +103,19 @@ CALLS = {
     "memory_read, slow state": (None, lambda m, x, p: m.memory_read(
         x["n"], x["fast"], x["slow_state"], p, P + "mem.")),
     "correction": (None, correction),
+    "mismatch_sq": (None, lambda m, x, p: m.mismatch_sq(x["n"], x["a"])),
+    "masked_estimate": (None, lambda m, x, p: m.masked_estimate(
+        x["mask"], x["a"])),
+    "fuse": (None, lambda m, x, p: m.fuse(
+        x["n"], (x["a"], x["r"], x["fast"]), p[P + "fuse.w"],
+        p[P + "fuse.b"])),
+    # Without predictive correction the fuse's last part is a constant.
+    "fuse, constant part": (None, lambda m, x, p: m.fuse(
+        x["n"], (x["a"], x["r"], Tensor(np.zeros(x["a"].shape))),
+        p[P + "fuse.w"], p[P + "fuse.b"])),
+    "mhc_route": (None, lambda m, x, p: m.mhc_route(
+        x["n"], x["a"], x["gain"])),
+    "embed": (None, lambda m, x, p: m.embed(token_ids(x), p, config(), 2)),
 }
 # (leading axes, T): a span, a batch of spans and one decode row.
 SHAPES = {"span": ((), 7), "batch": ((3,), 7), "row": ((), 1)}
@@ -133,6 +163,8 @@ MODEL_CASES = {
     "as-is": {},
     "latent_dim=3": {"latent_dim": 3},
     "slow_memory=false": {"slow_memory": False},
+    "mhc=false,predictive_coding=false": {"mhc": False,
+                                          "predictive_coding": False},
 }
 
 

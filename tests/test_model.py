@@ -655,11 +655,14 @@ class TestTapeBudget:
     # One node per call of attention, the fast update, the read, each
     # correction step and the open chunk's sum: 118 and 124 `_op` calls
     # per decode token and 162 backward nodes per B=4 train step before.
+    # The embedding, the mismatch norm, the masked estimate, the fuse with
+    # its residual add and the mHC route as one node each: 66 and 72, and
+    # 114 backward nodes, before.
     def test_decode_token_count_is_pinned(self, monkeypatch):
-        assert self.decode_ops(monkeypatch, 128) == (66, False)
+        assert self.decode_ops(monkeypatch, 128) == (52, False)
 
     def test_chunk_closing_token_count_is_pinned(self, monkeypatch):
-        assert self.decode_ops(monkeypatch, 127) == (72, True)
+        assert self.decode_ops(monkeypatch, 127) == (58, True)
 
     def test_batch_step_backward_nodes_are_pinned(self):
         cfg = self.readme_cfg(64)
@@ -672,4 +675,4 @@ class TestTapeBudget:
             if id(node) not in nodes:
                 nodes[id(node)] = node
                 stack.extend(node._prev)
-        assert sum(n._backward is not None for n in nodes.values()) == 114
+        assert sum(n._backward is not None for n in nodes.values()) == 100
