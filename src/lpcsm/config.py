@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import yaml
 
 from .numerics import ConfigError
-from .model import ModelConfig, from_fields
+from .model import MAX_PARAMS, ModelConfig, from_fields
 from .objective import LossWeights, SgdConfig
 from .data import SyntheticTask
 
@@ -51,21 +51,29 @@ def _build(section: str, cls, data):
         raise ConfigError(f"section [{section}]: {e}") from e
 
 
-def check_task_fits(task: SyntheticTask, model: ModelConfig) -> None:
-    """Reject a task whose tokens or length the model cannot embed."""
+def check_task_fits(task: SyntheticTask, model: ModelConfig,
+                    batch: int = 1) -> None:
+    """Reject a task whose tokens or length the model cannot embed, or a
+    batch of it whose [B, T, d] hidden state would hold more values than
+    MAX_PARAMS, before any of it is built."""
     if task.vocab_size > model.vocab_size:
         raise ConfigError(f"task vocab_size {task.vocab_size} exceeds the "
                           f"model's {model.vocab_size}")
     if task.seq_len > model.max_seq_len:
         raise ConfigError(f"task seq_len {task.seq_len} exceeds the "
                           f"model's max_seq_len {model.max_seq_len}")
+    if batch * task.seq_len * model.width > MAX_PARAMS:
+        raise ConfigError(f"a batch of {batch} x {task.seq_len} tokens is "
+                          "too large")
 
 
 def load_run_config(path: str) -> RunConfig:
     try:
         with open(path) as f:
             raw = yaml.safe_load(f)
-    except (yaml.YAMLError, UnicodeDecodeError) as e:
+    except (yaml.YAMLError, ValueError) as e:
+        # A ValueError is a UnicodeDecodeError, or an int of more digits
+        # than int() reads from text.
         raise ConfigError(f"cannot parse {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -77,5 +85,5 @@ def load_run_config(path: str) -> RunConfig:
     built = {}
     for name, cls in _SECTIONS.items():
         built[name] = _build(name, cls, raw.get(name, {}) or {})
-    check_task_fits(built["task"], built["model"])
+    check_task_fits(built["task"], built["model"], built["train"].batch_size)
     return RunConfig(**built)

@@ -37,9 +37,9 @@ def ratio_raw_init(target: float, ratio_min: float, ratio_max: float) -> float:
 
 
 def clamp_ratio(p: ControllerParams) -> Tensor:
-    """Sigmoid-bounded ratio in (ratio_min, ratio_max), as one tape node
-    with the floats of raw.sigmoid() * (ratio_max - ratio_min) + ratio_min
-    and of its backward."""
+    """Sigmoid-bounded ratio in (ratio_min, ratio_max), as one tape node:
+    sigmoid(raw) * (ratio_max - ratio_min) + ratio_min, with the floats of
+    that chain of ops, forward and backward."""
     raw, width = p.ratio_raw, p.ratio_max - p.ratio_min
     y = sigmoid(raw.data)
     return _op(y * width + p.ratio_min, (raw,),

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -42,9 +43,9 @@ _LITERAL_TYPES = {
 def from_fields(cls, values: dict):
     """The dataclass `cls` built from `values`. Raise ConfigError unless
     every key names a field, every value is a literal of that field's
-    annotated type and no required field is missing. Config text and YAML
-    both parse `2.0` where an int belongs; caught here, it never reaches a
-    slice or a loop bound."""
+    annotated type no larger than the largest float, and no required
+    field is missing. Config text and YAML both parse `2.0` where an int
+    belongs; caught here, it never reaches a slice or a loop bound."""
     types = {f.name: f.type for f in fields(cls)}
     for key, value in values.items():
         if key not in types:
@@ -52,6 +53,8 @@ def from_fields(cls, values: dict):
         if type(value) not in _LITERAL_TYPES[types[key]]:
             raise ConfigError(f"config key {key!r} expects {types[key]}, "
                               f"got {value!r}")
+        if type(value) is int and abs(value) > sys.float_info.max:
+            raise ConfigError(f"config key {key!r} is larger than any float")
     try:
         return cls(**values)
     except TypeError as e:  # a required field is missing

@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Everything downstream (attention, memory, routing, the training objective)
-is built from the primitive set defined here, so gradients of any composed
-scalar can be checked against central finite differences by `grad_check`.
+Every tape node downstream (each mechanism call, each loss term) is built
+by `_op` from array code and a hand-written backward. The model composes
+only Tensor's `+`, indexing and `sqrt`; its `*` and `sum` are kept for the
+reference chains that the one-node forms are tested against. `grad_check`
+compares the gradient of any composed scalar with central differences.
 """
 
 from __future__ import annotations
@@ -156,37 +158,12 @@ class Tensor:
             _accum(b, g)
         return _op(a.data + b.data, (a, b), bw)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        a = self
-        return _op(-a.data, (a,), lambda g: _accum(a, -g))
-
-    def __sub__(self, other):
-        a, b = self, _wrap(other)
-        def bw(g):
-            _accum(a, g)
-            _accum(b, -g)
-        return _op(a.data - b.data, (a, b), bw)
-
-    def __rsub__(self, other):
-        return _wrap(other) - self
-
     def __mul__(self, other):
         a, b = self, _wrap(other)
         def bw(g):
             _accum(a, g * b.data)
             _accum(b, g * a.data)
         return _op(a.data * b.data, (a, b), bw)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self, _wrap(other)
-        def bw(g):
-            _accum(a, g / b.data)
-            _accum(b, -g * a.data / (b.data * b.data))
-        return _op(a.data / b.data, (a, b), bw)
 
     # -- reductions ---------------------------------------------------------
 
@@ -198,42 +175,7 @@ class Tensor:
             _accum(a, np.broadcast_to(g, a.data.shape))
         return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
-    def mean(self, axis=None, keepdims=False):
-        a = self
-        def bw(g):
-            n = (a.data.size if axis is None
-                 else np.prod(np.take(a.data.shape, axis)))
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape) / n)
-        return _op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
-
-    # -- elementwise nonlinearities ----------------------------------------
-
-    def tanh(self):
-        a = self
-        y = np.tanh(a.data)
-        return _op(y, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
-
-    def sigmoid(self):
-        a = self
-        y = sigmoid(a.data)
-        return _op(y, (a,), lambda g: _accum(a, g * y * (1.0 - y)))
-
-    def softplus(self):
-        """log(1 + exp(x)), without overflow for large x."""
-        a = self
-        return _op(np.logaddexp(0.0, a.data), (a,),
-                   lambda g: _accum(a, g * sigmoid(a.data)))
-
-    def exp(self):
-        a = self
-        y = np.exp(a.data)
-        return _op(y, (a,), lambda g: _accum(a, g * y))
-
-    def log(self):
-        a = self
-        return _op(np.log(a.data), (a,), lambda g: _accum(a, g / a.data))
+    # -- elementwise --------------------------------------------------------
 
     def sqrt(self):
         a = self
@@ -241,11 +183,6 @@ class Tensor:
         return _op(y, (a,), lambda g: _accum(a, g * 0.5 / y))
 
     # -- structure ----------------------------------------------------------
-
-    def reshape(self, shape):
-        a = self
-        return _op(a.data.reshape(shape), (a,),
-                   lambda g: _accum(a, g.reshape(a.data.shape)))
 
     def __getitem__(self, key):
         a = self

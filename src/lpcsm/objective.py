@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .numerics import Tensor, ParameterStore, NumericsError, ConfigError, check_finite
+from .numerics import (Tensor, ParameterStore, NumericsError, ConfigError,
+                       check_finite, sigmoid, _accum, _op)
 from .model import ModelConfig, LayerAux
 
 
@@ -43,75 +44,123 @@ class LossBreakdown:
         }
 
 
-def log_softmax(logits: Tensor) -> Tensor:
-    # Row-max subtraction is detached; its gradient contribution cancels in
-    # exact arithmetic.
-    shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    return shifted - shifted.exp().sum(axis=-1, keepdims=True).log()
+def _log_softmax(x: np.ndarray) -> tuple:
+    """log_softmax(x), with exp(x - max) and its row sums."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    return shifted - np.log(s), e, s
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last axis of an array of logits; the row
+    max is subtracted before the exp, so no exp overflows."""
+    return _log_softmax(x)[0]
 
 
 def lm_loss(logits: Tensor, targets) -> Tensor:
-    """Mean next-token cross-entropy over [T, V] or [B, T, V] logits; for a
-    batch, the mean of the per-sequence means. Alignment is the caller's
-    job."""
+    """Mean next-token cross-entropy over [T, V] or [B, T, V] logits, as
+    one tape node; for a batch, the mean of the per-sequence means.
+    Alignment is the caller's job."""
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != logits.shape[:-1]:
         raise NumericsError("target length mismatch")
     if targets.min() < 0 or targets.max() >= logits.shape[-1]:
         raise NumericsError("target index out of range")
-    rows = np.indices(targets.shape, sparse=True)
-    return -log_softmax(logits)[(*rows, targets)].mean()
+    lp, e, s = _log_softmax(logits.data)
+    key = (*np.indices(targets.shape, sparse=True), targets)
+    picked = lp[key]
+    def bw(g):
+        g_lp = np.zeros_like(lp)
+        np.add.at(g_lp, key, np.broadcast_to(-g, picked.shape) / picked.size)
+        g_s = (-g_lp).sum(axis=-1, keepdims=True) / s
+        _accum(logits, g_lp + g_s * e)
+    return _op(-picked.mean(), (logits,), bw)
 
 
 def binary_cross_entropy_logits(scores: Tensor, targets) -> Tensor:
-    """Mean BCE of sigmoid scores against {0,1} targets, in logit form."""
-    y = Tensor(np.asarray(targets, dtype=np.float64))
+    """Mean BCE of sigmoid scores against {0,1} targets, in logit form:
+    mean(softplus(s) - s * y), as one tape node."""
+    y = np.asarray(targets, dtype=np.float64)
     if y.shape != scores.shape:
         raise NumericsError("stop target shape mismatch")
-    return (scores.softplus() - scores * y).mean()
+    s = scores.data
+    def bw(g):
+        g = np.broadcast_to(g, s.shape) / s.size
+        _accum(scores, g * sigmoid(s))
+        _accum(scores, -g * y)
+    return _op((np.logaddexp(0.0, s) - s * y).mean(), (scores,), bw)
+
+
+def _pred_term(aux: list[LayerAux], scale: float) -> Tensor:
+    """scale * the sum of each layer's mean squared mismatch."""
+    errors = [a.error_sq for a in aux]
+    def bw(g):
+        g = g * scale
+        for e in errors:
+            _accum(e, np.broadcast_to(g, e.shape) / e.size)
+    return _op(sum((e.data.mean() for e in errors), 0.0) * scale,
+               tuple(errors), bw)
+
+
+def _sparse_term(aux: list[LayerAux], scale: float) -> Tensor:
+    """scale * the batch mean of the layers' summed squared ratios."""
+    ratios = [a.sparse_ratio_st for a in aux]
+    sq = sum((r.data * r.data for r in ratios), 0.0)
+    def bw(g):
+        g = np.broadcast_to(g * scale, np.shape(sq)) / np.size(sq)
+        for r in ratios:
+            _accum(r, g * r.data)
+            _accum(r, g * r.data)
+    return _op(np.mean(sq) * scale, tuple(ratios), bw)
+
+
+def _mem_term(aux: list[LayerAux], scale: float) -> Tensor:
+    """scale * the sum over layers of (|fast|^2 + |slow|^2) / fast.size."""
+    pairs = [(a.fast_final, a.slow_final) for a in aux]
+    value = sum((((f.data * f.data).sum() + (s.data * s.data).sum())
+                 * (1.0 / f.size) for f, s in pairs), 0.0)
+    def bw(g):
+        g = g * scale
+        for f, s in pairs:
+            g_l = g * (1.0 / f.size)
+            for t in (f, f, s, s):
+                _accum(t, g_l * t.data)
+    return _op(value * scale, sum(pairs, ()), bw)
 
 
 def aux_losses(aux: list[LayerAux], stop_scores: Tensor | None, eos_targets,
                cfg: ModelConfig) -> dict[str, Tensor]:
-    """The four auxiliary terms; toggled-off mechanisms contribute exact 0.
-    For a batch, each term is the batch mean of its per-sequence value."""
+    """The four auxiliary terms, one tape node each, whose inputs are
+    listed by layer; toggled-off mechanisms contribute exact 0. For a
+    batch, each term is the batch mean of its per-sequence value."""
     zero = Tensor(0.0)
-    n_layers = max(1, len(aux))
-
-    if cfg.predictive_coding:
-        pred = sum((a.error_sq.mean() for a in aux), zero) * (1.0 / n_layers)
-    else:
-        pred = zero
-    sparse = sum((a.sparse_ratio_st * a.sparse_ratio_st for a in aux),
-                 zero).mean() * (1.0 / n_layers)
-    mem = sum(
-        (((a.fast_final * a.fast_final).sum()
-          + (a.slow_final * a.slow_final).sum()) * (1.0 / a.fast_final.size)
-         for a in aux),
-        zero,
-    ) * (1.0 / n_layers)
-
+    scale = 1.0 / max(1, len(aux))
+    pred = _pred_term(aux, scale) if cfg.predictive_coding else zero
+    sparse, mem = _sparse_term(aux, scale), _mem_term(aux, scale)
     if cfg.stop_head:
         if stop_scores is None:
             raise NumericsError("stop head enabled but no stop scores provided")
         stop = binary_cross_entropy_logits(stop_scores, eos_targets)
     else:
         stop = zero
-
     return {"pred": pred, "sparse": sparse, "mem": mem, "stop": stop}
 
 
 def total_loss(lm: Tensor, parts: dict[str, Tensor],
                weights: LossWeights) -> LossBreakdown:
-    """Weighted sum; zero-weight terms are skipped so they contribute
-    exactly nothing to the value or the gradient."""
-    total = lm
-    for name, lam in (("pred", weights.lambda_pred),
-                      ("sparse", weights.lambda_sparse),
-                      ("mem", weights.lambda_mem),
-                      ("stop", weights.lambda_stop)):
-        if lam != 0.0:
-            total = total + parts[name] * lam
+    """Weighted sum, as one tape node; zero-weight terms are skipped so
+    they contribute exactly nothing to the value or the gradient."""
+    terms = [(parts[name], lam) for name, lam in
+             zip(("pred", "sparse", "mem", "stop"), astuple(weights)) if lam]
+    value = lm.data
+    for t, lam in terms:
+        value = value + t.data * lam
+    def bw(g):
+        _accum(lm, g)
+        for t, lam in terms:
+            _accum(t, g * lam)
+    total = _op(value, (lm, *(t for t, _ in terms)), bw)
     return LossBreakdown(lm=lm, pred=parts["pred"], sparse=parts["sparse"],
                          mem=parts["mem"], stop=parts["stop"], total=total)
 

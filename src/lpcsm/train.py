@@ -18,7 +18,7 @@ from .objective import (
     lm_loss, aux_losses, total_loss, log_softmax,
 )
 from .data import SyntheticTask, make_batch, recall_key_slice, EOS
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, check_task_fits
 
 METRICS_HEADER = "step,lm,pred,sparse,mem,stop,total,effective_ratio,tokens_per_second"
 
@@ -136,16 +136,15 @@ def probe_delayed_identifier(params: ParameterStore, cfg: ModelConfig,
                              spec: ProbeSpec | None = None) -> ProbeResult:
     """Teacher-forced key cross-entropy on delayed-identifier prompts."""
     spec = spec or ProbeSpec()
-    if spec.prompt_len > cfg.max_seq_len:
-        raise ConfigError("probe prompt exceeds max_seq_len")
     task = SyntheticTask(
         kind="key-recall", vocab_size=cfg.vocab_size, seq_len=spec.prompt_len,
         key_len=spec.key_len, distractor_len=spec.distractor_len, seed=spec.seed,
     )
+    check_task_fits(task, cfg, spec.n_prompts)
     inputs, targets = make_batch(task, spec.n_prompts, index=0)
     with no_grad():
         logits, _ = model_forward(inputs, params, cfg)
-    lp = log_softmax(logits.lm).data
+    lp = log_softmax(logits.lm.data)
     picked = np.take_along_axis(lp, targets[..., None], axis=-1)[..., 0]
     ce = -float(picked[:, recall_key_slice(task)].mean())
     return ProbeResult(key_cross_entropy=ce, prompt_length=spec.prompt_len)

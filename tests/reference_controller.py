@@ -17,6 +17,8 @@ from lpcsm.controller import SCORE_STD_EPS, ControllerParams
 from lpcsm.numerics import (Tensor, NumericsError, _wrap, sigmoid,
                             straight_through)
 
+import reference_ops as ops
+
 
 @dataclass
 class EventMask:
@@ -37,19 +39,19 @@ def event_scores(error_norms: Tensor, p: ControllerParams) -> Tensor:
     for i in range(e.shape[0]):
         x = e[i]
         total = total + x
-        new = total / (i + 1)
-        m2 = m2 + (x - mu) * (x - new)
+        new = ops.div(total, i + 1)
+        m2 = m2 + ops.sub(x, mu) * ops.sub(x, new)
         mu = new
         if float(m2.data) < 0.0:
             m2 = Tensor(0.0)
-    centered = e - mu
-    var = m2 / e.shape[0]
+    centered = ops.sub(e, mu)
+    var = ops.div(m2, e.shape[0])
     if float(var.data) == 0.0:
         # Degenerate prefix (constant errors): sqrt has no gradient at 0,
         # and the eps-floored denominator is the correct limit anyway.
         z = centered * (1.0 / SCORE_STD_EPS)
     else:
-        z = centered / (var.sqrt() + SCORE_STD_EPS)
+        z = ops.div(centered, var.sqrt() + SCORE_STD_EPS)
     return z * p.scale * (1.0 / p.temperature)
 
 
@@ -73,7 +75,7 @@ def hard_mask(scores: Tensor, ratio: float) -> EventMask:
     # The threshold is the smallest selected score, kept differentiable so
     # the soft path is a locally exact function of the scores.
     theta = scores[int(order[k - 1])]
-    soft = (scores - theta).sigmoid()
+    soft = ops.sigmoid(ops.sub(scores, theta))
     return EventMask(
         hard=straight_through(hard_vals, soft),
         soft=soft,

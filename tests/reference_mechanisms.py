@@ -3,8 +3,9 @@ ops, kept as the reference that the one-node forms in `lpcsm.attention`,
 `lpcsm.memory`, `lpcsm.correction`, `lpcsm.mhc` and `lpcsm.model` are
 tested against.
 
-Each function composes `linear`, `concat`, slices and Tensor arithmetic
-as the model did before each call became one tape node; `attend_node` and
+Each function composes `linear`, `concat`, slices, Tensor arithmetic and
+the ops of `reference_ops` as the model did before each call became one
+tape node; `attend_node` and
 `scan_node` put the array kernels `_attend` and `gated_scan` on the tape
 as one node each, as they were. The one-node forms must give the same
 value and the same bytes in every gradient."""
@@ -16,6 +17,8 @@ from lpcsm.model import ModelConfig, token_ids
 from lpcsm.numerics import (Tensor, ParameterStore, NumericsError, ConfigError,
                             _accum, _op, _wrap, concat, gated_scan,
                             gated_scan_vjp, linear)
+
+from reference_ops import reshape, sub
 
 
 def attend_node(q: Tensor, k: Tensor, v: Tensor, window: int,
@@ -62,7 +65,7 @@ def fast_update(h: Tensor, prev: Tensor, params: ParameterStore,
                 prefix: str = "mem.") -> Tensor:
     d = linear(h, params[prefix + "w_d"], params[prefix + "b_d"], "sigmoid")
     u = linear(h, params[prefix + "w_u"], params[prefix + "b_u"], "tanh")
-    return scan_node(d, (1.0 - d) * u, prev)
+    return scan_node(d, sub(1.0, d) * u, prev)
 
 
 def memory_read(h: Tensor, fast: Tensor, slow: Tensor,
@@ -70,7 +73,7 @@ def memory_read(h: Tensor, fast: Tensor, slow: Tensor,
     qf = linear(h, params[prefix + "w_qf"], params[prefix + "b_qf"], "sigmoid")
     qs = linear(h, params[prefix + "w_qs"], params[prefix + "b_qs"], "sigmoid")
     if slow.ndim == h.ndim - 1 > 1:  # one [B, d] state for a whole batch
-        slow = slow.reshape(slow.shape[:-1] + (1, slow.shape[-1]))
+        slow = reshape(slow, slow.shape[:-1] + (1, slow.shape[-1]))
     gated = concat([qf * fast, qs * slow], axis=-1)
     return linear(gated, params[prefix + "w_r"], params[prefix + "b_r"])
 
@@ -89,17 +92,17 @@ def predict_init(a: Tensor, r: Tensor, params: ParameterStore,
 
 def refine_step(a: Tensor, r: Tensor, h: Tensor, estimate: Tensor,
                 params: ParameterStore, prefix: str = "refine.") -> Tensor:
-    err = h - estimate
+    err = sub(h, estimate)
     return estimate + _mlp(concat([a, r, err], axis=-1), params, prefix)
 
 
 def mismatch_sq(h: Tensor, estimate: Tensor) -> Tensor:
-    diff = h - estimate
+    diff = sub(h, estimate)
     return (diff * diff).sum(axis=-1)
 
 
 def masked_estimate(mask: Tensor, estimate: Tensor) -> Tensor:
-    return mask.reshape(mask.shape + (1,)) * estimate
+    return reshape(mask, mask.shape + (1,)) * estimate
 
 
 def fuse(h: Tensor, parts: tuple, w: Tensor, b: Tensor) -> Tensor:

@@ -12,6 +12,7 @@ from lpcsm.numerics import (Tensor, NumericsError, ParameterStore, concat,
 from lpcsm.attention import (MASK_VALUE, _slot_max, local_attention,
                              latent_attention)
 
+import reference_ops as ops
 from reference_mechanisms import attend_node
 
 
@@ -205,12 +206,13 @@ def dense_attention(q, k, v, window, heads):
     mixed = []
     for head in range(heads):
         cols = slice(head * hd, (head + 1) * hd)
-        scores = ((q[:, cols].reshape((t_len, 1, hd))
-                   * k[:, cols].reshape((1, kv_len, hd))).sum(-1)
+        scores = ((ops.reshape(q[:, cols], (t_len, 1, hd))
+                   * ops.reshape(k[:, cols], (1, kv_len, hd))).sum(-1)
                   * (1.0 / np.sqrt(hd)) + mask)
-        e = (scores - scores.data.max(axis=-1, keepdims=True)).exp()
-        weights = (e / e.sum(axis=-1, keepdims=True)).reshape((t_len, kv_len, 1))
-        mixed.append((weights * v[:, cols].reshape((1, kv_len, hd))).sum(1))
+        e = ops.exp(ops.sub(scores, scores.data.max(axis=-1, keepdims=True)))
+        weights = ops.reshape(ops.div(e, e.sum(axis=-1, keepdims=True)),
+                              (t_len, kv_len, 1))
+        mixed.append((weights * ops.reshape(v[:, cols], (1, kv_len, hd))).sum(1))
     return concat(mixed, axis=-1)
 
 

@@ -592,7 +592,7 @@ class TestProbe:
         per_prompt = []
         for i in range(3):
             logits, _ = model_forward(inputs[i], params, cfg)
-            lp = log_softmax(logits.lm).data[np.arange(24), targets[i]]
+            lp = log_softmax(logits.lm.data)[np.arange(24), targets[i]]
             per_prompt.append(-lp[key].mean())
         forwards = TestTrainHarness.count_calls(monkeypatch, lpcsm.train,
                                                 "model_forward")

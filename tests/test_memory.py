@@ -9,6 +9,8 @@ from lpcsm.memory import (MemoryState, _chunk_reads, _open_chunk_sum,
                           fast_update, memory_read, slow_write)
 from lpcsm.ont import ZERO_NORM_FLOOR, transport_array
 
+import reference_ops as ops
+
 
 def logistic(x):
     """Reference logistic function, independent of the code under test."""
@@ -24,7 +26,7 @@ def write_once(h, c, slow, alpha_n, ont_enabled, params):
     size 1, whose mean is c."""
     d = slow.shape[0]
     state = MemoryState(zeros(d), slow, zeros(d))
-    slow_write(c.reshape((1, d)), h.reshape((1, d)), state, 1, alpha_n,
+    slow_write(ops.reshape(c, (1, d)), ops.reshape(h, (1, d)), state, 1, alpha_n,
                ont_enabled, params)
     return state.slow
 
@@ -34,7 +36,7 @@ def reference_transport(alpha_n, c, m):
     gradient is the tape's own; (1 + alpha) c below the zero floor."""
     if np.linalg.norm(m.data) < ZERO_NORM_FLOOR:
         return c * (1.0 + alpha_n)
-    return c + (c - m * ((c * m).sum() / (m * m).sum())) * alpha_n
+    return c + ops.sub(c, m * ops.div((c * m).sum(), (m * m).sum())) * alpha_n
 
 
 def reference_writes(fast, n, ends, chunk_sum, slow, chunk_size, alpha_n,
@@ -46,10 +48,10 @@ def reference_writes(fast, n, ends, chunk_sum, slow, chunk_size, alpha_n,
         mean = (chunk_sum + fast[start:end].sum(axis=0)) * (1.0 / chunk_size)
         c = (reference_transport(alpha_n, mean, slow)
              if ont_enabled and alpha_n != 0.0 else mean)
-        g = linear(n[end - 1], p["mem.w_g"], p["mem.b_g"]).sigmoid()
-        u = linear(c, p["mem.w_c"], p["mem.b_c"]).tanh()
-        slow = g * slow + (1.0 - g) * u
-        states.append(slow.reshape((1, -1)))
+        g = ops.sigmoid(linear(n[end - 1], p["mem.w_g"], p["mem.b_g"]))
+        u = ops.tanh(linear(c, p["mem.w_c"], p["mem.b_c"]))
+        slow = g * slow + ops.sub(1.0, g) * u
+        states.append(ops.reshape(slow, (1, -1)))
         chunk_sum, start = zeros(slow.shape[0]), end
     return concat(states)
 
@@ -64,7 +66,7 @@ def reference_reads(fast, n, chunk_count, chunk_sum, slow, chunk_size,
     ends = list(range(chunk_size - chunk_count, t_len + 1, chunk_size))
     if not ends:
         return slow, slow
-    states = concat([slow.reshape((1, d)),
+    states = concat([ops.reshape(slow, (1, d)),
                      reference_writes(fast, n, ends, chunk_sum, slow,
                                       chunk_size, alpha_n, ont_enabled, p)])
     return (states[[sum(end <= t for end in ends) for t in range(t_len)]],

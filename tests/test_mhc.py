@@ -15,6 +15,8 @@ from lpcsm.numerics import Tensor, NumericsError, ParameterStore, grad_check
 from lpcsm.mhc import sinkhorn_normalize, mhc_route, route_gain
 from lpcsm.train import train
 
+import reference_ops as ops
+
 CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
@@ -96,10 +98,10 @@ class TestSinkhorn:
         assert out._prev == (logits,)
         # The former unrolled form: two tape nodes per half-pass, run for
         # as many passes as the node's forward ran.
-        m, passes = logits.exp(), 0
+        m, passes = ops.exp(logits), 0
         while True:
-            m = m / m.sum(axis=1, keepdims=True)
-            m = m / m.sum(axis=0, keepdims=True)
+            m = ops.div(m, m.sum(axis=1, keepdims=True))
+            m = ops.div(m, m.sum(axis=0, keepdims=True))
             passes += 1
             if passes >= 3 and mhc._marginal_residual(m.data) <= mhc.MARGINAL_TOL:
                 break

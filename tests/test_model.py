@@ -15,7 +15,7 @@ from lpcsm.data import SyntheticTask, make_batch
 from lpcsm.numerics import (
     Tensor, NumericsError, ConfigError, ParameterStore, rmsnorm,
 )
-from lpcsm.objective import LossWeights
+from lpcsm.objective import LossWeights, aux_losses, lm_loss, total_loss
 from lpcsm.runtime import init_cache, step_decode
 from lpcsm.train import sequence_loss
 from lpcsm.model import (
@@ -609,7 +609,7 @@ class TestTapeBudget:
         params = init_params(cfg, seed=1)
         calls = self.count_ops(monkeypatch)
         sequence_loss(inputs[0], targets[0], params, cfg, LossWeights())
-        assert 0 < calls[0] <= 220
+        assert 0 < calls[0] <= 125
 
     def test_long_train_sequence(self, monkeypatch):
         # Four times the tokens and chunk boundaries of the T=64 sequence,
@@ -620,7 +620,7 @@ class TestTapeBudget:
         params = init_params(cfg, seed=1)
         calls = self.count_ops(monkeypatch)
         sequence_loss(inputs[0], targets[0], params, cfg, LossWeights())
-        assert 0 < calls[0] <= 220
+        assert 0 < calls[0] <= 125
 
     def test_batch_train_step(self, monkeypatch):
         # A B=4 batch costs about the nodes of one sequence, not four times.
@@ -629,7 +629,21 @@ class TestTapeBudget:
         params = init_params(cfg, seed=1)
         calls = self.count_ops(monkeypatch)
         sequence_loss(inputs, targets, params, cfg, LossWeights())
-        assert 0 < calls[0] <= 260
+        assert 0 < calls[0] <= 147
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_loss_node_count_is_pinned(self, layers, monkeypatch):
+        # One node each for the LM loss, the four auxiliary terms and the
+        # weighted total, whatever the depth.
+        cfg = ModelConfig(vocab_size=32, width=32, layers=layers, heads=4,
+                          window=8, chunk_size=16, max_seq_len=64)
+        inputs, targets = make_batch(SyntheticTask("copy", 32, 64, 2, seed=1), 4)
+        logits, aux = model_forward(inputs, init_params(cfg, seed=1), cfg)
+        calls = self.count_ops(monkeypatch)
+        lm = lm_loss(logits.lm, targets)
+        parts = aux_losses(aux, logits.stop, (targets == 0) * 1.0, cfg)
+        total_loss(lm, parts, LossWeights())
+        assert calls[0] == 6
 
     def decode_ops(self, monkeypatch, prompt_len):
         """`_op` calls of the token decoded after a `prompt_len` prompt,
@@ -657,7 +671,8 @@ class TestTapeBudget:
     # per decode token and 162 backward nodes per B=4 train step before.
     # The embedding, the mismatch norm, the masked estimate, the fuse with
     # its residual add and the mHC route as one node each: 66 and 72, and
-    # 114 backward nodes, before.
+    # 114 backward nodes, before. Each loss term as one node: 100 backward
+    # nodes before.
     def test_decode_token_count_is_pinned(self, monkeypatch):
         assert self.decode_ops(monkeypatch, 128) == (52, False)
 
@@ -675,4 +690,4 @@ class TestTapeBudget:
             if id(node) not in nodes:
                 nodes[id(node)] = node
                 stack.extend(node._prev)
-        assert sum(n._backward is not None for n in nodes.values()) == 100
+        assert sum(n._backward is not None for n in nodes.values()) == 60

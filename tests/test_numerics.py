@@ -18,6 +18,7 @@ from lpcsm.numerics import (
     forward_backward, grad_check, check_finite, sigmoid, _accum,
 )
 
+import reference_ops as ops
 from reference_mechanisms import scan_node
 
 SRC = Path(lpcsm.__file__).parent
@@ -50,6 +51,12 @@ def check_op(build, shape, seed, tol=1e-5):
     assert np.max(np.abs(t.grad - numeric) / denom) < tol
 
 
+def softmax(t):
+    """Softmax over the last axis, as the attention reference builds it."""
+    e = ops.exp(ops.sub(t, t.data.max(axis=-1, keepdims=True)))
+    return ops.div(e, e.sum(axis=-1, keepdims=True))
+
+
 class TestPrimitiveGradients:
     def test_quadratic(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
@@ -58,32 +65,31 @@ class TestPrimitiveGradients:
 
     def test_sigmoid_at_zero(self):
         x = Tensor(np.array(0.0), requires_grad=True)
-        x.sigmoid().backward()
+        ops.sigmoid(x).backward()
         assert abs(x.grad - 0.25) < 1e-15
 
     @pytest.mark.parametrize("seed", range(20))
     def test_three_layer_composition(self, seed):
         def f(t):
             w = Tensor(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
-            return (linear(t, w, Tensor(np.zeros(3))).tanh().sigmoid()
+            return (ops.sigmoid(ops.tanh(linear(t, w, Tensor(np.zeros(3)))))
                     * 2.0).sum()
 
         check_op(f, (2, 4), seed)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("op", [
-        lambda t: (t.exp() + 1.0).log().sum(),
-        lambda t: t.tanh().mean(),
-        lambda t: (t * t + t).sigmoid().sum(),
+        lambda t: ops.log(ops.exp(t) + 1.0).sum(),
+        lambda t: ops.mean(ops.tanh(t)),
+        lambda t: ops.sigmoid(t * t + t).sum(),
         # Softmax as the attention reference builds it, and a column slice.
-        lambda t: ((e := (t - t.data.max(axis=-1, keepdims=True)).exp())
-                   / e.sum(axis=-1, keepdims=True) * t).sum(),
+        lambda t: (softmax(t) * t).sum(),
         lambda t: (t * t).sum(axis=-1).sqrt().sum(),
-        lambda t: t.reshape((6,)).mean(),
-        lambda t: t[:, 1:].sum(axis=0).mean(),
-        lambda t: (t.softplus() * t).sum(),
-        lambda t: (t / (t * t + 2.0)).sum(),
-        lambda t: (t - t.mean(axis=-1, keepdims=True)).sum(),
+        lambda t: ops.mean(ops.reshape(t, (6,))),
+        lambda t: ops.mean(t[:, 1:].sum(axis=0)),
+        lambda t: (ops.softplus(t) * t).sum(),
+        lambda t: ops.div(t, t * t + 2.0).sum(),
+        lambda t: ops.sub(t, ops.mean(t, axis=-1, keepdims=True)).sum(),
     ])
     def test_elementwise_and_reductions(self, op, seed):
         check_op(op, (2, 3), seed)
@@ -96,8 +102,8 @@ class TestPrimitiveGradients:
         x = np.random.default_rng(5).standard_normal((2, 3, 4))
         n = np.prod([x.shape[a] for a in axis])
         results = []
-        for reduce in (lambda t: t.mean(axis=axis, keepdims=keepdims),
-                       lambda t: t.sum(axis=axis, keepdims=keepdims) / n):
+        for reduce in (lambda t: ops.mean(t, axis=axis, keepdims=keepdims),
+                       lambda t: ops.div(t.sum(axis=axis, keepdims=keepdims), n)):
             t = Tensor(x, requires_grad=True)
             out = reduce(t)
             (out * out).sum().backward()
@@ -110,7 +116,7 @@ class TestPrimitiveGradients:
         params.add("x", x)
 
         def loss(p):
-            m = p["x"].mean(axis=axis, keepdims=keepdims)
+            m = ops.mean(p["x"], axis=axis, keepdims=keepdims)
             return (m * m).sum()
 
         assert grad_check(loss, params).passed
@@ -140,7 +146,8 @@ class TestPrimitiveGradients:
 
     def test_concat_rows(self):
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        concat([x[0].reshape((1, 2)), x[2].reshape((1, 2))]).sum().backward()
+        concat([ops.reshape(x[0], (1, 2)),
+                ops.reshape(x[2], (1, 2))]).sum().backward()
         assert np.array_equal(x.grad, np.array([[1.0, 1], [0, 0], [1, 1]]))
 
 
@@ -170,7 +177,7 @@ class TestTapeRelease:
         params.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
         params.add("b", np.array([0.5, -0.5]))
         x = Tensor(np.array([[1.0, -1.0], [2.0, 0.5]]))
-        hidden = linear(x, params["w"], params["b"]).tanh()
+        hidden = ops.tanh(linear(x, params["w"], params["b"]))
         return params, hidden, (hidden * hidden).sum()
 
     def test_leaf_grads_survive_forward_backward(self):
@@ -194,8 +201,8 @@ class TestTapeRelease:
         first = forward_backward(loss, params)
         kept = {name: g.data.copy() for name, g in first.items()}
         SgdState().step(params, first, SgdConfig(lr=0.1, momentum=0.9))
-        hidden = linear(Tensor(np.array([[0.3, 0.2], [-1.0, 1.5]])),
-                        params["w"], params["b"]).tanh()
+        hidden = ops.tanh(linear(Tensor(np.array([[0.3, 0.2], [-1.0, 1.5]])),
+                                 params["w"], params["b"]))
         second = forward_backward((hidden * hidden).sum(), params)
         for name, g in first.items():
             assert np.array_equal(g.data, kept[name]), name
@@ -407,8 +414,10 @@ class TestSubtraction:
 
         def loss(p):
             a, b = p["a"], p["b"]
-            return (((a - b) * (b - a)).sum() + (1.5 - a).tanh().sum()
-                    + (b - 0.5).sigmoid().sum() + (2.0 - b * b).exp().sum())
+            return ((ops.sub(a, b) * ops.sub(b, a)).sum()
+                    + ops.tanh(ops.sub(1.5, a)).sum()
+                    + ops.sigmoid(ops.sub(b, 0.5)).sum()
+                    + ops.exp(ops.sub(2.0, b * b)).sum())
 
         report = grad_check(loss, params)
         assert report.passed, report.max_rel_error
@@ -418,10 +427,10 @@ class TestSubtraction:
         x, y = rng.standard_normal((2, 5))
         a = Tensor(x, requires_grad=True)
         b = Tensor(y, requires_grad=True)
-        diff = a - b
+        diff = ops.sub(a, b)
         assert np.array_equal(diff.data, x + (-y))
         assert diff._prev == (a, b)
-        assert np.array_equal((2.0 - a).data, 2.0 + (-x))
+        assert np.array_equal(ops.sub(2.0, a).data, 2.0 + (-x))
 
 
 class TestLinear:
@@ -438,7 +447,7 @@ class TestLinear:
         weights = Tensor(rng.standard_normal(x_shape[:-1] + w_shape[1:]))
 
         def loss(p):
-            return (linear(p["x"], p["w"], p["b"]).tanh() * weights).sum()
+            return (ops.tanh(linear(p["x"], p["w"], p["b"])) * weights).sum()
 
         report = grad_check(loss, params)
         assert report.passed, report.max_rel_error
@@ -455,8 +464,8 @@ class TestLinear:
     @pytest.mark.parametrize("x_shape", [(1, 6), (5, 6), (3, 5, 6)])
     def test_activation_equals_its_chain_bit_for_bit(self, x_shape, act):
         # A row, a span and a batch: the fused node gives the value and the
-        # x, w and b gradients of linear(x, w, b) followed by the Tensor
-        # method, float for float.
+        # x, w and b gradients of linear(x, w, b) followed by the reference
+        # op, float for float.
         rng = np.random.default_rng(15)
         arrays = [rng.standard_normal(s) for s in (x_shape, (6, 4), (4,))]
         weights = rng.standard_normal(x_shape[:-1] + (4,))
@@ -467,7 +476,7 @@ class TestLinear:
                 out = linear(x, w, b, act)
                 assert out._prev == (x, w, b)
             else:
-                out = getattr(linear(x, w, b), act)()
+                out = getattr(ops, act)(linear(x, w, b))
             (out * Tensor(weights)).sum().backward()
             results.append([out.data, x.grad, w.grad, b.grad])
         for got, expect in zip(*results):
@@ -527,12 +536,12 @@ class TestTensorBasics:
         cp = ControllerParams(scale=leaf(), temperature=1.0,
                               ratio_raw=leaf(), ratio_min=0.1, ratio_max=0.9)
         builds = [
-            lambda: x + 1.0, lambda: 1.0 + x, lambda: -x, lambda: x - 1.0,
-            lambda: 1.0 - x, lambda: x * 2.0, lambda: 2.0 * x,
-            lambda: x / 2.0, lambda: linear(x, m, m[0]), lambda: x.sum(), lambda: x.mean(0),
-            lambda: x.tanh(), lambda: x.sigmoid(), lambda: x.softplus(),
-            lambda: x.exp(), lambda: x.log(), lambda: x.sqrt(),
-            lambda: x.reshape((4, 2)), lambda: x[1],
+            lambda: x + 1.0, lambda: ops.neg(x), lambda: ops.sub(x, 1.0),
+            lambda: ops.sub(1.0, x), lambda: x * 2.0,
+            lambda: ops.div(x, 2.0), lambda: linear(x, m, m[0]), lambda: x.sum(), lambda: ops.mean(x, 0),
+            lambda: ops.tanh(x), lambda: ops.sigmoid(x), lambda: ops.softplus(x),
+            lambda: ops.exp(x), lambda: ops.log(x), lambda: x.sqrt(),
+            lambda: ops.reshape(x, (4, 2)), lambda: x[1],
             lambda: concat([x, x]), lambda: x[[1, 0, 1]],
             lambda: fast_update(x, x[0], params),
             lambda: memory_read(x, x, x[0], params),
@@ -646,7 +655,8 @@ class TestRmsNorm:
         gain = Tensor(rng.standard_normal(4), requires_grad=True)
         out = rmsnorm(x, gain, 1e-6)
         assert out._prev == (x, gain)
-        composed = x / ((x * x).mean(axis=-1, keepdims=True) + 1e-6).sqrt() * gain
+        composed = ops.div(x, (ops.mean(x * x, axis=-1, keepdims=True)
+                               + 1e-6).sqrt()) * gain
         assert np.array_equal(out.data, composed.data)
 
 

@@ -1,7 +1,8 @@
 """The benchmark's trace targets are called, not only present:
 perfbench/spans.py times each mechanism by patching its name in
-lpcsm.model or lpcsm.mhc, so a name that stays imported but is no longer
-called would drop out of the benchmark unseen."""
+lpcsm.model or lpcsm.mhc, and the loss by patching lm_loss, aux_losses
+and total_loss in lpcsm.train, so a name that stays imported but is no
+longer called would drop out of the benchmark unseen."""
 
 import importlib.util
 import sys
@@ -56,3 +57,19 @@ def test_model_and_mhc_targets_record_spans(spans, run):
     with tracer.installed():
         RUNS[run]()
     assert expected - {s.name for s in tracer.spans} == set()
+
+
+LOSS_TARGETS = ("lm_loss", "aux_losses", "total_loss")
+
+
+@pytest.mark.parametrize("run", ["latent sequence_loss", "sequence_loss"])
+def test_loss_targets_are_called(spans, run):
+    # All three share one span name, so each records its own calls.
+    assert {("lpcsm.train", name, "objective.loss")
+            for name in LOSS_TARGETS} <= set(spans.TARGETS)
+    called = []
+    hooks = {name: lambda args, result, name=name: called.append(name)
+             for name in LOSS_TARGETS}
+    with spans.Tracer().installed(hooks):
+        RUNS[run]()
+    assert sorted(called) == sorted(LOSS_TARGETS)
